@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -181,3 +182,30 @@ def test_tune_single_episode_returns_the_sample(tmp_path):
     lines = (tmp_path / "t4_gains.txt").read_text().splitlines()
     vals = [float(l.split("=")[1]) for l in lines]
     np.testing.assert_allclose(vals, data[0, 1:5])
+
+
+# sha256 of the artifacts, recorded before the trajectory became a column
+# array; a refactor of the simulation core must leave every byte in place.
+FROZEN_ARTIFACTS = (
+    (["simulate", "--controller", "fuzzy-cascaded", "--disturbance", "uniform",
+      "--seed", "10"],
+     {"_trajectory.csv": "5886d9122683d9907df30182f4f193da1556a01ba12d5938696defe1e6909437",
+      "_metrics.csv": "26ec99abdf9022dd6cd48ae777096d8aabdce5c104412f3b645db161001ff27d"}),
+    (["simulate", "--controller", "pd1-fuzzy2"],
+     {"_trajectory.csv": "9294308176ac7452ddf317495439f62111c203e84a6e8e0f5f394685362fe6f9",
+      "_metrics.csv": "dcf63593bbce5fd0b8fec69d22ef2d5e0521ed0194ac9ca7890c97e26639716a"}),
+    (["ablate", "--seed", "10"],
+     {"_ablation.csv": "dc1181b45f77cfb3158efd3efb52c125375c5f91c05c99c26acc8d0366ef8fd1"}),
+    (["tune", "--stage", "pd", "--episodes", "3", "--n-init", "2"],
+     {"_history.csv": "de8dc1b6a5b211b1d25564e4810be48ec497042806add9eb3fbe97ee7afbc4a1"}),
+)
+
+
+@pytest.mark.parametrize("args,digests", FROZEN_ARTIFACTS,
+                         ids=[" ".join(a[:3]) for a, _ in FROZEN_ARTIFACTS])
+def test_artifacts_match_frozen_bytes(tmp_path, args, digests):
+    out = str(tmp_path / "f")
+    assert run(args + ["--out", out]) == EXIT_OK
+    for suffix, digest in digests.items():
+        data = (tmp_path / ("f" + suffix)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix

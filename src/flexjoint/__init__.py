@@ -2,32 +2,9 @@
 
 Layers, bottom up: ``plant`` (dynamics + forward-Euler integration),
 ``fuzzy`` (Sugeno gain regulators), ``control`` (PD cascade + closed-loop
-simulation), ``tuning`` (GP-surrogate Bayesian optimization), ``analysis``
-(linear stability), ``metrics`` (tracking metrics), ``gainsio`` (flat
-key = value files), ``cli`` (command-line harness).
+simulation), ``metrics`` (tracking metrics and cost), ``tuning``
+(GP-surrogate Bayesian optimization), ``analysis`` (linear stability),
+``gainsio`` (flat key = value files), ``cli`` (command-line harness).
 """
-
-from .analysis import (CharPoly, StabilityBounds, Verdict, block_eigenvalues,
-                       check_flr_conditions, check_gain_conditions,
-                       closed_loop_charpoly, eigenvalues, error_jacobian,
-                       state_matrix)
-from .control import (Controller, ControllerKind, Diagnostics,
-                      DivergedTrajectory, GainSet, Record, Reference,
-                      Trajectory, cascaded_torque, fuzzy_cascaded_torque,
-                      motor_reference, pd, simulate, single_pd_torque)
-from .fuzzy import (ERROR_SCALE, KD_RULES, KP_RULES, RATE_SCALE, TERMS,
-                    FlrBounds, FuzzyConfigError, LinguisticScale, RuleBase,
-                    TriangularMF, firing_strengths, grade, infer)
-from .gainsio import (GainsFileError, LoadedGains, load_gains, load_plant,
-                      save_gains)
-from .metrics import Metrics, MetricsError, compute_metrics
-from .plant import (DisturbanceModel, PlantError, PlantParams, SimConfig,
-                    State, derivatives, disturbance_sample, euler_step,
-                    mechanical_energy)
-from .tuning import (FAILED_COST, Dataset, Domain, GpFitError, GpModel,
-                     TunerConfig, TuningHistory, flr_bound_domain,
-                     flr_bounds_from_vector, gp_fit, gp_predict,
-                     make_flr_cost, make_pd_cost, pd_gain_domain, smbo,
-                     suggest, tracking_cost, ucb)
 
 __version__ = "0.1.0"

@@ -22,15 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .control import (Controller, ControllerKind, DivergedTrajectory, GainSet,
-                      Reference, Trajectory, simulate)
+from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
+                      DivergedTrajectory, GainSet, Reference, Trajectory,
+                      simulate)
 from .fuzzy import FlrBounds
 from .gainsio import GainsFileError, LoadedGains, load_gains, load_plant, save_gains
-from .metrics import Metrics, MetricsError, compute_metrics
+from .metrics import FAILED_COST, Metrics, MetricsError, compute_metrics
 from .plant import DisturbanceModel, PlantError, PlantParams, SimConfig
-from .tuning import (FAILED_COST, TunerConfig, flr_bound_domain,
-                     flr_bounds_from_vector, make_flr_cost, make_pd_cost,
-                     pd_gain_domain, smbo)
+from .tuning import (TunerConfig, flr_bound_domain, flr_bounds_from_vector,
+                     make_flr_cost, make_pd_cost, pd_gain_domain, smbo)
 
 # Bundled tuning results (BO over the square-wave task); the regulator
 # bound pairs are stored ordered as (lower, upper).
@@ -45,9 +45,6 @@ DEFAULT_TUNER_SEED = 0
 
 RNG_DESCRIPTION = "numpy PCG64 (default_rng) keyed by (seed, step_index)"
 
-TRAJ_COLUMNS = ("t", "x1", "x2", "x3", "x4", "x1d", "x3d", "u",
-                "e1", "e2", "e3", "e4",
-                "kp1_eff", "kd1_eff", "kp2_eff", "kd2_eff")
 METRIC_COLUMNS = ("cost", "overshoot_pct", "settling_time",
                   "steady_state_error", "rms_error")
 
@@ -81,16 +78,8 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def trajectory_rows(traj: Trajectory):
-    for r in traj.records:
-        d = r.diag
-        yield (r.t, r.state.x1, r.state.x2, r.state.x3, r.state.x4,
-               r.x1d, d.x3d, r.u, d.e1, d.e2, d.e3, d.e4,
-               d.kp1_eff, d.kd1_eff, d.kp2_eff, d.kd2_eff)
-
-
 def write_trajectory(path, traj: Trajectory) -> None:
-    write_csv(path, TRAJ_COLUMNS, trajectory_rows(traj))
+    write_csv(path, TRAJ_COLUMNS, traj.data.tolist())
 
 
 def write_metrics(path, m: Metrics) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,15 +25,16 @@ DIVERGENCE_LIMIT = 1e6
 
 
 class DivergedTrajectory(RuntimeError):
-    """Simulation aborted because a state component exceeded the limit."""
+    """Simulation aborted because a state component exceeded the limit or
+    the torque was not finite."""
 
-    def __init__(self, sim_step: int, t: float, state: State):
+    def __init__(self, sim_step: int, t: float, state: State,
+                 cause: str = f"|state| > {DIVERGENCE_LIMIT:g}"):
         self.sim_step = sim_step
         self.t = t
         self.state = state
         super().__init__(
-            f"trajectory diverged at sim step {sim_step} (t={t:.4f}s): "
-            f"|state| > {DIVERGENCE_LIMIT:g}")
+            f"trajectory diverged at sim step {sim_step} (t={t:.4f}s): {cause}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,9 @@ class GainSet:
 
     def __post_init__(self):
         for name in ("kp1", "kd1", "kp2", "kd2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 class ControllerKind(str, enum.Enum):
@@ -109,15 +111,30 @@ def motor_reference(params: PlantParams, x1: float, u_pd1: float) -> float:
     return u_pd1 * p.I_l / p.k + x1 + p.mgl * math.cos(x1) / p.k
 
 
-def _cascade(params: PlantParams, kp1, kd1, kp2, kd2,
-             s: State, ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
+def _cascade_law(params: PlantParams, gains: GainSet, loop1: RuleBase | None,
+                 loop2: RuleBase | None, s: State, ref: tuple[float, float, float],
+                 ) -> tuple[float, Diagnostics]:
+    """Cascaded PD torque u = u_pd2 + u_pd1*I_l + mgl*cos(x1).
+
+    A loop given a rule base adds that regulator's (dkp, dkd) output to its
+    PD gains: loop 1 feeds it (e1, e2), loop 2 feeds it (e3, e4).  A loop
+    given None runs its plain PD gains.
+    """
     x1d, x1d_dot, _ = ref
     e1 = x1d - s.x1
     e2 = x1d_dot - s.x2
+    kp1, kd1 = gains.kp1, gains.kd1
+    if loop1 is not None:
+        dkp1, dkd1 = infer(loop1, e1, e2)
+        kp1, kd1 = kp1 + dkp1, kd1 + dkd1
     u_pd1 = pd(kp1, kd1, e1, e2)
     x3d = motor_reference(params, s.x1, u_pd1)
     e3 = x3d - s.x3
     e4 = 0.0 - s.x4  # x3d rate fixed to zero
+    kp2, kd2 = gains.kp2, gains.kd2
+    if loop2 is not None:
+        dkp2, dkd2 = infer(loop2, e3, e4)
+        kp2, kd2 = kp2 + dkp2, kd2 + dkd2
     u_pd2 = pd(kp2, kd2, e3, e4)
     u = u_pd2 + u_pd1 * params.I_l + params.mgl * math.cos(s.x1)
     return u, Diagnostics(u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
@@ -126,7 +143,7 @@ def _cascade(params: PlantParams, kp1, kd1, kp2, kd2,
 def cascaded_torque(params: PlantParams, gains: GainSet, s: State,
                     ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
     """Cascaded PD torque u = u_pd2 + u_pd1*I_l + mgl*cos(x1)."""
-    return _cascade(params, gains.kp1, gains.kd1, gains.kp2, gains.kd2, s, ref)
+    return _cascade_law(params, gains, None, None, s, ref)
 
 
 def fuzzy_cascaded_torque(params: PlantParams, base: GainSet, bounds: FlrBounds,
@@ -140,26 +157,15 @@ def fuzzy_cascaded_torque(params: PlantParams, base: GainSet, bounds: FlrBounds,
     base + increment; a loop with fuzzy disabled (or zero-width bounds)
     reduces exactly to the plain cascade.
     """
-    x1d, x1d_dot, _ = ref
-    e1 = x1d - s.x1
-    e2 = x1d_dot - s.x2
-    kp1, kd1 = base.kp1, base.kd1
-    if fuzzy_loop1:
-        rb1 = RuleBase(bounds.dkp1, bounds.dkd1)
-        dkp1, dkd1 = infer(rb1, e1, e2)
-        kp1, kd1 = kp1 + dkp1, kd1 + dkd1
-    u_pd1 = pd(kp1, kd1, e1, e2)
-    x3d = motor_reference(params, s.x1, u_pd1)
-    e3 = x3d - s.x3
-    e4 = 0.0 - s.x4
-    kp2, kd2 = base.kp2, base.kd2
-    if fuzzy_loop2:
-        rb2 = RuleBase(bounds.dkp2, bounds.dkd2)
-        dkp2, dkd2 = infer(rb2, e3, e4)
-        kp2, kd2 = kp2 + dkp2, kd2 + dkd2
-    u_pd2 = pd(kp2, kd2, e3, e4)
-    u = u_pd2 + u_pd1 * params.I_l + params.mgl * math.cos(s.x1)
-    return u, Diagnostics(u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
+    return _cascade_law(params, base, *_rule_bases(bounds, fuzzy_loop1, fuzzy_loop2),
+                        s, ref)
+
+
+def _rule_bases(bounds: FlrBounds, fuzzy_loop1: bool, fuzzy_loop2: bool,
+                ) -> tuple[RuleBase | None, RuleBase | None]:
+    """The regulator of each loop with fuzzy enabled, None for the others."""
+    return (RuleBase(bounds.dkp1, bounds.dkd1) if fuzzy_loop1 else None,
+            RuleBase(bounds.dkp2, bounds.dkd2) if fuzzy_loop2 else None)
 
 
 def single_pd_torque(gains2: tuple[float, float], s: State,
@@ -177,61 +183,69 @@ def single_pd_torque(gains2: tuple[float, float], s: State,
 
 @dataclass(frozen=True)
 class Controller:
-    """Value object bundling a controller kind with its parameters."""
+    """Value object bundling a controller kind with its parameters.
+
+    loop1 and loop2 hold the regulators of the kind's fuzzy loops, built
+    once here; a plain PD loop holds None.
+    """
 
     kind: ControllerKind = ControllerKind.FUZZY_CASCADED
     gains: GainSet = field(default_factory=GainSet)
     flr_bounds: FlrBounds = field(default_factory=FlrBounds)
     single_gains: tuple[float, float] = (117.0, 29.99)
+    loop1: RuleBase | None = field(init=False, compare=False, repr=False)
+    loop2: RuleBase | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        k = self.kind
+        fuzzy1 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.FUZZY1_PD2)
+        fuzzy2 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.PD1_FUZZY2)
+        loop1, loop2 = _rule_bases(self.flr_bounds, fuzzy1, fuzzy2)
+        object.__setattr__(self, "loop1", loop1)
+        object.__setattr__(self, "loop2", loop2)
 
     def torque(self, params: PlantParams, s: State,
                ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
-        k = self.kind
-        if k is ControllerKind.SINGLE_PD:
+        if self.kind is ControllerKind.SINGLE_PD:
             return single_pd_torque(self.single_gains, s, ref)
-        if k is ControllerKind.CASCADED_PD:
-            return cascaded_torque(params, self.gains, s, ref)
-        f1 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.FUZZY1_PD2)
-        f2 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.PD1_FUZZY2)
-        return fuzzy_cascaded_torque(params, self.gains, self.flr_bounds,
-                                     s, ref, fuzzy_loop1=f1, fuzzy_loop2=f2)
+        return _cascade_law(params, self.gains, self.loop1, self.loop2, s, ref)
 
 
-@dataclass(frozen=True)
-class Record:
-    """One trajectory row, taken at a control-step boundary."""
-
-    t: float
-    state: State
-    x1d: float
-    u: float
-    diag: Diagnostics
+TRAJ_COLUMNS = ("t", "x1", "x2", "x3", "x4", "x1d", "x3d", "u",
+                "e1", "e2", "e3", "e4",
+                "kp1_eff", "kd1_eff", "kp2_eff", "kd2_eff")
+_COLUMN_INDEX = {name: i for i, name in enumerate(TRAJ_COLUMNS)}
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Control-rate record of a simulation run.
 
-    ``records[i]`` is taken at t = i*control_dt just before the i-th torque
-    is applied; ``final_state`` is the plant state at the end of the
-    horizon.  A zero-length horizon yields a single record of the initial
-    conditions with the torque that would have been applied.
+    ``data`` is a float64 array with one column per ``TRAJ_COLUMNS`` entry;
+    each column is also an attribute (``traj.e1`` is the ``e1`` column).  Row i
+    is taken at t = i*control_dt just before the i-th torque is applied;
+    ``final_state`` is the plant state at the end of the horizon.  A
+    zero-length horizon yields a single row of the initial conditions with
+    the torque that would have been applied.
     """
 
-    records: list[Record]
+    data: np.ndarray
     final_state: State
 
-    @property
-    def e1(self) -> np.ndarray:
-        return np.array([r.diag.e1 for r in self.records])
+    def __getattr__(self, name: str) -> np.ndarray:
+        i = _COLUMN_INDEX.get(name)
+        if i is None:
+            raise AttributeError(name)
+        return self.data[:, i]
 
-    @property
-    def x1(self) -> np.ndarray:
-        return np.array([r.state.x1 for r in self.records])
+    def __len__(self) -> int:
+        return len(self.data)
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+
+def _row(t: float, s: State, x1d: float, u: float, d: Diagnostics) -> tuple:
+    """One trajectory row, in ``TRAJ_COLUMNS`` order."""
+    return (t, s.x1, s.x2, s.x3, s.x4, x1d, d.x3d, u, d.e1, d.e2, d.e3, d.e4,
+            d.kp1_eff, d.kd1_eff, d.kp2_eff, d.kd2_eff)
 
 
 def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
@@ -242,17 +256,20 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     The torque is recomputed every control_dt and held over the
     control_dt/sim_dt Euler sub-steps.  Disturbances are indexed by sim step
     (or by control step under the per-control-step hold).  Raises
-    DivergedTrajectory as soon as any state magnitude exceeds 1e6.
+    DivergedTrajectory before integrating a non-finite torque, and as soon
+    as any state magnitude exceeds 1e6.
     """
     s = initial_state
-    records: list[Record] = []
+    rows: list[tuple] = []
     sub = sim.substeps
     sim_step = 0
     for n in range(sim.n_control_steps):
         t = n * sim.control_dt
         r = ref(t)
         u, diag = controller.torque(params, s, r)
-        records.append(Record(t, s, r[0], u, diag))
+        if not math.isfinite(u):
+            raise DivergedTrajectory(sim_step, t, s, f"non-finite torque {u!r}")
+        rows.append(_row(t, s, r[0], u, diag))
         for _ in range(sub):
             idx = n if dist.hold == "per-control-step" else sim_step
             d1, d2 = disturbance_sample(dist, idx)
@@ -260,9 +277,8 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
             sim_step += 1
             if max(abs(s.x1), abs(s.x2), abs(s.x3), abs(s.x4)) > DIVERGENCE_LIMIT:
                 raise DivergedTrajectory(sim_step, sim_step * sim.sim_dt, s)
-    if not records:
-        t = 0.0
-        r = ref(t)
+    if not rows:
+        r = ref(0.0)
         u, diag = controller.torque(params, s, r)
-        records.append(Record(t, s, r[0], u, diag))
-    return Trajectory(records=records, final_state=s)
+        rows.append(_row(0.0, s, r[0], u, diag))
+    return Trajectory(np.array(rows, dtype=float), final_state=s)

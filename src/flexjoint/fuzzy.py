@@ -117,12 +117,18 @@ def _check_table(table) -> None:
 
 @dataclass(frozen=True)
 class RuleBase:
-    """Rule tables plus output bounds for one regulator (dkp and dkd)."""
+    """Rule tables plus output bounds for one regulator (dkp and dkd).
+
+    kp_consequents[i, j] is the singleton that rule (e term i, de term j)
+    outputs for dkp; kd_consequents likewise for dkd.
+    """
 
     kp_bounds: tuple[float, float]
     kd_bounds: tuple[float, float]
     table_kp: tuple = KP_RULES
     table_kd: tuple = KD_RULES
+    kp_consequents: np.ndarray = field(init=False, compare=False, repr=False)
+    kd_consequents: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_table(self.table_kp)
@@ -130,6 +136,10 @@ class RuleBase:
         for lo, hi in (self.kp_bounds, self.kd_bounds):
             if lo > hi:
                 raise FuzzyConfigError(f"bounds must satisfy lower <= upper, got ({lo}, {hi})")
+        for name, table, bounds in (("kp_consequents", self.table_kp, self.kp_bounds),
+                                    ("kd_consequents", self.table_kd, self.kd_bounds)):
+            idx = np.array([[_TERM_INDEX[t] for t in row] for row in table])
+            object.__setattr__(self, name, self.singletons(bounds)[idx])
 
     def singletons(self, bounds: tuple[float, float]) -> np.ndarray:
         lo, hi = bounds
@@ -175,9 +185,5 @@ def infer(rb: RuleBase, e: float, de: float,
           de_scale: LinguisticScale = RATE_SCALE) -> tuple[float, float]:
     """Sugeno output (dkp, dkd): firing-strength-weighted singleton average."""
     w = firing_strengths(e_scale, de_scale, e, de)
-    out = []
-    for table, bounds in ((rb.table_kp, rb.kp_bounds), (rb.table_kd, rb.kd_bounds)):
-        sing = rb.singletons(bounds)
-        idx = np.array([[_TERM_INDEX[t] for t in row] for row in table])
-        out.append(float(np.sum(w * sing[idx])))
-    return out[0], out[1]
+    return (float(np.sum(w * rb.kp_consequents)),
+            float(np.sum(w * rb.kd_consequents)))

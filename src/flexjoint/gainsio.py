@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,8 @@ def _parse_kv(path, allowed) -> dict[str, float]:
             values[key] = float(val.strip())
         except ValueError:
             raise GainsFileError(f"invalid number {val.strip()!r}", lineno) from None
+        if not math.isfinite(values[key]):
+            raise GainsFileError(f"non-finite number {val.strip()!r}", lineno)
     return values
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Reference, Trajectory
-from .tuning import tracking_cost
 
 SETTLING_BAND = 0.02  # fraction of the step size
+FAILED_COST = -1.0e4  # below any reachable tracking cost (>= -200*pi)
 
 
 class MetricsError(ValueError):
@@ -31,6 +31,16 @@ class Metrics:
     settling_time: float
     steady_state_error: float
     rms_error: float
+
+
+def tracking_cost(trajectory: Trajectory, n_steps: int = 200) -> float:
+    """Negative sum of absolute link-angle error over the first n_steps
+    control steps."""
+    e1 = trajectory.e1
+    if len(e1) < n_steps:
+        raise ValueError(
+            f"trajectory has {len(e1)} control-step records, need {n_steps}")
+    return float(-np.sum(np.abs(e1[:n_steps])))
 
 
 def step_overshoot(x1: np.ndarray, target: float, step_size: float) -> float:
@@ -58,13 +68,13 @@ def compute_metrics(traj: Trajectory, ref: Reference,
     """Metrics over a completed tracking run.  The cost window is the first
     cost_steps control steps (the full square-wave protocol yields 200);
     shorter runs are scored over what they have."""
-    if len(traj.records) < 2:
+    if len(traj) < 2:
         raise MetricsError("trajectory has no simulated control steps")
     t, e1, x1 = traj.t, traj.e1, traj.x1
-    cost = tracking_cost(traj, n_steps=min(cost_steps, len(traj.records)))
+    cost = tracking_cost(traj, n_steps=min(cost_steps, len(traj)))
     if ref.kind in ("square", "constant"):
-        target = traj.records[-1].x1d
-        step = abs(target - traj.records[0].state.x1)
+        target = traj.x1d[-1]
+        step = abs(target - x1[0])
         if step == 0.0:
             step = 1.0
         ov = step_overshoot(x1, target, step)

@@ -34,8 +34,8 @@ class PlantParams:
     mu: float = 0.1
 
     def __post_init__(self):
-        if self.g < 0:
-            raise PlantError(f"g must be >= 0, got {self.g}")
+        if not (math.isfinite(self.g) and self.g >= 0):
+            raise PlantError(f"g must be finite and >= 0, got {self.g}")
         for name in ("m", "l", "I_l", "I_m", "k", "mu"):
             v = getattr(self, name)
             if not (v > 0) or not math.isfinite(v):

@@ -18,12 +18,10 @@ from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.stats import qmc
 
-from .control import (Controller, ControllerKind, DivergedTrajectory, GainSet,
-                      Reference, Trajectory)
+from .control import Controller, ControllerKind, GainSet, Reference, simulate
 from .fuzzy import FlrBounds
+from .metrics import FAILED_COST, tracking_cost
 from .plant import DisturbanceModel, PlantParams, SimConfig
-
-FAILED_COST = -1.0e4  # below any reachable tracking cost (>= -200*pi)
 
 # log-space hyperparameter boxes (normalized inputs, standardized outputs)
 _LEN_BOUNDS = (math.log(1e-2), math.log(1e2))
@@ -288,7 +286,9 @@ def smbo(cost, domain: Domain, config: TunerConfig,
 
     Draws n_init Latin-hypercube samples, then alternates GP fit, UCB
     maximization and cost evaluation until T episodes are recorded.  A cost
-    evaluation that raises scores FAILED_COST and the loop continues.
+    evaluation that raises RuntimeError (DivergedTrajectory, say) or returns
+    a non-finite value scores FAILED_COST and the loop continues; any other
+    exception is a bug, not a bad parameter set, and propagates.
     Identical seeds reproduce identical histories.
     """
     rng = np.random.default_rng((config.seed, 0x5B0))
@@ -300,7 +300,7 @@ def smbo(cost, domain: Domain, config: TunerConfig,
     def evaluate(x) -> float:
         try:
             y = float(cost(np.asarray(x, dtype=float)))
-        except Exception:
+        except RuntimeError:
             return FAILED_COST
         return y if math.isfinite(y) else FAILED_COST
 
@@ -322,16 +322,6 @@ def smbo(cost, domain: Domain, config: TunerConfig,
     i_best = int(np.argmax(data.y))
     history = TuningHistory(X=data.X.copy(), y=data.y.copy(), best_y=best_y)
     return data.X[i_best].copy(), float(data.y[i_best]), history
-
-
-def tracking_cost(trajectory: Trajectory, n_steps: int = 200) -> float:
-    """Negative sum of absolute link-angle error over the first n_steps
-    control steps."""
-    e1 = trajectory.e1
-    if len(e1) < n_steps:
-        raise ValueError(
-            f"trajectory has {len(e1)} control-step records, need {n_steps}")
-    return float(-np.sum(np.abs(e1[:n_steps])))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +350,6 @@ def flr_bounds_from_vector(x) -> FlrBounds:
 def make_pd_cost(params: PlantParams, sim: SimConfig, ref: Reference,
                  dist: DisturbanceModel):
     """Square-wave tracking cost of a plain cascaded PD with gains x."""
-    from .control import simulate
 
     def cost(x) -> float:
         gains = GainSet(*np.maximum(x, 0.0))
@@ -375,7 +364,6 @@ def make_flr_cost(params: PlantParams, sim: SimConfig, ref: Reference,
                   dist: DisturbanceModel, base_gains: GainSet):
     """Tracking cost of the fuzzy cascade with regulator bounds taken from
     an 8-vector, PD gains frozen at the first-stage result."""
-    from .control import simulate
 
     def cost(x) -> float:
         ctrl = Controller(kind=ControllerKind.FUZZY_CASCADED, gains=base_gains,

@@ -162,7 +162,7 @@ def test_criterion_5_ablation_ordering():
     try:
         traj = simulate(PARAMS, SIM, Controller(ControllerKind.SINGLE_PD),
                         SQUARE, DisturbanceModel(kind="off"))
-        final_error_check = abs(traj.records[-1].diag.e1) > 0.1
+        final_error_check = abs(traj.e1[-1]) > 0.1
     except DivergedTrajectory:
         pass
     report(5, [("costs within 20 pct bands", in_band),
@@ -267,10 +267,9 @@ def _error_ode_literal() -> tuple[bool, float]:
     traj = simulate(PARAMS, SIM, Controller(ControllerKind.CASCADED_PD, GAINS),
                     SQUARE, DisturbanceModel(kind="off"))
     p, g = PARAMS, GAINS
-    d0 = traj.records[0].diag
-    e = np.array([d0.e1, d0.e2, d0.e3, d0.e4])
+    e = np.array([traj.e1[0], traj.e2[0], traj.e3[0], traj.e4[0]])
     worst = 0.0
-    for n in range(1, len(traj.records)):
+    for n in range(1, len(traj)):
         for _ in range(SIM.substeps):
             de = np.array([
                 e[1],
@@ -279,9 +278,8 @@ def _error_ode_literal() -> tuple[bool, float]:
                 -(p.k + g.kp2) / p.I_m * e[2] - (p.mu + g.kd2) / p.I_m * e[3],
             ])
             e = e + SIM.sim_dt * de
-        d = traj.records[n].diag
         worst = max(worst, float(np.max(np.abs(
-            e - np.array([d.e1, d.e2, d.e3, d.e4])))))
+            e - np.array([traj.e1[n], traj.e2[n], traj.e3[n], traj.e4[n]])))))
     return worst <= 1e-6, worst
 
 

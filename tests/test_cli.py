@@ -53,6 +53,14 @@ def test_simulate_divergence_exit_code(tmp_path):
     assert code == EXIT_DIVERGED
 
 
+def test_simulate_nonfinite_torque_exit_code(tmp_path, capsys):
+    gfile = tmp_path / "huge.txt"
+    save_gains(gfile, GainSet(1e300, 1e300, 1e300, 1e300))
+    out = str(tmp_path / "h")
+    assert run(["simulate", "--out", out, "--gains", str(gfile)]) == EXIT_DIVERGED
+    assert "non-finite torque" in capsys.readouterr().err
+
+
 def test_simulate_controller_choices(tmp_path):
     for kind in ("cascaded", "fuzzy-cascaded", "fuzzy1-pd2", "pd1-fuzzy2"):
         out = str(tmp_path / kind)
@@ -77,6 +85,18 @@ def test_bad_gains_file_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "bad")
     assert run(["simulate", "--out", out, "--gains", str(gfile)]) == EXIT_USAGE
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,content", [("--gains", "kp1 = nan\n"),
+                                          ("--plant", "g = nan\n")])
+def test_nonfinite_input_file_is_one_line_usage_error(tmp_path, capsys,
+                                                      flag, content):
+    path = tmp_path / "in.txt"
+    path.write_text(content)
+    out = str(tmp_path / "nf")
+    assert run(["simulate", "--out", out, flag, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 1")
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -151,6 +171,13 @@ def test_tune_pd_quick(tmp_path):
     # gains inside the search box
     vals = [float(l.split("=")[1]) for l in lines]
     assert 0.0 <= vals[0] <= 150.0 and 0.0 <= vals[1] <= 30.0
+
+
+def test_tune_too_short_horizon_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "ts")
+    assert run(["tune", "--stage", "pd", "--out", out, "--horizon", "5",
+                "--episodes", "3", "--n-init", "2"]) == EXIT_USAGE
+    assert "need 200" in capsys.readouterr().err
 
 
 def test_tune_flr_requires_gains(tmp_path, capsys):

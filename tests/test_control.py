@@ -16,6 +16,10 @@ from flexjoint.plant import (DisturbanceModel, PlantParams, SimConfig, State,
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
+def _state(traj, n):
+    return State(traj.x1[n], traj.x2[n], traj.x3[n], traj.x4[n])
+
+
 # ---------------------------------------------------------------------------
 # control-law pieces
 
@@ -36,6 +40,10 @@ def test_motor_reference_at_rest(params):
 def test_gain_set_validation():
     with pytest.raises(ValueError):
         GainSet(kp1=-1.0)
+    with pytest.raises(ValueError):
+        GainSet(kd1=float("nan"))
+    with pytest.raises(ValueError):
+        GainSet(kp2=float("inf"))
 
 
 def test_cascaded_torque_frozen(params, gains):
@@ -135,17 +143,17 @@ def test_reference_validation():
 def test_simulate_record_grid(params, sim, gains):
     traj = simulate(params, sim, Controller(ControllerKind.CASCADED_PD, gains),
                     Reference("square"), DisturbanceModel())
-    assert len(traj.records) == 200
+    assert len(traj) == 200
     np.testing.assert_allclose(traj.t, np.arange(200) * 0.05, atol=1e-12)
-    assert traj.records[0].state == State(0.0, 0.0, 0.0, 0.0)
+    assert _state(traj, 0) == State(0.0, 0.0, 0.0, 0.0)
 
 
 def test_simulate_zero_horizon_single_record(params, gains):
     sim = SimConfig(horizon=0.0)
     traj = simulate(params, sim, Controller(ControllerKind.CASCADED_PD, gains),
                     Reference("square"), DisturbanceModel())
-    assert len(traj.records) == 1
-    assert traj.records[0].t == 0.0
+    assert len(traj) == 1
+    assert traj.t[0] == 0.0
     assert traj.final_state == State(0.0, 0.0, 0.0, 0.0)
 
 
@@ -157,13 +165,13 @@ def test_simulate_zoh_replay(params, gains):
     dist = DisturbanceModel(kind="uniform", amplitude=10.0, seed=42)
     traj = simulate(params, sim, Controller(ControllerKind.CASCADED_PD, gains),
                     Reference("square"), dist)
-    for n in range(len(traj.records) - 1):
-        s = traj.records[n].state
-        u = traj.records[n].u
+    for n in range(len(traj) - 1):
+        s = _state(traj, n)
+        u = traj.u[n]
         for j in range(sim.substeps):
             d1, d2 = disturbance_sample(dist, n * sim.substeps + j)
             s = euler_step(params, s, u, d1, d2, sim.sim_dt)
-        assert s == traj.records[n + 1].state
+        assert s == _state(traj, n + 1)
 
 
 def test_simulate_per_control_step_hold(params, gains):
@@ -173,12 +181,12 @@ def test_simulate_per_control_step_hold(params, gains):
     traj = simulate(params, sim, Controller(ControllerKind.CASCADED_PD, gains),
                     Reference("square"), dist)
     # replay: one draw per control period, indexed by the control step
-    s = traj.records[3].state
-    u = traj.records[3].u
+    s = _state(traj, 3)
+    u = traj.u[3]
     d1, d2 = disturbance_sample(dist, 3)
     for _ in range(sim.substeps):
         s = euler_step(params, s, u, d1, d2, sim.sim_dt)
-    assert s == traj.records[4].state
+    assert s == _state(traj, 4)
 
 
 def test_simulate_deterministic(params, sim, gains, bounds):
@@ -188,6 +196,15 @@ def test_simulate_deterministic(params, sim, gains, bounds):
     b = simulate(params, sim, c, Reference("square"), dist)
     assert a.final_state == b.final_state
     assert list(a.e1) == list(b.e1)
+
+
+def test_nonfinite_torque_diverges_before_integrating(params, sim):
+    huge = GainSet(1e300, 1e300, 1e300, 1e300)
+    with pytest.raises(DivergedTrajectory) as exc:
+        simulate(params, sim, Controller(ControllerKind.CASCADED_PD, huge),
+                 Reference("square"), DisturbanceModel())
+    assert exc.value.sim_step == 0
+    assert "non-finite torque" in str(exc.value)
 
 
 def test_single_pd_diverges(params, sim):
@@ -213,13 +230,13 @@ def test_error_rows_exact_per_step(params, gains):
                     Reference("constant"), DisturbanceModel())
     dt = sim.sim_dt
     p, g = params, gains
-    for a, b in zip(traj.records[:-1], traj.records[1:]):
-        da, db = a.diag, b.diag
-        e2dot = g.kp1 * da.e1 + g.kd1 * da.e2 - p.k / p.I_l * da.e3
-        e4dot = -(p.k + g.kp2) / p.I_m * da.e3 - (p.mu + g.kd2) / p.I_m * da.e4
-        assert db.e1 == pytest.approx(da.e1 + dt * da.e2, rel=1e-9, abs=1e-12)
-        assert db.e2 == pytest.approx(da.e2 - dt * e2dot, rel=1e-9, abs=1e-12)
-        assert db.e4 == pytest.approx(da.e4 + dt * e4dot, rel=1e-9, abs=1e-12)
+    e1, e2, e3, e4 = traj.e1, traj.e2, traj.e3, traj.e4
+    for n in range(len(traj) - 1):
+        e2dot = g.kp1 * e1[n] + g.kd1 * e2[n] - p.k / p.I_l * e3[n]
+        e4dot = -(p.k + g.kp2) / p.I_m * e3[n] - (p.mu + g.kd2) / p.I_m * e4[n]
+        assert e1[n + 1] == pytest.approx(e1[n] + dt * e2[n], rel=1e-9, abs=1e-12)
+        assert e2[n + 1] == pytest.approx(e2[n] - dt * e2dot, rel=1e-9, abs=1e-12)
+        assert e4[n + 1] == pytest.approx(e4[n] + dt * e4dot, rel=1e-9, abs=1e-12)
 
 
 def test_trajectory_array_views(params, gains):

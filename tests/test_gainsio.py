@@ -50,6 +50,8 @@ def test_comments_and_blank_lines_allowed(tmp_path):
     ("kp1 = 1.0\nkp1 = 2.0\n", 2),
     ("kp1 1.0\n", 1),
     ("kp1 = twelve\n", 1),
+    ("kp1 = 1.0\nkd1 = nan\n", 2),
+    ("kp1 = inf\n", 1),
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "g.txt"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flexjoint.control import (Controller, ControllerKind, Diagnostics,
-                               Record, Reference, Trajectory, simulate)
+from flexjoint.control import (TRAJ_COLUMNS, Controller, ControllerKind,
+                               Reference, Trajectory, simulate)
 from flexjoint.metrics import (Metrics, MetricsError, compute_metrics,
                                settling_time, step_overshoot)
 from flexjoint.plant import DisturbanceModel, State
@@ -37,12 +37,12 @@ def test_settling_time_always_inside():
 def _synthetic_step_traj():
     def rec(t, x1):
         e1 = 1.0 - x1
-        d = Diagnostics(0, 0, e1, 0, 0, 0, 0, 0, 0, 0)
-        return Record(t, State(x1, 0, 0, 0), 1.0, 0.0, d)
+        # columns t, x1..x4, x1d, x3d, u, e1..e4, gains
+        return (t, x1, 0, 0, 0, 1.0, 0, 0.0, e1, 0, 0, 0, 0, 0, 0, 0)
 
     # rise, 5% overshoot at t=0.15, settle to the target
     xs = [0.0, 0.7, 1.0, 1.05, 1.01] + [1.0] * 195
-    return Trajectory(records=[rec(0.05 * i, x) for i, x in enumerate(xs)],
+    return Trajectory(np.array([rec(0.05 * i, x) for i, x in enumerate(xs)]),
                       final_state=State(1.0, 0, 0, 0))
 
 
@@ -65,8 +65,7 @@ def test_compute_metrics_sine_has_no_step_metrics(params, sim, gains):
 
 
 def test_compute_metrics_rejects_tiny_trajectory():
-    d = Diagnostics(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    traj = Trajectory(records=[Record(0.0, State(0, 0, 0, 0), 0.0, 0.0, d)],
+    traj = Trajectory(np.zeros((1, len(TRAJ_COLUMNS))),
                       final_state=State(0, 0, 0, 0))
     with pytest.raises(MetricsError):
         compute_metrics(traj, Reference("square"))

@@ -25,6 +25,7 @@ def test_default_params_gravity_torque_constant(params):
 @pytest.mark.parametrize("field,value", [
     ("g", -1.0), ("m", 0.0), ("l", -0.4), ("I_l", 0.0), ("I_m", -0.3),
     ("k", 0.0), ("mu", 0.0), ("k", float("nan")),
+    ("g", float("nan")), ("g", float("inf")),
 ])
 def test_invalid_params_rejected(field, value):
     with pytest.raises(PlantError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexjoint.control import Record, Trajectory
+from flexjoint.control import TRAJ_COLUMNS, Trajectory
 from flexjoint.tuning import (FAILED_COST, Dataset, Domain, GpModel,
                               TunerConfig, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
@@ -243,6 +243,14 @@ def test_smbo_penalizes_failing_cost():
     assert by <= 0.5 and by >= 0.0
 
 
+def test_smbo_propagates_programming_errors():
+    def cost(v):
+        return v[0] + "oops"
+
+    with pytest.raises(TypeError):
+        smbo(cost, UNIT, _cfg(T=6, n_init=5))
+
+
 def test_smbo_penalizes_nonfinite_cost():
     _, by, hist = smbo(lambda v: float("nan"), UNIT, _cfg(T=6, n_init=5))
     assert np.all(hist.y == FAILED_COST)
@@ -259,24 +267,21 @@ def test_tuner_config_validation():
 # cost
 
 def test_tracking_cost_frozen():
-    from flexjoint.control import Diagnostics
     from flexjoint.plant import State
 
     def rec(t, e1):
-        d = Diagnostics(0, 0, e1, 0, 0, 0, 0, 0, 0, 0)
-        return Record(t, State(0, 0, 0, 0), 0.0, 0.0, d)
+        # columns t, x1..x4, x1d, x3d, u, e1..e4, gains
+        return (t, 0, 0, 0, 0, 0.0, 0, 0.0, e1, 0, 0, 0, 0, 0, 0, 0)
 
-    traj = Trajectory(records=[rec(0.05 * i, (-1.0) ** i * 0.5)
-                               for i in range(200)],
+    traj = Trajectory(np.array([rec(0.05 * i, (-1.0) ** i * 0.5)
+                                for i in range(200)]),
                       final_state=State(0, 0, 0, 0))
     assert tracking_cost(traj) == pytest.approx(-100.0)
 
 
 def test_tracking_cost_needs_enough_records():
-    from flexjoint.control import Diagnostics
     from flexjoint.plant import State
-    d = Diagnostics(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    traj = Trajectory(records=[Record(0.0, State(0, 0, 0, 0), 0.0, 0.0, d)],
+    traj = Trajectory(np.zeros((1, len(TRAJ_COLUMNS))),
                       final_state=State(0, 0, 0, 0))
     with pytest.raises(ValueError):
         tracking_cost(traj)

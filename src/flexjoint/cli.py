@@ -29,8 +29,6 @@ from .fuzzy import FlrBounds
 from .gainsio import GainsFileError, LoadedGains, load_gains, load_plant, save_gains
 from .metrics import FAILED_COST, Metrics, MetricsError, compute_metrics
 from .plant import DisturbanceModel, PlantError, PlantParams, SimConfig
-from .tuning import (TunerConfig, flr_bound_domain, flr_bounds_from_vector,
-                     make_flr_cost, make_pd_cost, pd_gain_domain, smbo)
 
 # Bundled tuning results (BO over the square-wave task); the regulator
 # bound pairs are stored ordered as (lower, upper).
@@ -211,6 +209,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    # Only tune needs scipy, which tuning imports; the other commands skip it.
+    from .tuning import (TunerConfig, flr_bound_domain, flr_bounds_from_vector,
+                         make_flr_cost, make_pd_cost, pd_gain_domain, smbo)
+
     params = _resolve_plant(args)
     sim = _sim_config(args)
     ref = Reference(kind="square")

@@ -19,14 +19,19 @@ import numpy as np
 
 from .fuzzy import FlrBounds, RuleBase, infer
 from .plant import (DisturbanceModel, PlantParams, SimConfig, State,
-                    disturbance_sample, euler_step)
+                    disturbance_draws)
 
 DIVERGENCE_LIMIT = 1e6
 
 
 class DivergedTrajectory(RuntimeError):
     """Simulation aborted because a state component exceeded the limit or
-    the torque was not finite."""
+    was not finite (NaN included), or the torque was not finite.
+
+    ``state`` is the last finite state: the one that crossed the limit, the
+    one a non-finite step started from, or the one a non-finite torque was
+    computed at.
+    """
 
     def __init__(self, sim_step: int, t: float, state: State,
                  cause: str = f"|state| > {DIVERGENCE_LIMIT:g}"):
@@ -74,6 +79,8 @@ class Reference:
     def __post_init__(self):
         if self.kind not in ("square", "sine", "constant"):
             raise ValueError(f"unknown reference kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"reference value must be finite, got {self.value}")
 
     def __call__(self, t: float) -> tuple[float, float, float]:
         if self.kind == "square":
@@ -255,28 +262,60 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
 
     The torque is recomputed every control_dt and held over the
     control_dt/sim_dt Euler sub-steps.  Disturbances are indexed by sim step
-    (or by control step under the per-control-step hold).  Raises
+    (or by control step under the per-control-step hold) and read from the
+    ``disturbance_draws`` memo.  The sub-steps run on plain floats and are
+    bit-identical to ``euler_step``: each coefficient of ``derivatives`` is
+    computed once, with the association used there.  Raises
     DivergedTrajectory before integrating a non-finite torque, and as soon
-    as any state magnitude exceeds 1e6.
+    as any state component is NaN or its magnitude exceeds 1e6.
     """
-    s = initial_state
-    rows: list[tuple] = []
+    p = params
+    a_grav = -p.mgl / p.I_l
+    k_l = p.k / p.I_l
+    k_m = p.k / p.I_m
+    mu_m = p.mu / p.I_m
+    dt = sim.sim_dt
     sub = sim.substeps
+    lim = DIVERGENCE_LIMIT
+    draws = disturbance_draws(dist, 0) if dist.kind != "off" else None
+    per_control = dist.hold == "per-control-step"
+    d1 = d2 = 0.0
+    x1, x2, x3, x4 = initial_state.as_array().tolist()
+    rows: list[tuple] = []
     sim_step = 0
     for n in range(sim.n_control_steps):
+        s = State(x1, x2, x3, x4)
         t = n * sim.control_dt
         r = ref(t)
         u, diag = controller.torque(params, s, r)
         if not math.isfinite(u):
             raise DivergedTrajectory(sim_step, t, s, f"non-finite torque {u!r}")
         rows.append(_row(t, s, r[0], u, diag))
+        u_m = u / p.I_m
         for _ in range(sub):
-            idx = n if dist.hold == "per-control-step" else sim_step
-            d1, d2 = disturbance_sample(dist, idx)
-            s = euler_step(params, s, u, d1, d2, sim.sim_dt)
+            if draws is not None:
+                i = n if per_control else sim_step
+                if i >= len(draws):
+                    draws = disturbance_draws(dist, i + 1)
+                d1, d2 = draws[i]
+            # derivatives(), term by term; then s + dt * f, no fused multiply-add
+            q = x1 - x3
+            dx2 = a_grav * math.cos(x1) - k_l * q + d1
+            dx4 = k_m * q - mu_m * x4 + u_m + d2
+            y1 = x1 + dt * x2
+            y2 = x2 + dt * dx2
+            y3 = x3 + dt * x4
+            y4 = x4 + dt * dx4
             sim_step += 1
-            if max(abs(s.x1), abs(s.x2), abs(s.x3), abs(s.x4)) > DIVERGENCE_LIMIT:
-                raise DivergedTrajectory(sim_step, sim_step * sim.sim_dt, s)
+            if not (abs(y1) <= lim and abs(y2) <= lim
+                    and abs(y3) <= lim and abs(y4) <= lim):
+                t = sim_step * dt
+                if all(map(math.isfinite, (y1, y2, y3, y4))):
+                    raise DivergedTrajectory(sim_step, t, State(y1, y2, y3, y4))
+                raise DivergedTrajectory(sim_step, t, State(x1, x2, x3, x4),
+                                         "non-finite state")
+            x1, x2, x3, x4 = y1, y2, y3, y4
+    s = State(x1, x2, x3, x4)
     if not rows:
         r = ref(0.0)
         u, diag = controller.torque(params, s, r)

@@ -7,7 +7,9 @@ under-actuated (one torque input, two degrees of freedom).  State vector is
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +75,8 @@ class DisturbanceModel:
     kind "off" yields (0, 0).  kind "uniform" draws i.i.d. values from
     [-amplitude, +amplitude]; the draw for a given (seed, step index) is a
     pure function of both, so replays and parallel runs agree bit-exactly.
-    The generator is numpy PCG64 keyed by (seed, step_index).
+    The generator is numpy PCG64 keyed by (seed, step_index).  The amplitude
+    must be finite, and so must the width 2*amplitude of the draw interval.
 
     hold "per-sim-step" redraws at every integration step; "per-control-step"
     reuses one draw for all sub-steps of a control period.
@@ -89,8 +92,9 @@ class DisturbanceModel:
             raise PlantError(f"unknown disturbance kind: {self.kind!r}")
         if self.hold not in ("per-sim-step", "per-control-step"):
             raise PlantError(f"unknown disturbance hold: {self.hold!r}")
-        if self.amplitude < 0:
-            raise PlantError("disturbance amplitude must be >= 0")
+        if not (self.amplitude >= 0 and math.isfinite(2 * self.amplitude)):
+            raise PlantError(
+                f"disturbance amplitude must be finite and >= 0, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,10 @@ class SimConfig:
     horizon: float = 10.0
 
     def __post_init__(self):
-        if self.sim_dt <= 0 or self.control_dt <= 0 or self.horizon < 0:
-            raise PlantError("sim_dt, control_dt must be > 0 and horizon >= 0")
+        if not (0 < self.sim_dt < math.inf and 0 < self.control_dt < math.inf
+                and 0 <= self.horizon < math.inf):
+            raise PlantError("sim_dt, control_dt must be finite and > 0 and "
+                             "horizon finite and >= 0")
         if abs(self.substeps * self.sim_dt - self.control_dt) > 1e-9 * self.control_dt:
             raise PlantError("control_dt must be an integer multiple of sim_dt")
         n = round(self.horizon / self.control_dt)
@@ -154,6 +160,35 @@ def disturbance_sample(model: DisturbanceModel, step_index: int) -> tuple[float,
     rng = np.random.default_rng((model.seed, step_index))
     d = rng.uniform(-model.amplitude, model.amplitude, size=2)
     return float(d[0]), float(d[1])
+
+
+# Tables kept by disturbance_draws.  Every caller replays one seed at a time
+# (a tune, an ablation, one round of a sweep), so a few tables suffice.
+DISTURBANCE_TABLES = 4
+_draw_lock = threading.Lock()   # a table grows under it, one index at a time
+
+
+@functools.lru_cache(maxsize=DISTURBANCE_TABLES)
+def _draw_table(kind: str, seed: int, amplitude: float) -> list[tuple[float, float]]:
+    return []
+
+
+def disturbance_draws(model: DisturbanceModel, stop: int) -> list[tuple[float, float]]:
+    """Memo of the draws of ``model``, holding at least ``stop`` entries:
+    entry i is ``disturbance_sample(model, i)``.
+
+    The table is shared by every model with the same kind, seed and
+    amplitude, whatever its hold, and grows in step order on demand, so
+    nothing past ``stop`` is drawn.  The least recently used table is
+    dropped once more than DISTURBANCE_TABLES are live.  Entries are never
+    changed once appended, so a caller may index the table below its length
+    without the lock.
+    """
+    table = _draw_table(model.kind, model.seed, model.amplitude)
+    with _draw_lock:
+        while len(table) < stop:
+            table.append(disturbance_sample(model, len(table)))
+    return table
 
 
 def mechanical_energy(params: PlantParams, s: State) -> float:

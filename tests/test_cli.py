@@ -99,6 +99,30 @@ def test_nonfinite_input_file_is_one_line_usage_error(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: line 1")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--horizon", "inf"],
+    ["--sim-dt", "nan"],
+    ["--disturbance", "uniform", "--amplitude", "nan"],
+    ["--reference", "constant", "--reference-value", "nan"],
+], ids=" ".join)
+def test_nonfinite_flag_is_one_line_usage_error(tmp_path, capsys, flags):
+    out = str(tmp_path / "nf")
+    assert run(["simulate", "--out", out] + flags) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be finite" in err[0]
+
+
+def test_simulate_nonfinite_state_exit_code(tmp_path, capsys):
+    """A motor inertia of 1e-308 turns the first step's state into NaN: a
+    divergence, not a usage error."""
+    pfile = tmp_path / "plant.txt"
+    pfile.write_text("I_m = 1e-308\n")
+    out = str(tmp_path / "ns")
+    assert run(["simulate", "--out", out, "--controller", "cascaded",
+                "--plant", str(pfile)]) == EXIT_DIVERGED
+    assert "non-finite state" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["simulate", "--frobnicate"]) == EXIT_USAGE
 

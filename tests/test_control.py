@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexjoint.control import (Controller, ControllerKind, DivergedTrajectory,
-                               GainSet, Reference, cascaded_torque,
-                               fuzzy_cascaded_torque, motor_reference, pd,
-                               simulate, single_pd_torque)
+from flexjoint import plant
+from flexjoint.cli import TUNED_FLR_BOUNDS
+from flexjoint.control import (DIVERGENCE_LIMIT, Controller, ControllerKind,
+                               DivergedTrajectory, GainSet, Reference,
+                               cascaded_torque, fuzzy_cascaded_torque,
+                               motor_reference, pd, simulate, single_pd_torque)
 from flexjoint.fuzzy import FlrBounds
-from flexjoint.plant import (DisturbanceModel, PlantParams, SimConfig, State,
-                             disturbance_sample, euler_step)
+from flexjoint.plant import (DISTURBANCE_TABLES, DisturbanceModel, PlantError,
+                             PlantParams, SimConfig, State, disturbance_sample,
+                             euler_step)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -135,6 +138,10 @@ def test_constant_reference():
 def test_reference_validation():
     with pytest.raises(ValueError):
         Reference(kind="triangle")
+    with pytest.raises(ValueError):
+        Reference(kind="constant", value=float("nan"))
+    with pytest.raises(ValueError):
+        Reference(kind="constant", value=float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +220,131 @@ def test_single_pd_diverges(params, sim):
                  Reference("square"), DisturbanceModel())
     assert exc.value.sim_step > 0
     assert "diverged" in str(exc.value)
+
+
+def _euler_reference(params, sim, ctrl, ref, dist):
+    """simulate() rebuilt from euler_step and disturbance_sample: the rows
+    and the final state, or the DivergedTrajectory it raises."""
+    def torque(t):
+        """Append the row at time t; return its torque."""
+        r = ref(t)
+        u, d = ctrl.torque(params, s, r)
+        rows.append((t, s.x1, s.x2, s.x3, s.x4, r[0], d.x3d, u, d.e1, d.e2,
+                     d.e3, d.e4, d.kp1_eff, d.kd1_eff, d.kp2_eff, d.kd2_eff))
+        return u
+
+    s = State(0.0, 0.0, 0.0, 0.0)
+    rows, sim_step = [], 0
+    for n in range(sim.n_control_steps):
+        t = n * sim.control_dt
+        u = torque(t)
+        if not math.isfinite(u):
+            raise DivergedTrajectory(sim_step, t, s)
+        for _ in range(sim.substeps):
+            i = n if dist.hold == "per-control-step" else sim_step
+            d1, d2 = disturbance_sample(dist, i)
+            sim_step += 1
+            try:
+                s = euler_step(params, s, u, d1, d2, sim.sim_dt)
+            except PlantError:   # a non-finite state; s is the last finite one
+                raise DivergedTrajectory(sim_step, sim_step * sim.sim_dt, s)
+            if max(abs(s.x1), abs(s.x2), abs(s.x3), abs(s.x4)) > DIVERGENCE_LIMIT:
+                raise DivergedTrajectory(sim_step, sim_step * sim.sim_dt, s)
+    if not rows:
+        torque(0.0)
+    return np.array(rows, dtype=float), s
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+@given(kind=st.sampled_from(ControllerKind),
+       gains=st.tuples(st.floats(0, 300), st.floats(0, 60), st.floats(0, 600),
+                       st.floats(0, 40)),
+       tiny_motor=st.booleans(), uniform=st.booleans(),
+       amplitude=st.floats(0, 50), seed=st.integers(0, 1000),
+       hold=st.sampled_from(["per-sim-step", "per-control-step"]),
+       sub=st.sampled_from([1, 3, 10]), steps=st.integers(0, 30),
+       ref_kind=st.sampled_from(["square", "sine"]))
+@settings(max_examples=100, deadline=None)
+def test_simulate_matches_euler_step_bitwise(kind, gains, tiny_motor, uniform,
+                                             amplitude, seed, hold, sub, steps,
+                                             ref_kind):
+    """The float loop of simulate is the euler_step loop, bit for bit; a
+    tiny motor inertia makes a step's state NaN, which is a divergence."""
+    params = PlantParams(I_m=1e-308) if tiny_motor else PlantParams()
+    sim = SimConfig(sim_dt=0.05 / sub, control_dt=0.05, horizon=steps * 0.05)
+    ctrl = Controller(kind, GainSet(*gains), TUNED_FLR_BOUNDS,
+                      single_gains=gains[:2])
+    dist = DisturbanceModel("uniform" if uniform else "off", amplitude, seed, hold)
+    args = (params, sim, ctrl, Reference(ref_kind), dist)
+    expected, got = _outcome(_euler_reference, *args), _outcome(simulate, *args)
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert (got.sim_step, got.state) == (expected.sim_step, expected.state)
+    else:
+        rows, final = expected
+        assert got.data.tobytes() == rows.tobytes()
+        assert got.final_state == final
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The step indices passed to plant.disturbance_sample, in call order."""
+    calls = []
+    sample = plant.disturbance_sample
+
+    def counting(model, step_index):
+        calls.append(step_index)
+        return sample(model, step_index)
+
+    monkeypatch.setattr(plant, "disturbance_sample", counting)
+    return calls
+
+
+# Seeds above 10**6 and these amplitudes are used by no other test, so each
+# memo table below starts empty.
+def test_repeated_disturbance_is_drawn_once(params, gains, draws):
+    sim = SimConfig(horizon=1.0)
+    ctrl = Controller(ControllerKind.CASCADED_PD, gains)
+    first = simulate(params, sim, ctrl, Reference("square"),
+                     DisturbanceModel("uniform", 7.25, 2_000_001))
+    assert draws == list(range(200))
+    draws.clear()
+    for hold in ("per-sim-step", "per-control-step"):
+        again = simulate(params, sim, ctrl, Reference("square"),
+                         DisturbanceModel("uniform", 7.25, 2_000_001, hold))
+    assert draws == []
+    assert again.data.tobytes() != first.data.tobytes()
+
+
+def test_diverged_episode_draws_no_further(params, sim, draws):
+    with pytest.raises(DivergedTrajectory) as exc:
+        simulate(params, sim, Controller(ControllerKind.SINGLE_PD),
+                 Reference("square"), DisturbanceModel("uniform", 7.5, 2_000_002))
+    assert 0 < len(draws) <= exc.value.sim_step
+
+
+def test_disturbance_memo_is_bounded(params, gains, draws):
+    sim = SimConfig(horizon=0.5)
+    ctrl = Controller(ControllerKind.CASCADED_PD, gains)
+
+    def run(seed):
+        simulate(params, sim, ctrl, Reference("square"),
+                 DisturbanceModel("uniform", 7.75, seed))
+
+    seeds = [2_000_100 + i for i in range(DISTURBANCE_TABLES + 1)]
+    for seed in seeds:
+        run(seed)
+    draws.clear()
+    run(seeds[-1])
+    assert draws == []
+    run(seeds[0])
+    assert draws == list(range(100))
 
 
 def test_error_rows_exact_per_step(params, gains):

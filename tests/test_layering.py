@@ -7,10 +7,11 @@ import flexjoint
 
 
 def test_simulation_layers_do_not_import_scipy():
-    """Only tuning needs scipy; the layers below it import without it."""
+    """Only tuning needs scipy; the layers below it and the command line
+    import without it."""
     code = ("import sys\n"
             "import flexjoint.plant, flexjoint.fuzzy, flexjoint.control, "
-            "flexjoint.metrics, flexjoint.gainsio\n"
+            "flexjoint.metrics, flexjoint.gainsio, flexjoint.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(flexjoint.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

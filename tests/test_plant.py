@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from flexjoint.plant import (DisturbanceModel, PlantError, PlantParams,
                              SimConfig, State, derivatives,
-                             disturbance_sample, euler_step,
+                             disturbance_draws, disturbance_sample, euler_step,
                              mechanical_energy)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -192,9 +194,31 @@ def test_disturbance_independent_of_call_order():
     assert forward == backward[::-1]
 
 
+def test_disturbance_draws_grow_in_order_across_threads():
+    """Threads that extend one table at once leave entry i the draw of
+    step i."""
+    m = DisturbanceModel(kind="uniform", amplitude=3.5, seed=3_000_001)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=disturbance_draws, args=(m, stop))
+                   for stop in (150, 300, 200, 300, 250, 100)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert disturbance_draws(m, 0) == [disturbance_sample(m, i) for i in range(300)]
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(kind="gaussian"), dict(kind="uniform", amplitude=-1.0),
     dict(kind="uniform", hold="forever"),
+    dict(kind="uniform", amplitude=float("nan")),
+    dict(kind="uniform", amplitude=float("inf")),
+    dict(kind="uniform", amplitude=1e308),   # the width 2e308 overflows
 ])
 def test_disturbance_model_validation(kwargs):
     with pytest.raises(PlantError):
@@ -213,6 +237,8 @@ def test_sim_config_counts(sim):
     dict(sim_dt=0.004),              # does not tile control_dt
     dict(control_dt=0.03),           # does not tile horizon
     dict(sim_dt=-0.005), dict(control_dt=0.0), dict(horizon=-1.0),
+    dict(horizon=float("inf")), dict(sim_dt=float("nan")),
+    dict(control_dt=float("nan")),
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(PlantError):

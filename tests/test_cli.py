@@ -237,24 +237,43 @@ def test_tune_single_episode_returns_the_sample(tmp_path):
 
 # sha256 of the artifacts, recorded before the trajectory became a column
 # array; a refactor of the simulation core must leave every byte in place.
+# The two longer tunes fit the GP at n = 10..15 in 4-D and at n = 10, 11 in
+# 8-D, so a change to the surrogate's rounding shows in their histories.
+# GAINS stands for the first-stage gains file the test writes.
 FROZEN_ARTIFACTS = (
-    (["simulate", "--controller", "fuzzy-cascaded", "--disturbance", "uniform",
+    ("simulate --controller fuzzy-cascaded",
+     ["simulate", "--controller", "fuzzy-cascaded", "--disturbance", "uniform",
       "--seed", "10"],
      {"_trajectory.csv": "5886d9122683d9907df30182f4f193da1556a01ba12d5938696defe1e6909437",
       "_metrics.csv": "26ec99abdf9022dd6cd48ae777096d8aabdce5c104412f3b645db161001ff27d"}),
-    (["simulate", "--controller", "pd1-fuzzy2"],
+    ("simulate --controller pd1-fuzzy2",
+     ["simulate", "--controller", "pd1-fuzzy2"],
      {"_trajectory.csv": "9294308176ac7452ddf317495439f62111c203e84a6e8e0f5f394685362fe6f9",
       "_metrics.csv": "dcf63593bbce5fd0b8fec69d22ef2d5e0521ed0194ac9ca7890c97e26639716a"}),
-    (["ablate", "--seed", "10"],
+    ("ablate --seed 10",
+     ["ablate", "--seed", "10"],
      {"_ablation.csv": "dc1181b45f77cfb3158efd3efb52c125375c5f91c05c99c26acc8d0366ef8fd1"}),
-    (["tune", "--stage", "pd", "--episodes", "3", "--n-init", "2"],
+    ("tune --stage pd",
+     ["tune", "--stage", "pd", "--episodes", "3", "--n-init", "2"],
      {"_history.csv": "de8dc1b6a5b211b1d25564e4810be48ec497042806add9eb3fbe97ee7afbc4a1"}),
+    ("tune --stage pd --episodes 16",
+     ["tune", "--stage", "pd", "--episodes", "16", "--n-init", "10"],
+     {"_history.csv": "6ea9081b0c19d2836e1bb009e705b8faa6ea1ed3e6d3f15046028b1d9c176234",
+      "_gains.txt": "747253cd762c9bcf540d2358dd62e0beaa24a88e5a8033ecee09acd223f3b77a"}),
+    ("tune --stage flr --episodes 12",
+     ["tune", "--stage", "flr", "--episodes", "12", "--n-init", "10",
+      "--gains", "GAINS"],
+     {"_history.csv": "b0f739b285fb90e3a49cb807f70fde324ad7188c440c7a9f1e312abf49b87052",
+      "_gains.txt": "096a4dfcca912f8d28024ad8c28bbc46e29cc0f49f103639524ce1220bb8f5ec"}),
 )
 
 
-@pytest.mark.parametrize("args,digests", FROZEN_ARTIFACTS,
-                         ids=[" ".join(a[:3]) for a, _ in FROZEN_ARTIFACTS])
+@pytest.mark.parametrize("args,digests", [a[1:] for a in FROZEN_ARTIFACTS],
+                         ids=[a[0] for a in FROZEN_ARTIFACTS])
 def test_artifacts_match_frozen_bytes(tmp_path, args, digests):
+    gains = tmp_path / "pd_gains.txt"
+    gains.write_text("kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n")
+    args = [str(gains) if a == "GAINS" else a for a in args]
     out = str(tmp_path / "f")
     assert run(args + ["--out", out]) == EXIT_OK
     for suffix, digest in digests.items():

@@ -12,6 +12,7 @@ DISCREPANCIES.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,9 @@ class StabilityBounds:
 
     def __post_init__(self):
         for name in ("L11", "L12", "L21", "L22"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)

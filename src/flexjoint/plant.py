@@ -97,10 +97,15 @@ class DisturbanceModel:
                 f"disturbance amplitude must be finite and >= 0, got {self.amplitude}")
 
 
+MAX_SUBSTEPS = 10 ** 8
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Fixed-step integration grid: control period must tile the horizon and
-    the sim step must tile the control period."""
+    the sim step must tile the control period.  Neither the horizon nor the
+    control period may exceed MAX_SUBSTEPS sim steps, which bounds both step
+    counts (the default run takes 2000)."""
 
     sim_dt: float = 0.005
     control_dt: float = 0.05
@@ -111,6 +116,10 @@ class SimConfig:
                 and 0 <= self.horizon < math.inf):
             raise PlantError("sim_dt, control_dt must be finite and > 0 and "
                              "horizon finite and >= 0")
+        # on floats, before the step counts are rounded to integers
+        if max(self.horizon, self.control_dt) / self.sim_dt > MAX_SUBSTEPS:
+            raise PlantError(f"horizon and control_dt must each be at most "
+                             f"{MAX_SUBSTEPS} sim steps")
         if abs(self.substeps * self.sim_dt - self.control_dt) > 1e-9 * self.control_dt:
             raise PlantError("control_dt must be an integer multiple of sim_dt")
         n = round(self.horizon / self.control_dt)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.stats import qmc
 
 from .control import Controller, ControllerKind, GainSet, Reference, simulate
@@ -36,7 +36,7 @@ class GpFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned search box with named dimensions."""
+    """Axis-aligned search box with named dimensions (arrays built once)."""
 
     names: tuple[str, ...]
     lo: tuple[float, ...]
@@ -48,22 +48,22 @@ class Domain:
         for name, a, b in zip(self.names, self.lo, self.hi):
             if a > b:
                 raise ValueError(f"dimension {name}: lo {a} > hi {b}")
+        object.__setattr__(self, "_lo", np.array(self.lo))
+        object.__setattr__(self, "_hi", np.array(self.hi))
+        object.__setattr__(self, "_width", np.maximum(self._hi - self._lo, 1e-300))
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def width(self) -> np.ndarray:
-        return np.maximum(np.array(self.hi) - np.array(self.lo), 1e-300)
-
     def normalize(self, X: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(X) - np.array(self.lo)) / self.width()
+        return (np.atleast_2d(X) - self._lo) / self._width
 
     def denormalize(self, U: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(U) * self.width() + np.array(self.lo)
+        return np.atleast_2d(U) * self._width + self._lo
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        return np.clip(x, self._lo, self._hi)
 
 
 @dataclass
@@ -104,15 +104,21 @@ class TunerConfig:
     def __post_init__(self):
         if self.n_init < 1 or self.T < self.n_init:
             raise ValueError("need n_init >= 1 and T >= n_init")
+        if self.n_restarts < 1 or self.n_candidates < 1:
+            raise ValueError("need n_restarts >= 1 and n_candidates >= 1")
+        if not math.isfinite(self.h):
+            raise ValueError(f"h must be finite, got {self.h}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpModel:
     """Fitted GP state over normalized inputs / standardized targets.
 
     theta = (log length scales per dim, log signal variance,
-    log noise-to-signal ratio); cho is the cached Cholesky factor of the
-    training covariance (including any jitter used to factor it).
+    log noise-to-signal ratio); cho = (factor, lower) is the Cholesky
+    factorization of the training covariance (including any jitter used to
+    factor it).  Construction checks the factor as cho_solve would and
+    caches ls2 = length_scales**2 and signal_variance for gp_predict.
     """
 
     domain: Domain
@@ -123,13 +129,15 @@ class GpModel:
     alpha: np.ndarray = field(repr=False)
     cho: tuple = field(repr=False)
 
+    def __post_init__(self):
+        if np.asarray_chkfinite(self.cho[0]).shape != (len(self.Xn),) * 2:
+            raise ValueError("Cholesky factor must be n x n for n points")
+        object.__setattr__(self, "ls2", self.length_scales ** 2)
+        object.__setattr__(self, "signal_variance", float(np.exp(self.theta[-2])))
+
     @property
     def length_scales(self) -> np.ndarray:
         return np.exp(self.theta[:-2])
-
-    @property
-    def signal_variance(self) -> float:
-        return float(np.exp(self.theta[-2]))
 
     @property
     def noise_variance(self) -> float:
@@ -141,8 +149,8 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] - B[None, :, :]) ** 2
 
 
-def _corr(D2: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * np.sum(D2 / ls ** 2, axis=-1))
+def _corr(D2: np.ndarray, ls2: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * (D2 / ls2).sum(axis=-1))
 
 
 def _neg_lml_and_grad(theta: np.ndarray, Xn: np.ndarray, ys: np.ndarray,
@@ -151,23 +159,23 @@ def _neg_lml_and_grad(theta: np.ndarray, Xn: np.ndarray, ys: np.ndarray,
     ls = np.exp(theta[:d])
     sf2 = np.exp(theta[d])
     ratio = np.exp(theta[d + 1])
-    C = _corr(D2, ls)
-    K = sf2 * (C + ratio * np.eye(n))
-    try:
-        L = cholesky(K + 1e-12 * sf2 * np.eye(n), lower=True)
-    except np.linalg.LinAlgError:
+    C = _corr(D2, ls ** 2)
+    eye = np.eye(n)
+    K = sf2 * (C + ratio * eye)
+    L, info = dpotrf(np.asarray_chkfinite(K + 1e-12 * sf2 * eye), lower=1)
+    if info > 0:  # not positive definite
         return 1e12, np.zeros_like(theta)
-    alpha = cho_solve((L, True), ys)
-    lml = (-0.5 * ys @ alpha - np.sum(np.log(np.diag(L)))
+    alpha = dpotrs(L, ys, lower=1)[0]
+    lml = (-0.5 * ys @ alpha - np.log(L.diagonal()).sum()
            - 0.5 * n * math.log(2.0 * math.pi))
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kinv = dpotrs(L, eye, lower=1)[0]
     W = np.outer(alpha, alpha) - Kinv  # d(lml)/dK = W/2
     grad = np.empty_like(theta)
     for k in range(d):
         dK = sf2 * C * (D2[:, :, k] / ls[k] ** 2)
-        grad[k] = 0.5 * np.sum(W * dK)
-    grad[d] = 0.5 * np.sum(W * K)              # dK/dlog sf2 = K
-    grad[d + 1] = 0.5 * np.trace(W) * sf2 * ratio  # dK/dlog ratio
+        grad[k] = 0.5 * (W * dK).sum()
+    grad[d] = 0.5 * (W * K).sum()               # dK/dlog sf2 = K
+    grad[d + 1] = 0.5 * W.trace() * sf2 * ratio  # dK/dlog ratio
     return -lml, -grad
 
 
@@ -198,34 +206,32 @@ def gp_fit(data: Dataset, config: TunerConfig, domain: Domain) -> GpModel:
         if best is None or res.fun < best.fun:
             best = res
     theta = np.clip(best.x, [b[0] for b in bounds], [b[1] for b in bounds])
-    ls = np.exp(theta[:d])
     sf2 = float(np.exp(theta[d]))
     ratio = float(np.exp(theta[d + 1]))
-    K = sf2 * (_corr(D2, ls) + ratio * np.eye(len(ys)))
+    K = sf2 * (_corr(D2, np.exp(theta[:d]) ** 2) + ratio * np.eye(len(ys)))
     for jitter in _JITTERS:
-        try:
-            cho = cho_factor(K + jitter * sf2 * np.eye(len(ys)), lower=True)
+        c, info = dpotrf(K + jitter * sf2 * np.eye(len(ys)), lower=1, clean=0)
+        if info == 0:
             break
-        except np.linalg.LinAlgError:
-            continue
     else:
         raise GpFitError("training covariance singular after jitter escalation")
-    alpha = cho_solve(cho, ys)
     return GpModel(domain=domain, Xn=Xn, theta=theta, y_mean=y_mean,
-                   y_std=y_std, alpha=alpha, cho=cho)
+                   y_std=y_std, alpha=dpotrs(c, ys, lower=1)[0], cho=(c, True))
 
 
 def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation (original cost units) of the
-    latent function at one point or a batch of points."""
+    latent function at one point or a batch of points (GPML Alg. 2.1), from
+    the model's cached state, solving with LAPACK dpotrs directly after
+    cho_solve's finiteness check: a NaN query raises ValueError."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Un = model.domain.normalize(X)
-    ls = model.length_scales
     sf2 = model.signal_variance
-    ks = sf2 * _corr(_sq_dists(Un, model.Xn), ls)      # (m, n)
+    ks = sf2 * _corr(_sq_dists(Un, model.Xn), model.ls2)  # (m, n)
     mean_s = ks @ model.alpha
-    v = cho_solve(model.cho, ks.T)                     # K^-1 k*
-    var = np.maximum(sf2 - np.sum(ks * v.T, axis=1), 0.0)
+    v = dpotrs(model.cho[0], np.asarray_chkfinite(ks.T),   # K^-1 k*
+               lower=model.cho[1])[0]
+    var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
     mean = model.y_mean + model.y_std * mean_s
     std = model.y_std * np.sqrt(var)
     if np.ndim(x) == 1:

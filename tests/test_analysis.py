@@ -125,8 +125,10 @@ def test_state_matrix_agrees_with_finite_differences(gains):
 # gain conditions
 
 def test_bounds_validation():
-    with pytest.raises(ValueError):
-        StabilityBounds(L11=-1.0)
+    for kwargs in (dict(L11=-1.0), dict(L12=float("nan")),
+                   dict(L22=float("inf"))):
+        with pytest.raises(ValueError):
+            StabilityBounds(**kwargs)
 
 
 def test_gain_conditions_pass_for_reference_gains(params, gains):

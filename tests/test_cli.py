@@ -112,6 +112,18 @@ def test_nonfinite_flag_is_one_line_usage_error(tmp_path, capsys, flags):
     assert len(err) == 1 and "must be finite" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["tune", "--stage", "pd", "--episodes", "4", "--n-init", "2",
+     "--ucb-h", "nan"],
+    ["analyze", "--L", "nan", "0", "0", "0"],
+], ids=" ".join)
+def test_nonfinite_parameter_is_one_line_usage_error(tmp_path, capsys, argv):
+    out = str(tmp_path / "np")
+    assert run(argv + ["--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be finite" in err[0]
+
+
 def test_simulate_nonfinite_state_exit_code(tmp_path, capsys):
     """A motor inertia of 1e-308 turns the first step's state into NaN: a
     divergence, not a usage error."""

@@ -239,6 +239,9 @@ def test_sim_config_counts(sim):
     dict(sim_dt=-0.005), dict(control_dt=0.0), dict(horizon=-1.0),
     dict(horizon=float("inf")), dict(sim_dt=float("nan")),
     dict(control_dt=float("nan")),
+    dict(sim_dt=1e-300, control_dt=1e-300, horizon=1.0),  # 1e300 steps
+    dict(sim_dt=1e-3, control_dt=1e-3, horizon=1e6),      # 1e9 sub-steps
+    dict(sim_dt=5e-324, horizon=0.0),  # control_dt / sim_dt overflows
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(PlantError):

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from flexjoint.control import TRAJ_COLUMNS, Trajectory
-from flexjoint.tuning import (FAILED_COST, Dataset, Domain, GpModel,
-                              TunerConfig, flr_bound_domain,
+from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
+                              FAILED_COST, Dataset, Domain, GpModel,
+                              TunerConfig, _neg_lml_and_grad, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               pd_gain_domain, smbo, suggest, tracking_cost,
                               ucb)
@@ -161,6 +165,137 @@ def test_posterior_variance_nonnegative_everywhere():
         assert np.all(std >= 0.0)
 
 
+# The surrogate's hot calls as they were before they cached the kernel state
+# and called LAPACK directly: the lean versions must match them bit for bit,
+# as simulate must match its euler_step loop.
+
+def _ref_normalize(domain: Domain, X) -> np.ndarray:
+    lo, hi = np.array(domain.lo), np.array(domain.hi)
+    return (np.atleast_2d(X) - lo) / np.maximum(hi - lo, 1e-300)
+
+
+def _ref_corr(D2, ls):
+    return np.exp(-0.5 * np.sum(D2 / ls ** 2, axis=-1))
+
+
+def _ref_sq_dists(A, B):
+    return (A[:, None, :] - B[None, :, :]) ** 2
+
+
+def _ref_gp_predict(model: GpModel, x):
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    Un = _ref_normalize(model.domain, X)
+    ls = np.exp(model.theta[:-2])
+    sf2 = float(np.exp(model.theta[-2]))
+    ks = sf2 * _ref_corr(_ref_sq_dists(Un, model.Xn), ls)
+    mean_s = ks @ model.alpha
+    v = cho_solve(model.cho, ks.T)
+    var = np.maximum(sf2 - np.sum(ks * v.T, axis=1), 0.0)
+    mean = model.y_mean + model.y_std * mean_s
+    std = model.y_std * np.sqrt(var)
+    if np.ndim(x) == 1:
+        return float(mean[0]), float(std[0])
+    return mean, std
+
+
+def _ref_neg_lml_and_grad(theta, Xn, ys, D2):
+    n, d = Xn.shape
+    ls = np.exp(theta[:d])
+    sf2 = np.exp(theta[d])
+    ratio = np.exp(theta[d + 1])
+    C = _ref_corr(D2, ls)
+    K = sf2 * (C + ratio * np.eye(n))
+    try:
+        L = cholesky(K + 1e-12 * sf2 * np.eye(n), lower=True)
+    except np.linalg.LinAlgError:
+        return 1e12, np.zeros_like(theta)
+    alpha = cho_solve((L, True), ys)
+    lml = (-0.5 * ys @ alpha - np.sum(np.log(np.diag(L)))
+           - 0.5 * n * math.log(2.0 * math.pi))
+    Kinv = cho_solve((L, True), np.eye(n))
+    W = np.outer(alpha, alpha) - Kinv
+    grad = np.empty_like(theta)
+    for k in range(d):
+        dK = sf2 * C * (D2[:, :, k] / ls[k] ** 2)
+        grad[k] = 0.5 * np.sum(W * dK)
+    grad[d] = 0.5 * np.sum(W * K)
+    grad[d + 1] = 0.5 * np.trace(W) * sf2 * ratio
+    return -lml, -grad
+
+
+def _bytes(*values) -> bytes:
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+def _random_model(seed: int, d: int, n: int):
+    """A box, a dataset and a GP model on it, built as gp_fit builds its
+    model but from hyperparameters drawn inside their bounds."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-50.0, 50.0, d)
+    width = rng.uniform(0.0, 100.0, d) * (rng.random(d) < 0.9)
+    dom = Domain(names=tuple(f"x{i}" for i in range(d)), lo=tuple(lo),
+                 hi=tuple(lo + width))
+    X = dom.denormalize(rng.random((n, d)))
+    y = rng.standard_normal(n)
+    Xn = dom.normalize(X)
+    ys = (y - y.mean()) / y.std()
+    theta = np.concatenate([rng.uniform(*_LEN_BOUNDS, d),
+                            [rng.uniform(*_SIG_BOUNDS)],
+                            [rng.uniform(*_NOISE_RATIO_BOUNDS)]])
+    ls, sf2 = np.exp(theta[:d]), float(np.exp(theta[d]))
+    K = sf2 * (_ref_corr(_ref_sq_dists(Xn, Xn), ls)
+               + float(np.exp(theta[d + 1])) * np.eye(n))
+    cho = cho_factor(K, lower=True)
+    model = GpModel(domain=dom, Xn=Xn, theta=theta, y_mean=float(y.mean()),
+                    y_std=float(y.std()), alpha=cho_solve(cho, ys), cho=cho)
+    return model, ys, rng
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+       n=st.integers(2, 40), m=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
+    model, ys, rng = _random_model(seed, d, n)
+    dom = model.domain
+    # queries inside the box and up to half a width outside it
+    Q = dom.denormalize(rng.uniform(-0.5, 1.5, (m, d)))
+    assert _bytes(*gp_predict(model, Q)) == _bytes(*_ref_gp_predict(model, Q))
+    assert _bytes(*gp_predict(model, Q[0])) == \
+        _bytes(*_ref_gp_predict(model, Q[0]))
+    assert dom.normalize(Q).tobytes() == _ref_normalize(dom, Q).tobytes()
+    U = rng.random((m, d))
+    lo, hi = np.array(dom.lo), np.array(dom.hi)
+    assert dom.denormalize(U).tobytes() == \
+        (np.atleast_2d(U) * np.maximum(hi - lo, 1e-300) + lo).tobytes()
+    assert dom.clip(Q[0]).tobytes() == np.clip(Q[0], dom.lo, dom.hi).tobytes()
+    D2 = _ref_sq_dists(model.Xn, model.Xn)
+    theta = np.concatenate([rng.uniform(*_LEN_BOUNDS, d),
+                            [rng.uniform(*_SIG_BOUNDS)],
+                            [rng.uniform(*_NOISE_RATIO_BOUNDS)]])
+    assert _bytes(*_neg_lml_and_grad(theta, model.Xn, ys, D2)) == \
+        _bytes(*_ref_neg_lml_and_grad(theta, model.Xn, ys, D2))
+
+
+def test_surrogate_rejects_nonfinite_and_non_pd_input():
+    model, ys, _ = _random_model(0, 2, 5)
+    x = np.array([np.nan, model.domain.lo[1]])
+    with pytest.raises(ValueError):
+        gp_predict(model, x)
+    with pytest.raises(ValueError):
+        gp_predict(model, np.stack([x[::-1], x]))
+    D2 = _ref_sq_dists(model.Xn, model.Xn)
+    with pytest.raises(ValueError):
+        _neg_lml_and_grad(np.full(4, np.nan), model.Xn, ys, D2)
+    # correlations 0.99 / 0.99 / 0 around a chain of three points: not PSD
+    c = -2.0 * math.log(0.99)
+    D2 = np.array([[0.0, c, 100.0], [c, 0.0, c], [100.0, c, 0.0]])[:, :, None]
+    theta = np.array([0.0, 0.0, _NOISE_RATIO_BOUNDS[0]])
+    ys = np.array([1.0, -1.0, 0.5])
+    value, grad = _neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)
+    assert value == 1e12 and grad.tobytes() == np.zeros(3).tobytes()
+    assert _ref_neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)[0] == 1e12
+
+
 def test_ucb_definition():
     assert ucb(1.0, 2.0, 2.576) == pytest.approx(1.0 + 2.576 * 2.0)
     assert ucb(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 2.0)[0] == 3.0
@@ -257,10 +392,11 @@ def test_smbo_penalizes_nonfinite_cost():
 
 
 def test_tuner_config_validation():
-    with pytest.raises(ValueError):
-        TunerConfig(T=5, n_init=10)
-    with pytest.raises(ValueError):
-        TunerConfig(n_init=0)
+    for kwargs in (dict(T=5, n_init=10), dict(n_init=0), dict(n_restarts=0),
+                   dict(n_candidates=0), dict(h=float("nan")),
+                   dict(h=float("inf"))):
+        with pytest.raises(ValueError):
+            TunerConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -228,8 +228,9 @@ def _bytes(*values) -> bytes:
 
 
 def _random_model(seed: int, d: int, n: int):
-    """A box, a dataset and a GP model on it, built as gp_fit builds its
-    model but from hyperparameters drawn inside their bounds."""
+    """A box, a dataset and a GP model on it, factored as gp_fit did before
+    the change (cho_factor, no jitter) from hyperparameters drawn inside
+    their bounds."""
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-50.0, 50.0, d)
     width = rng.uniform(0.0, 100.0, d) * (rng.random(d) < 0.9)

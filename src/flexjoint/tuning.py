@@ -46,8 +46,13 @@ class Domain:
         if not (len(self.names) == len(self.lo) == len(self.hi)):
             raise ValueError("names, lo, hi must have equal length")
         for name, a, b in zip(self.names, self.lo, self.hi):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"dimension {name}: bounds must be finite, "
+                                 f"got [{a}, {b}]")
             if a > b:
                 raise ValueError(f"dimension {name}: lo {a} > hi {b}")
+            if not math.isfinite(b - a):
+                raise ValueError(f"dimension {name}: width {b} - {a} overflows")
         object.__setattr__(self, "_lo", np.array(self.lo))
         object.__setattr__(self, "_hi", np.array(self.hi))
         object.__setattr__(self, "_width", np.maximum(self._hi - self._lo, 1e-300))
@@ -223,8 +228,9 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation (original cost units) of the
     latent function at one point or a batch of points (GPML Alg. 2.1), from
     the model's cached state, solving with LAPACK dpotrs directly after
-    cho_solve's finiteness check: a NaN query raises ValueError."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
+    cho_solve's finiteness check.  A NaN or infinite query raises
+    ValueError."""
+    X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
     Un = model.domain.normalize(X)
     sf2 = model.signal_variance
     ks = sf2 * _corr(_sq_dists(Un, model.Xn), model.ls2)  # (m, n)
@@ -244,11 +250,107 @@ def ucb(mean, stddev, h: float):
     return mean + h * stddev
 
 
+def _point_neg_ucb(model: GpModel, domain: Domain, h: float):
+    """Return f with f(x) == -ucb(*gp_predict(model, domain.clip(x)), h) bit
+    for bit at one point x, without gp_predict's per-call shape handling:
+    the clip, normalization and scalar tail on floats (a zero's sign there
+    is squared away), and the kernel as gp_predict computes it, with the
+    same ufuncs on the same shapes, (1, n) @ alpha, dpotrs on
+    asarray_chkfinite(ks.T) and (ks * v.T).sum(axis=1), into buffers
+    allocated once."""
+    box = list(zip(domain._lo.tolist(), domain._hi.tolist(),
+                   domain._width.tolist()))
+    Xn, ls2, alpha = model.Xn, model.ls2, model.alpha
+    sf2, (c, lower) = model.signal_variance, model.cho
+    y_mean, y_std = model.y_mean, model.y_std
+    D2 = np.empty(Xn.shape)          # (n, d) scaled squared differences
+    ks = np.empty((1, len(Xn)))      # (1, n) cross-covariance
+    s = ks[0]
+
+    def neg_ucb(x) -> float:
+        u = [(min(max(a, lo), hi) - lo) / w for a, (lo, hi, w) in zip(x, box)]
+        np.subtract(u, Xn, out=D2)
+        np.square(D2, out=D2)
+        np.divide(D2, ls2, out=D2)
+        D2.sum(axis=-1, out=s)
+        np.multiply(ks, -0.5, out=ks)
+        np.exp(ks, out=ks)
+        np.multiply(ks, sf2, out=ks)
+        mean = y_mean + y_std * (ks @ alpha).item()
+        v = dpotrs(c, np.asarray_chkfinite(ks.T), lower=lower)[0]
+        var = max(sf2 - (ks * v.T).sum(axis=1).item(), 0.0)
+        return -(mean + h * (y_std * math.sqrt(var)))
+
+    return neg_ucb
+
+
+def _sorted_simplex(sim: list, fs: list) -> tuple[list, list]:
+    order = np.array(fs).argsort().tolist()
+    return [sim[i] for i in order], [fs[i] for i in order]
+
+
+def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
+    """Minimize f from x0 by the Nelder-Mead simplex, doing on plain-float
+    vertices the arithmetic of scipy.optimize.minimize(f, x0,
+    method="Nelder-Mead", options={"maxiter": 120, "xatol": 1e-6,
+    "fatol": 1e-12}): its initial simplex, coefficients (reflection 1,
+    expansion 2, contraction 1/2, shrink 1/2), branch order, stopping test,
+    centroid summed vertex by vertex from the first, and reordering by
+    np.argsort, so that tied values (clipping makes them on box faces)
+    break as scipy's do.  Returns (best vertex, its value)."""
+    x0 = np.asarray(x0, dtype=float).tolist()
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    # scipy sorts the initial simplex twice; a repeat can reorder ties
+    sim, fs = _sorted_simplex(sim, [f(x) for x in sim])
+    sim, fs = _sorted_simplex(sim, fs)
+    for _ in range(119):
+        best, worst = sim[0], sim[-1]
+        if (all(abs(a - b) <= 1e-6 for x in sim[1:] for a, b in zip(x, best))
+                and all(abs(fs[0] - fx) <= 1e-12 for fx in fs[1:])):
+            break
+        xbar = list(best)
+        for x in sim[1:-1]:
+            xbar = [s + a for s, a in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        fxr = f(xr)
+        if fxr < fs[0]:
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fs[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fs[-2]:
+            sim[-1], fs[-1] = xr, fxr
+        else:
+            if fxr < fs[-1]:  # outside contraction
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = f(xc)
+                accept = fxc < fs[-1]
+            if accept:
+                sim[-1], fs[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
+                    fs[j] = f(sim[j])
+        sim, fs = _sorted_simplex(sim, fs)
+    return np.array(sim[0]), float(np.min(fs))
+
+
 def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
             h: float = 2.576, n_candidates: int = 2048) -> np.ndarray:
-    """Maximize the UCB over the box: scrambled-Sobol candidate scan plus
-    local simplex refinement from the best few candidates.  Ties fall to
-    the first best candidate of the seeded scan."""
+    """Maximize the UCB over the box: a scrambled-Sobol candidate scan (one
+    batched gp_predict), then _nelder_mead from the best 8 candidates on
+    the clipped point UCB of _point_neg_ucb.  Tests hold the two to
+    scipy's Nelder-Mead and to gp_predict bit for bit.  Ties fall to the
+    first best candidate of the seeded scan."""
     d = domain.dim
     sob = qmc.Sobol(d, scramble=True, seed=int(rng.integers(2 ** 63)))
     U = sob.random(n_candidates)
@@ -259,18 +361,12 @@ def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
     best_x = cand[order[0]]
     best_score = scores[order[0]]
 
-    def neg_ucb(x):
-        m, s = gp_predict(model, domain.clip(x))
-        return -ucb(m, s, h)
-
+    neg_ucb = _point_neg_ucb(model, domain, h)
     for i in order[:8]:
-        res = optimize.minimize(neg_ucb, cand[i], method="Nelder-Mead",
-                                options={"maxiter": 120, "xatol": 1e-6,
-                                         "fatol": 1e-12})
-        x = domain.clip(res.x)
-        if -res.fun > best_score:
-            best_score = -res.fun
-            best_x = x
+        x, fun = _nelder_mead(neg_ucb, cand[i])
+        if -fun > best_score:
+            best_score = -fun
+            best_x = domain.clip(x)
     return np.asarray(best_x, dtype=float)
 
 

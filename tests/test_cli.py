@@ -124,6 +124,18 @@ def test_nonfinite_parameter_is_one_line_usage_error(tmp_path, capsys, argv):
     assert len(err) == 1 and "must be finite" in err[0]
 
 
+@pytest.mark.parametrize("half_width", ["nan", "inf", "1e308"])
+def test_flr_half_width_is_one_line_usage_error(tmp_path, capsys, half_width):
+    gfile = tmp_path / "gains.txt"
+    save_gains(gfile, GainSet())
+    out = str(tmp_path / "hw")
+    assert run(["tune", "--stage", "flr", "--gains", str(gfile), "--out", out,
+                "--episodes", "3", "--n-init", "2",
+                "--flr-half-width", half_width]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_simulate_nonfinite_state_exit_code(tmp_path, capsys):
     """A motor inertia of 1e-308 turns the first step's state into NaN: a
     divergence, not a usage error."""

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.stats import qmc
 
 from flexjoint.control import TRAJ_COLUMNS, Trajectory
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, Dataset, Domain, GpModel,
-                              TunerConfig, _neg_lml_and_grad, flr_bound_domain,
+                              TunerConfig, _neg_lml_and_grad, _nelder_mead,
+                              _point_neg_ucb, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               pd_gain_domain, smbo, suggest, tracking_cost,
                               ucb)
@@ -31,6 +34,10 @@ def test_domain_validation():
         Domain(names=("a",), lo=(1.0,), hi=(0.0,))
     with pytest.raises(ValueError):
         Domain(names=("a", "b"), lo=(0.0,), hi=(1.0,))
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0),
+                   (0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError):
+            Domain(names=("a",), lo=(lo,), hi=(hi,))
 
 
 @given(x=st.lists(st.floats(0, 1), min_size=3, max_size=3))
@@ -284,6 +291,8 @@ def test_surrogate_rejects_nonfinite_and_non_pd_input():
         gp_predict(model, x)
     with pytest.raises(ValueError):
         gp_predict(model, np.stack([x[::-1], x]))
+    with pytest.raises(ValueError):
+        gp_predict(model, np.array([np.inf, model.domain.lo[1]]))
     D2 = _ref_sq_dists(model.Xn, model.Xn)
     with pytest.raises(ValueError):
         _neg_lml_and_grad(np.full(4, np.nan), model.Xn, ys, D2)
@@ -295,6 +304,49 @@ def test_surrogate_rejects_nonfinite_and_non_pd_input():
     value, grad = _neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)
     assert value == 1e12 and grad.tobytes() == np.zeros(3).tobytes()
     assert _ref_neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)[0] == 1e12
+
+
+NM_OPTIONS = {"maxiter": 120, "xatol": 1e-6, "fatol": 1e-12}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+       n=st.integers(2, 40), h=st.sampled_from([0.0, 2.576, None]))
+@settings(max_examples=40, deadline=None)
+def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
+    """suggest's point evaluator equals -ucb of gp_predict at the clipped
+    point, and _nelder_mead equals scipy's Nelder-Mead on that function,
+    bit for bit, from Sobol candidates, corners, points on box faces (where
+    clipping ties values), points with zero components and boxes with
+    zero-width dimensions."""
+    model, _, rng = _random_model(seed, d, n)
+    dom = model.domain
+    h = float(rng.uniform(0.0, 5.0)) if h is None else h
+
+    def neg_ucb(x):
+        m, s = gp_predict(model, dom.clip(x))
+        return -ucb(m, s, h)
+
+    lo, hi = np.array(dom.lo), np.array(dom.hi)
+    starts = list(dom.denormalize(
+        qmc.Sobol(d, scramble=True, seed=seed).random(2)))
+    starts += [lo, hi, np.where(rng.random(d) < 0.5, lo, hi)]
+    face = dom.denormalize(rng.random((1, d)))[0]
+    k = rng.integers(d)
+    face[k] = hi[k] if rng.random() < 0.5 else lo[k]
+    zeros = dom.denormalize(rng.random((1, d)))[0]
+    zeros[rng.random(d) < 0.5] = 0.0
+    starts += [face, zeros, np.zeros(d), np.full(d, -0.0)]
+    f = _point_neg_ucb(model, dom, h)
+    for x0 in starts:
+        probes = [x0, x0 + rng.uniform(-1.0, 1.0, d) * (hi - lo + 1.0)]
+        for x in probes:
+            assert np.float64(f(x)).tobytes() == \
+                np.float64(neg_ucb(x)).tobytes()
+        x, fun = _nelder_mead(f, x0)
+        res = optimize.minimize(neg_ucb, x0, method="Nelder-Mead",
+                                options=NM_OPTIONS)
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
 
 
 def test_ucb_definition():
@@ -338,6 +390,18 @@ def test_suggest_deterministic_under_seed():
     a = suggest(model, UNIT, np.random.default_rng(123), h=0.0)
     b = suggest(model, UNIT, np.random.default_rng(123), h=0.0)
     np.testing.assert_array_equal(a, b)
+
+
+def test_suggest_does_not_call_scipy_minimize(monkeypatch):
+    model = _edge_model()
+    expected = suggest(model, UNIT, np.random.default_rng(5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("suggest called scipy.optimize.minimize")
+
+    monkeypatch.setattr(optimize, "minimize", forbidden)
+    x = suggest(model, UNIT, np.random.default_rng(5))
+    assert x.tobytes() == expected.tobytes()
 
 
 def test_suggest_stays_in_box():

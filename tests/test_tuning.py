@@ -306,9 +306,6 @@ def test_surrogate_rejects_nonfinite_and_non_pd_input():
     assert _ref_neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)[0] == 1e12
 
 
-NM_OPTIONS = {"maxiter": 120, "xatol": 1e-6, "fatol": 1e-12}
-
-
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
        n=st.integers(2, 40), h=st.sampled_from([0.0, 2.576, None]))
 @settings(max_examples=40, deadline=None)
@@ -344,7 +341,8 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
                 np.float64(neg_ucb(x)).tobytes()
         x, fun = _nelder_mead(f, x0)
         res = optimize.minimize(neg_ucb, x0, method="Nelder-Mead",
-                                options=NM_OPTIONS)
+                                options={"maxiter": 120, "xatol": 1e-6,
+                                         "fatol": 1e-12})
         assert x.tobytes() == res.x.tobytes()
         assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
 

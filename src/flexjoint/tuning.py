@@ -259,7 +259,7 @@ def _point_neg_ucb(model: GpModel, domain: Domain, h: float):
     asarray_chkfinite(ks.T) and (ks * v.T).sum(axis=1), into buffers
     allocated once."""
     box = list(zip(domain._lo.tolist(), domain._hi.tolist(),
-                   domain._width.tolist()))
+                   model.domain._lo.tolist(), model.domain._width.tolist()))
     Xn, ls2, alpha = model.Xn, model.ls2, model.alpha
     sf2, (c, lower) = model.signal_variance, model.cho
     y_mean, y_std = model.y_mean, model.y_std
@@ -268,7 +268,8 @@ def _point_neg_ucb(model: GpModel, domain: Domain, h: float):
     s = ks[0]
 
     def neg_ucb(x) -> float:
-        u = [(min(max(a, lo), hi) - lo) / w for a, (lo, hi, w) in zip(x, box)]
+        u = [(min(max(a, lo), hi) - m) / w
+             for a, (lo, hi, m, w) in zip(x, box)]
         np.subtract(u, Xn, out=D2)
         np.square(D2, out=D2)
         np.divide(D2, ls2, out=D2)

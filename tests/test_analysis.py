@@ -52,12 +52,14 @@ def test_eigenvalues_sorted():
 @settings(max_examples=100, deadline=None)
 def test_dense_solver_matches_block_formula(kp1, kd1, kp2, kd2, I_l, I_m, k, mu):
     # closed-form quadratic roots of the two companion blocks are an
-    # independent oracle for the dense eigensolver.  Compare them as
-    # multisets: where the two blocks' real parts are equal, rounding
-    # decides which block sorts first.
+    # independent oracle for the dense eigensolver.  The dense spectrum
+    # must come in (real, imag) order and equal the oracle as a multiset:
+    # where the two blocks' real parts are equal, rounding decides which
+    # block sorts first.
     p = PlantParams(I_l=I_l, I_m=I_m, k=k, mu=mu)
     A = error_jacobian(p, GainSet(kp1, kd1, kp2, kd2))
     ev = eigenvalues(A)
+    np.testing.assert_array_equal(np.lexsort((ev.imag, ev.real)), np.arange(4))
     oracle = min(permutations(block_eigenvalues(A)),
                  key=lambda q: np.abs(ev - np.array(q)).max())
     np.testing.assert_allclose(ev, oracle, rtol=1e-7, atol=1e-7)

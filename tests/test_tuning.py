@@ -334,11 +334,19 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
     zeros[rng.random(d) < 0.5] = 0.0
     starts += [face, zeros, np.zeros(d), np.full(d, -0.0)]
     f = _point_neg_ucb(model, dom, h)
+    # a clip box other than the model's: clip to it, normalize by the model's
+    lo2 = lo + rng.uniform(-0.5, 0.5, d) * (hi - lo + 1.0)
+    other = Domain(names=dom.names, lo=tuple(lo2),
+                   hi=tuple(lo2 + rng.uniform(0.0, 1.5, d) * (hi - lo)))
+    f_other = _point_neg_ucb(model, other, h)
     for x0 in starts:
         probes = [x0, x0 + rng.uniform(-1.0, 1.0, d) * (hi - lo + 1.0)]
         for x in probes:
             assert np.float64(f(x)).tobytes() == \
                 np.float64(neg_ucb(x)).tobytes()
+            m, s = gp_predict(model, other.clip(x))
+            assert np.float64(f_other(x)).tobytes() == \
+                np.float64(-ucb(m, s, h)).tobytes()
         x, fun = _nelder_mead(f, x0)
         res = optimize.minimize(neg_ucb, x0, method="Nelder-Mead",
                                 options={"maxiter": 120, "xatol": 1e-6,
@@ -391,15 +399,16 @@ def test_suggest_deterministic_under_seed():
 
 
 def test_suggest_does_not_call_scipy_minimize(monkeypatch):
-    model = _edge_model()
-    expected = suggest(model, UNIT, np.random.default_rng(5))
+    model, _, _ = _random_model(3, 3, 12)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("suggest called scipy.optimize.minimize")
 
     monkeypatch.setattr(optimize, "minimize", forbidden)
-    x = suggest(model, UNIT, np.random.default_rng(5))
-    assert x.tobytes() == expected.tobytes()
+    x = suggest(model, model.domain, np.random.default_rng(5))
+    # the bits suggest returned when it refined with optimize.minimize
+    assert [v.hex() for v in x.tolist()] == [
+        "0x1.0c7f7805812dcp+4", "-0x1.0e7f531b61db8p+4", "0x1.d8dbeee63a040p+5"]
 
 
 def test_suggest_stays_in_box():

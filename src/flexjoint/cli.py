@@ -239,6 +239,9 @@ def cmd_tune(args) -> int:
     rows = [(i, *history.X[i], history.y[i], history.best_y[i])
             for i in range(len(history))]
     write_csv(f"{args.out}_history.csv", columns, rows)
+    if best_y == FAILED_COST:
+        raise CliError(f"all {len(history)} episodes failed; no gains written",
+                       EXIT_DIVERGED)
     gains_path = f"{args.out}_gains.txt"
     if args.stage == "pd":
         save_gains(gains_path, GainSet(*best_x))

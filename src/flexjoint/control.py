@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +91,10 @@ class Reference:
         return self.value, 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    """Per-step controller internals recorded alongside the torque."""
+class Diagnostics(NamedTuple):
+    """Per-step controller internals recorded alongside the torque; the
+    fields from e1 on are the last trajectory columns, in TRAJ_COLUMNS
+    order."""
 
     u_pd1: float
     x3d: float
@@ -118,76 +120,6 @@ def motor_reference(params: PlantParams, x1: float, u_pd1: float) -> float:
     return u_pd1 * p.I_l / p.k + x1 + p.mgl * math.cos(x1) / p.k
 
 
-def _cascade_law(params: PlantParams, gains: GainSet, loop1: RuleBase | None,
-                 loop2: RuleBase | None, s: State, ref: tuple[float, float, float],
-                 ) -> tuple[float, Diagnostics]:
-    """Cascaded PD torque u = u_pd2 + u_pd1*I_l + mgl*cos(x1).
-
-    A loop given a rule base adds that regulator's (dkp, dkd) output to its
-    PD gains: loop 1 feeds it (e1, e2), loop 2 feeds it (e3, e4).  A loop
-    given None runs its plain PD gains.
-    """
-    x1d, x1d_dot, _ = ref
-    e1 = x1d - s.x1
-    e2 = x1d_dot - s.x2
-    kp1, kd1 = gains.kp1, gains.kd1
-    if loop1 is not None:
-        dkp1, dkd1 = infer(loop1, e1, e2)
-        kp1, kd1 = kp1 + dkp1, kd1 + dkd1
-    u_pd1 = pd(kp1, kd1, e1, e2)
-    x3d = motor_reference(params, s.x1, u_pd1)
-    e3 = x3d - s.x3
-    e4 = 0.0 - s.x4  # x3d rate fixed to zero
-    kp2, kd2 = gains.kp2, gains.kd2
-    if loop2 is not None:
-        dkp2, dkd2 = infer(loop2, e3, e4)
-        kp2, kd2 = kp2 + dkp2, kd2 + dkd2
-    u_pd2 = pd(kp2, kd2, e3, e4)
-    u = u_pd2 + u_pd1 * params.I_l + params.mgl * math.cos(s.x1)
-    return u, Diagnostics(u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
-
-
-def cascaded_torque(params: PlantParams, gains: GainSet, s: State,
-                    ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
-    """Cascaded PD torque u = u_pd2 + u_pd1*I_l + mgl*cos(x1)."""
-    return _cascade_law(params, gains, None, None, s, ref)
-
-
-def fuzzy_cascaded_torque(params: PlantParams, base: GainSet, bounds: FlrBounds,
-                          s: State, ref: tuple[float, float, float],
-                          fuzzy_loop1: bool = True, fuzzy_loop2: bool = True,
-                          ) -> tuple[float, Diagnostics]:
-    """Cascaded PD with per-step fuzzy gain offsets.
-
-    Loop 1 feeds (e1, e2) to a regulator bounded by (dkp1, dkd1); loop 2
-    feeds (e3, e4) to one bounded by (dkp2, dkd2).  Effective gains are
-    base + increment; a loop with fuzzy disabled (or zero-width bounds)
-    reduces exactly to the plain cascade.
-    """
-    return _cascade_law(params, base, *_rule_bases(bounds, fuzzy_loop1, fuzzy_loop2),
-                        s, ref)
-
-
-def _rule_bases(bounds: FlrBounds, fuzzy_loop1: bool, fuzzy_loop2: bool,
-                ) -> tuple[RuleBase | None, RuleBase | None]:
-    """The regulator of each loop with fuzzy enabled, None for the others."""
-    return (RuleBase(bounds.dkp1, bounds.dkd1) if fuzzy_loop1 else None,
-            RuleBase(bounds.dkp2, bounds.dkd2) if fuzzy_loop2 else None)
-
-
-def single_pd_torque(gains2: tuple[float, float], s: State,
-                     ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
-    """Reduced-order baseline: one PD on the link error, no reference
-    shaping and no compensation."""
-    kp, kd = gains2
-    x1d, x1d_dot, _ = ref
-    e1 = x1d - s.x1
-    e2 = x1d_dot - s.x2
-    u = pd(kp, kd, e1, e2)
-    nan = float("nan")
-    return u, Diagnostics(u, nan, e1, e2, nan, nan, kp, kd, nan, nan)
-
-
 @dataclass(frozen=True)
 class Controller:
     """Value object bundling a controller kind with its parameters.
@@ -204,18 +136,45 @@ class Controller:
     loop2: RuleBase | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        k = self.kind
+        k, b = self.kind, self.flr_bounds
         fuzzy1 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.FUZZY1_PD2)
         fuzzy2 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.PD1_FUZZY2)
-        loop1, loop2 = _rule_bases(self.flr_bounds, fuzzy1, fuzzy2)
-        object.__setattr__(self, "loop1", loop1)
-        object.__setattr__(self, "loop2", loop2)
+        object.__setattr__(self, "loop1", RuleBase(b.dkp1, b.dkd1) if fuzzy1 else None)
+        object.__setattr__(self, "loop2", RuleBase(b.dkp2, b.dkd2) if fuzzy2 else None)
 
     def torque(self, params: PlantParams, s: State,
                ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
+        """Torque and diagnostics at state s for reference (x1d, x1d_dot, _).
+
+        SINGLE_PD is the reduced-order baseline: one PD on the link error
+        with single_gains, no reference shaping and no compensation.  Every
+        other kind is the cascade u = u_pd2 + u_pd1*I_l + mgl*cos(x1); a
+        loop with a regulator adds its (dkp, dkd) output to its PD gains,
+        loop 1 feeding it (e1, e2) and loop 2 (e3, e4).
+        """
+        x1d, x1d_dot, _ = ref
+        e1 = x1d - s.x1
+        e2 = x1d_dot - s.x2
         if self.kind is ControllerKind.SINGLE_PD:
-            return single_pd_torque(self.single_gains, s, ref)
-        return _cascade_law(params, self.gains, self.loop1, self.loop2, s, ref)
+            kp, kd = self.single_gains
+            u = pd(kp, kd, e1, e2)
+            nan = float("nan")
+            return u, Diagnostics(u, nan, e1, e2, nan, nan, kp, kd, nan, nan)
+        kp1, kd1 = self.gains.kp1, self.gains.kd1
+        if self.loop1 is not None:
+            dkp1, dkd1 = infer(self.loop1, e1, e2)
+            kp1, kd1 = kp1 + dkp1, kd1 + dkd1
+        u_pd1 = pd(kp1, kd1, e1, e2)
+        x3d = motor_reference(params, s.x1, u_pd1)
+        e3 = x3d - s.x3
+        e4 = 0.0 - s.x4  # x3d rate fixed to zero
+        kp2, kd2 = self.gains.kp2, self.gains.kd2
+        if self.loop2 is not None:
+            dkp2, dkd2 = infer(self.loop2, e3, e4)
+            kp2, kd2 = kp2 + dkp2, kd2 + dkd2
+        u_pd2 = pd(kp2, kd2, e3, e4)
+        u = u_pd2 + u_pd1 * params.I_l + params.mgl * math.cos(s.x1)
+        return u, Diagnostics(u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
 
 
 TRAJ_COLUMNS = ("t", "x1", "x2", "x3", "x4", "x1d", "x3d", "u",
@@ -247,12 +206,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.data)
-
-
-def _row(t: float, s: State, x1d: float, u: float, d: Diagnostics) -> tuple:
-    """One trajectory row, in ``TRAJ_COLUMNS`` order."""
-    return (t, s.x1, s.x2, s.x3, s.x4, x1d, d.x3d, u, d.e1, d.e2, d.e3, d.e4,
-            d.kp1_eff, d.kd1_eff, d.kp2_eff, d.kd2_eff)
 
 
 def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
@@ -290,7 +243,7 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
         u, diag = controller.torque(params, s, r)
         if not math.isfinite(u):
             raise DivergedTrajectory(sim_step, t, s, f"non-finite torque {u!r}")
-        rows.append(_row(t, s, r[0], u, diag))
+        rows.append((t, x1, x2, x3, x4, r[0], diag.x3d, u, *diag[2:]))
         u_m = u / p.I_m
         for _ in range(sub):
             if draws is not None:
@@ -319,5 +272,5 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     if not rows:
         r = ref(0.0)
         u, diag = controller.torque(params, s, r)
-        rows.append(_row(0.0, s, r[0], u, diag))
+        rows.append((0.0, x1, x2, x3, x4, r[0], diag.x3d, u, *diag[2:]))
     return Trajectory(np.array(rows, dtype=float), final_state=s)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TERMS = ("NB", "NS", "ZE", "PS", "PB")
-_TERM_INDEX = {t: i for i, t in enumerate(TERMS)}
 
 # Rule consequents, row = error term, column = error-rate term (NB..PB).
 KP_RULES = (
@@ -34,6 +33,9 @@ KD_RULES = (
     ("PS", "ZE", "NS", "NS", "NB"),
     ("ZE", "NS", "NS", "NB", "NB"),
 )
+# The same tables as indices into the five singletons NB..PB.
+_KP_INDEX = np.array([[TERMS.index(t) for t in row] for row in KP_RULES])
+_KD_INDEX = np.array([[TERMS.index(t) for t in row] for row in KD_RULES])
 
 
 class FuzzyConfigError(ValueError):
@@ -106,18 +108,9 @@ ERROR_SCALE = LinguisticScale(-np.pi, np.pi)
 RATE_SCALE = LinguisticScale(-5.0, 5.0)
 
 
-def _check_table(table) -> None:
-    if len(table) != 5 or any(len(r) != 5 for r in table):
-        raise FuzzyConfigError("rule table must be 5x5")
-    for row in table:
-        for t in row:
-            if t not in _TERM_INDEX:
-                raise FuzzyConfigError(f"unknown linguistic term {t!r}")
-
-
 @dataclass(frozen=True)
 class RuleBase:
-    """Rule tables plus output bounds for one regulator (dkp and dkd).
+    """Output bounds of one regulator (dkp and dkd) over KP_RULES/KD_RULES.
 
     kp_consequents[i, j] is the singleton that rule (e term i, de term j)
     outputs for dkp; kd_consequents likewise for dkd.
@@ -125,25 +118,16 @@ class RuleBase:
 
     kp_bounds: tuple[float, float]
     kd_bounds: tuple[float, float]
-    table_kp: tuple = KP_RULES
-    table_kd: tuple = KD_RULES
     kp_consequents: np.ndarray = field(init=False, compare=False, repr=False)
     kd_consequents: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_table(self.table_kp)
-        _check_table(self.table_kd)
         for lo, hi in (self.kp_bounds, self.kd_bounds):
             if lo > hi:
                 raise FuzzyConfigError(f"bounds must satisfy lower <= upper, got ({lo}, {hi})")
-        for name, table, bounds in (("kp_consequents", self.table_kp, self.kp_bounds),
-                                    ("kd_consequents", self.table_kd, self.kd_bounds)):
-            idx = np.array([[_TERM_INDEX[t] for t in row] for row in table])
-            object.__setattr__(self, name, self.singletons(bounds)[idx])
-
-    def singletons(self, bounds: tuple[float, float]) -> np.ndarray:
-        lo, hi = bounds
-        return np.linspace(lo, hi, 5)
+        for name, idx, (lo, hi) in (("kp_consequents", _KP_INDEX, self.kp_bounds),
+                                    ("kd_consequents", _KD_INDEX, self.kd_bounds)):
+            object.__setattr__(self, name, np.linspace(lo, hi, 5)[idx])
 
 
 @dataclass(frozen=True)
@@ -169,21 +153,18 @@ class FlrBounds:
         return FlrBounds(fix(dkp1), fix(dkd1), fix(dkp2), fix(dkd2))
 
 
-def firing_strengths(e_scale: LinguisticScale, de_scale: LinguisticScale,
-                     e: float, de: float) -> np.ndarray:
-    """Normalized rule activations as a 5x5 array (rows: e terms,
-    columns: de terms); non-negative and summing to 1."""
-    w = np.outer(e_scale.grades(e), de_scale.grades(de))
+def firing_strengths(e: float, de: float) -> np.ndarray:
+    """Normalized rule activations as a 5x5 array (rows: ERROR_SCALE terms
+    of e, columns: RATE_SCALE terms of de); non-negative and summing to 1."""
+    w = np.outer(ERROR_SCALE.grades(e), RATE_SCALE.grades(de))
     total = w.sum()
     if total <= 0.0:
         raise FuzzyConfigError("no rule fired; scale violates partition of unity")
     return w / total
 
 
-def infer(rb: RuleBase, e: float, de: float,
-          e_scale: LinguisticScale = ERROR_SCALE,
-          de_scale: LinguisticScale = RATE_SCALE) -> tuple[float, float]:
+def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
     """Sugeno output (dkp, dkd): firing-strength-weighted singleton average."""
-    w = firing_strengths(e_scale, de_scale, e, de)
+    w = firing_strengths(e, de)
     return (float(np.sum(w * rb.kp_consequents)),
             float(np.sum(w * rb.kd_consequents)))

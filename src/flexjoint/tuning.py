@@ -28,6 +28,11 @@ _LEN_BOUNDS = (math.log(1e-2), math.log(1e2))
 _SIG_BOUNDS = (math.log(1e-4), math.log(1e2))
 _NOISE_RATIO_BOUNDS = (math.log(1e-8), math.log(1e-1))
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+# L-BFGS-B starts per likelihood fit, Sobol candidates per UCB scan, and
+# Nelder-Mead searches from the best candidates
+FIT_STARTS = 8
+SOBOL_CANDIDATES = 2048
+LOCAL_SEARCHES = 8
 
 
 class GpFitError(RuntimeError):
@@ -97,22 +102,23 @@ class Dataset:
 @dataclass(frozen=True)
 class TunerConfig:
     """SMBO settings: T total episodes, n_init initial Latin-hypercube
-    samples, h the UCB exploration coefficient."""
+    samples, h the UCB exploration coefficient.
+
+    h lies in [0, 1e6]: the GP-UCB coefficient is non-negative, and the
+    posterior stddev is at most 10 times the costs' standard deviation
+    (signal variance <= 1e2), so h*stddev stays far from overflow.
+    """
 
     T: int = 150
     n_init: int = 10
     h: float = 2.576
     seed: int = 0
-    n_restarts: int = 8
-    n_candidates: int = 2048
 
     def __post_init__(self):
         if self.n_init < 1 or self.T < self.n_init:
             raise ValueError("need n_init >= 1 and T >= n_init")
-        if self.n_restarts < 1 or self.n_candidates < 1:
-            raise ValueError("need n_restarts >= 1 and n_candidates >= 1")
-        if not math.isfinite(self.h):
-            raise ValueError(f"h must be finite, got {self.h}")
+        if not 0.0 <= self.h <= 1e6:
+            raise ValueError(f"h must be finite and in [0, 1e6], got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +126,10 @@ class GpModel:
     """Fitted GP state over normalized inputs / standardized targets.
 
     theta = (log length scales per dim, log signal variance,
-    log noise-to-signal ratio); cho = (factor, lower) is the Cholesky
-    factorization of the training covariance (including any jitter used to
-    factor it).  Construction checks the factor as cho_solve would and
-    caches ls2 = length_scales**2 and signal_variance for gp_predict.
+    log noise-to-signal ratio); chol is the lower Cholesky factor of the
+    training covariance (including any jitter used to factor it).
+    Construction checks the factor as cho_solve would and caches
+    ls2 = length_scales**2 and signal_variance for gp_predict.
     """
 
     domain: Domain
@@ -132,10 +138,10 @@ class GpModel:
     y_mean: float
     y_std: float
     alpha: np.ndarray = field(repr=False)
-    cho: tuple = field(repr=False)
+    chol: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if np.asarray_chkfinite(self.cho[0]).shape != (len(self.Xn),) * 2:
+        if np.asarray_chkfinite(self.chol).shape != (len(self.Xn),) * 2:
             raise ValueError("Cholesky factor must be n x n for n points")
         object.__setattr__(self, "ls2", self.length_scales ** 2)
         object.__setattr__(self, "signal_variance", float(np.exp(self.theta[-2])))
@@ -202,7 +208,7 @@ def gp_fit(data: Dataset, config: TunerConfig, domain: Domain) -> GpModel:
     bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
     rng = np.random.default_rng((config.seed, len(data), 0x6F17))
     starts = [np.concatenate([np.zeros(d), [0.0], [math.log(1e-4)]])]
-    for _ in range(config.n_restarts - 1):
+    for _ in range(FIT_STARTS - 1):
         starts.append(np.array([rng.uniform(a, b) for a, b in bounds]))
     best = None
     for x0 in starts:
@@ -221,7 +227,7 @@ def gp_fit(data: Dataset, config: TunerConfig, domain: Domain) -> GpModel:
     else:
         raise GpFitError("training covariance singular after jitter escalation")
     return GpModel(domain=domain, Xn=Xn, theta=theta, y_mean=y_mean,
-                   y_std=y_std, alpha=dpotrs(c, ys, lower=1)[0], cho=(c, True))
+                   y_std=y_std, alpha=dpotrs(c, ys, lower=1)[0], chol=c)
 
 
 def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +241,7 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     sf2 = model.signal_variance
     ks = sf2 * _corr(_sq_dists(Un, model.Xn), model.ls2)  # (m, n)
     mean_s = ks @ model.alpha
-    v = dpotrs(model.cho[0], np.asarray_chkfinite(ks.T),   # K^-1 k*
-               lower=model.cho[1])[0]
+    v = dpotrs(model.chol, np.asarray_chkfinite(ks.T), lower=1)[0]  # K^-1 k*
     var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
     mean = model.y_mean + model.y_std * mean_s
     std = model.y_std * np.sqrt(var)
@@ -261,7 +266,7 @@ def _point_neg_ucb(model: GpModel, domain: Domain, h: float):
     box = list(zip(domain._lo.tolist(), domain._hi.tolist(),
                    model.domain._lo.tolist(), model.domain._width.tolist()))
     Xn, ls2, alpha = model.Xn, model.ls2, model.alpha
-    sf2, (c, lower) = model.signal_variance, model.cho
+    sf2, c = model.signal_variance, model.chol
     y_mean, y_std = model.y_mean, model.y_std
     D2 = np.empty(Xn.shape)          # (n, d) scaled squared differences
     ks = np.empty((1, len(Xn)))      # (1, n) cross-covariance
@@ -278,7 +283,7 @@ def _point_neg_ucb(model: GpModel, domain: Domain, h: float):
         np.exp(ks, out=ks)
         np.multiply(ks, sf2, out=ks)
         mean = y_mean + y_std * (ks @ alpha).item()
-        v = dpotrs(c, np.asarray_chkfinite(ks.T), lower=lower)[0]
+        v = dpotrs(c, np.asarray_chkfinite(ks.T), lower=1)[0]
         var = max(sf2 - (ks * v.T).sum(axis=1).item(), 0.0)
         return -(mean + h * (y_std * math.sqrt(var)))
 
@@ -346,15 +351,15 @@ def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
 
 
 def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
-            h: float = 2.576, n_candidates: int = 2048) -> np.ndarray:
-    """Maximize the UCB over the box: a scrambled-Sobol candidate scan (one
-    batched gp_predict), then _nelder_mead from the best 8 candidates on
-    the clipped point UCB of _point_neg_ucb.  Tests hold the two to
-    scipy's Nelder-Mead and to gp_predict bit for bit.  Ties fall to the
-    first best candidate of the seeded scan."""
+            h: float) -> np.ndarray:
+    """Maximize the UCB over the box: a scan of SOBOL_CANDIDATES scrambled
+    Sobol points (one batched gp_predict), then _nelder_mead from the best
+    LOCAL_SEARCHES candidates on the clipped point UCB of _point_neg_ucb.
+    Tests hold the two to scipy's Nelder-Mead and to gp_predict bit for
+    bit.  Ties fall to the first best candidate of the seeded scan."""
     d = domain.dim
     sob = qmc.Sobol(d, scramble=True, seed=int(rng.integers(2 ** 63)))
-    U = sob.random(n_candidates)
+    U = sob.random(SOBOL_CANDIDATES)
     cand = domain.denormalize(U)
     mean, std = gp_predict(model, cand)
     scores = ucb(mean, std, h)
@@ -363,7 +368,7 @@ def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
     best_score = scores[order[0]]
 
     neg_ucb = _point_neg_ucb(model, domain, h)
-    for i in order[:8]:
+    for i in order[:LOCAL_SEARCHES]:
         x, fun = _nelder_mead(neg_ucb, cand[i])
         if -fun > best_score:
             best_score = -fun
@@ -417,8 +422,7 @@ def smbo(cost, domain: Domain, config: TunerConfig,
             x = domain.denormalize(rng.random((1, domain.dim)))[0]
         else:
             model = gp_fit(data, config, domain)
-            x = suggest(model, domain, rng, h=config.h,
-                        n_candidates=config.n_candidates)
+            x = suggest(model, domain, rng, config.h)
         y = evaluate(x)
         data.append(x, y)
     best_y = np.maximum.accumulate(data.y)

@@ -248,14 +248,13 @@ def _partition_and_boundedness() -> bool:
 
 
 def _flr_degeneracy() -> bool:
-    from flexjoint.control import cascaded_torque, fuzzy_cascaded_torque
     rng = np.random.default_rng(17)
-    zero = FlrBounds()
+    fuzzy = Controller(ControllerKind.FUZZY_CASCADED, GAINS, FlrBounds())
+    plain = Controller(ControllerKind.CASCADED_PD, GAINS, FlrBounds())
     for _ in range(1000):
         s = State(*rng.uniform(-2, 2, size=4))
         ref = (rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0)
-        if fuzzy_cascaded_torque(PARAMS, GAINS, zero, s, ref) != \
-                cascaded_torque(PARAMS, GAINS, s, ref):
+        if fuzzy.torque(PARAMS, s, ref) != plain.torque(PARAMS, s, ref):
             return False
     return True
 

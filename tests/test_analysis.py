@@ -110,14 +110,15 @@ def test_state_matrix_spectrum_differs_from_error_model(params, gains):
 def test_state_matrix_agrees_with_finite_differences(gains):
     """Independent oracle: numerically differentiate the closed-loop vector
     field (g = 0, constant reference at the origin) and compare."""
-    import flexjoint.control as ctl
+    from flexjoint.control import Controller, ControllerKind
     from flexjoint.plant import State, derivatives
     p = PlantParams(g=0.0)
     A = state_matrix(p, gains)
+    ctrl = Controller(ControllerKind.CASCADED_PD, gains, FlrBounds())
 
     def f(x):
         s = State(*x)
-        u, _ = ctl.cascaded_torque(p, gains, s, (0.0, 0.0, 0.0))
+        u, _ = ctrl.torque(p, s, (0.0, 0.0, 0.0))
         return derivatives(p, s, u)
 
     eps = 1e-7

@@ -8,6 +8,7 @@ from flexjoint.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
                            METRIC_COLUMNS, TRAJ_COLUMNS, main, read_csv)
 from flexjoint.gainsio import save_gains
 from flexjoint.control import GainSet
+from flexjoint.metrics import FAILED_COST
 
 
 def run(args):
@@ -115,6 +116,8 @@ def test_nonfinite_flag_is_one_line_usage_error(tmp_path, capsys, flags):
 @pytest.mark.parametrize("argv", [
     ["tune", "--stage", "pd", "--episodes", "4", "--n-init", "2",
      "--ucb-h", "nan"],
+    ["tune", "--stage", "pd", "--episodes", "4", "--n-init", "2",
+     "--ucb-h", "1e308"],
     ["analyze", "--L", "nan", "0", "0", "0"],
 ], ids=" ".join)
 def test_nonfinite_parameter_is_one_line_usage_error(tmp_path, capsys, argv):
@@ -134,6 +137,16 @@ def test_flr_half_width_is_one_line_usage_error(tmp_path, capsys, half_width):
                 "--flr-half-width", half_width]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_tune_with_every_episode_failed_writes_no_gains(tmp_path, capsys):
+    out = str(tmp_path / "tf")
+    assert run(["tune", "--stage", "pd", "--episodes", "3", "--n-init", "2",
+                "--disturbance", "uniform", "--amplitude", "1e300",
+                "--out", out]) == EXIT_DIVERGED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "tf_gains.txt").exists()
 
 
 def test_simulate_nonfinite_state_exit_code(tmp_path, capsys):
@@ -249,11 +262,13 @@ def test_tune_flr_quick(tmp_path):
 
 
 def test_tune_single_episode_returns_the_sample(tmp_path):
+    # tuner seed 5 draws a sample that does not diverge; a failed one would
+    # exit EXIT_DIVERGED with no gains file
     out = str(tmp_path / "t4")
     assert run(["tune", "--stage", "pd", "--out", out, "--episodes", "1",
-                "--n-init", "1"]) == EXIT_OK
+                "--n-init", "1", "--tuner-seed", "5"]) == EXIT_OK
     header, data = read_csv(out + "_history.csv")
-    assert data.shape[0] == 1
+    assert data.shape[0] == 1 and data[0, 5] != FAILED_COST
     lines = (tmp_path / "t4_gains.txt").read_text().splitlines()
     vals = [float(l.split("=")[1]) for l in lines]
     np.testing.assert_allclose(vals, data[0, 1:5])

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from flexjoint import plant
 from flexjoint.cli import TUNED_FLR_BOUNDS
-from flexjoint.control import (DIVERGENCE_LIMIT, Controller, ControllerKind,
-                               DivergedTrajectory, GainSet, Reference,
-                               cascaded_torque, fuzzy_cascaded_torque,
-                               motor_reference, pd, simulate, single_pd_torque)
+from flexjoint.control import (DIVERGENCE_LIMIT, TRAJ_COLUMNS, Controller,
+                               ControllerKind, Diagnostics, DivergedTrajectory,
+                               GainSet, Reference, motor_reference, pd,
+                               simulate)
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import (DISTURBANCE_TABLES, DisturbanceModel, PlantError,
                              PlantParams, SimConfig, State, disturbance_sample,
@@ -49,10 +49,14 @@ def test_gain_set_validation():
         GainSet(kp2=float("inf"))
 
 
+def _torque(kind, params, gains, s, ref, bounds=FlrBounds()):
+    return Controller(kind, gains, bounds).torque(params, s, ref)
+
+
 def test_cascaded_torque_frozen(params, gains):
     # all intermediate values recomputed independently at 40-digit precision
-    u, d = cascaded_torque(params, gains, State(0.0, 0.0, 0.0, 0.0),
-                           (1.0, 0.0, 0.0))
+    u, d = _torque(ControllerKind.CASCADED_PD, params, gains,
+                   State(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert d.u_pd1 == pytest.approx(52.19, abs=0.0)
     assert d.x3d == pytest.approx(0.57190352, rel=1e-15)
     assert (d.e1, d.e2, d.e4) == (1.0, 0.0, 0.0)
@@ -69,7 +73,8 @@ def test_set_point_consistency(x1d):
     # the link against gravity
     p, g = PlantParams(), GainSet()
     x3d = motor_reference(p, x1d, 0.0)
-    u, d = cascaded_torque(p, g, State(x1d, 0.0, x3d, 0.0), (x1d, 0.0, 0.0))
+    u, d = _torque(ControllerKind.CASCADED_PD, p, g, State(x1d, 0.0, x3d, 0.0),
+                   (x1d, 0.0, 0.0))
     assert (d.e1, d.e2, d.e3, d.e4) == (0.0, 0.0, 0.0, 0.0)
     assert u == pytest.approx(p.mgl * math.cos(x1d), rel=1e-12)
 
@@ -79,18 +84,20 @@ def test_fuzzy_degenerates_to_plain_cascade(params, gains, rng):
     for _ in range(1000):
         s = State(*rng.uniform(-2, 2, size=4))
         ref = (rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0)
-        assert fuzzy_cascaded_torque(params, gains, zero, s, ref) == \
-            cascaded_torque(params, gains, s, ref)
+        assert _torque(ControllerKind.FUZZY_CASCADED, params, gains, s, ref,
+                       zero) == \
+            _torque(ControllerKind.CASCADED_PD, params, gains, s, ref)
 
 
 def test_fuzzy_loops_can_be_disabled(params, gains, bounds):
     s = State(0.2, -0.1, 0.15, 0.3)
     ref = (1.0, 0.0, 0.0)
-    _, d_both = fuzzy_cascaded_torque(params, gains, bounds, s, ref)
-    _, d_outer = fuzzy_cascaded_torque(params, gains, bounds, s, ref,
-                                       fuzzy_loop2=False)
-    _, d_inner = fuzzy_cascaded_torque(params, gains, bounds, s, ref,
-                                       fuzzy_loop1=False)
+    _, d_both = _torque(ControllerKind.FUZZY_CASCADED, params, gains, s, ref,
+                        bounds)
+    _, d_outer = _torque(ControllerKind.FUZZY1_PD2, params, gains, s, ref,
+                         bounds)
+    _, d_inner = _torque(ControllerKind.PD1_FUZZY2, params, gains, s, ref,
+                         bounds)
     assert d_outer.kp1_eff == d_both.kp1_eff != gains.kp1
     assert d_outer.kp2_eff == gains.kp2
     assert d_inner.kp1_eff == gains.kp1
@@ -98,8 +105,9 @@ def test_fuzzy_loops_can_be_disabled(params, gains, bounds):
 
 
 def test_single_pd_torque_is_plain_pd():
-    u, d = single_pd_torque((117.0, 29.99), State(0.2, 0.1, 0.0, 0.0),
-                            (1.0, 0.0, 0.0))
+    u, d = Controller(ControllerKind.SINGLE_PD, single_gains=(117.0, 29.99)
+                      ).torque(PlantParams(), State(0.2, 0.1, 0.0, 0.0),
+                               (1.0, 0.0, 0.0))
     assert u == pytest.approx(117.0 * 0.8 + 29.99 * (-0.1), rel=1e-12)
     assert math.isnan(d.x3d) and math.isnan(d.e3)
 
@@ -111,8 +119,11 @@ def test_controller_dispatch(params, gains, bounds):
         c = Controller(kind=kind, gains=gains, flr_bounds=bounds)
         u, d = c.torque(params, s, ref)
         assert math.isfinite(u)
-    plain = Controller(kind=ControllerKind.CASCADED_PD, gains=gains)
-    assert plain.torque(params, s, ref) == cascaded_torque(params, gains, s, ref)
+
+
+def test_diagnostics_tail_is_the_trajectory_tail():
+    # simulate splices diag[2:] into a row after (t, x1..x4, x1d, x3d, u)
+    assert Diagnostics._fields[2:] == TRAJ_COLUMNS[8:]
 
 
 # ---------------------------------------------------------------------------

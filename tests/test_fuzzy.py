@@ -95,15 +95,12 @@ def test_table_corners():
 def test_rule_base_validation():
     with pytest.raises(FuzzyConfigError):
         RuleBase((0.0, 1.0), (1.0, 0.0))
-    with pytest.raises(FuzzyConfigError):
-        RuleBase((0.0, 1.0), (0.0, 1.0), table_kp=(("ZE",) * 5,) * 4)
-    with pytest.raises(FuzzyConfigError):
-        RuleBase((0.0, 1.0), (0.0, 1.0), table_kp=(("XX",) * 5,) * 5)
 
 
 def test_singletons_evenly_spaced():
     rb = RuleBase((-2.0, 2.0), (0.0, 1.0))
-    np.testing.assert_allclose(rb.singletons((-2.0, 2.0)),
+    cell = {t: (i, j) for i, row in enumerate(KP_RULES) for j, t in enumerate(row)}
+    np.testing.assert_allclose([rb.kp_consequents[cell[t]] for t in TERMS],
                                [-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
@@ -113,7 +110,7 @@ def test_singletons_evenly_spaced():
 @given(e=st.floats(-10, 10, allow_nan=False), de=st.floats(-20, 20, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_firing_strengths_normalized(e, de):
-    w = firing_strengths(ERROR_SCALE, RATE_SCALE, e, de)
+    w = firing_strengths(e, de)
     assert w.shape == (5, 5)
     assert np.all(w >= 0.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-9)

@@ -196,7 +196,7 @@ def _ref_gp_predict(model: GpModel, x):
     sf2 = float(np.exp(model.theta[-2]))
     ks = sf2 * _ref_corr(_ref_sq_dists(Un, model.Xn), ls)
     mean_s = ks @ model.alpha
-    v = cho_solve(model.cho, ks.T)
+    v = cho_solve((model.chol, True), ks.T)
     var = np.maximum(sf2 - np.sum(ks * v.T, axis=1), 0.0)
     mean = model.y_mean + model.y_std * mean_s
     std = model.y_std * np.sqrt(var)
@@ -255,7 +255,7 @@ def _random_model(seed: int, d: int, n: int):
                + float(np.exp(theta[d + 1])) * np.eye(n))
     cho = cho_factor(K, lower=True)
     model = GpModel(domain=dom, Xn=Xn, theta=theta, y_mean=float(y.mean()),
-                    y_std=float(y.std()), alpha=cho_solve(cho, ys), cho=cho)
+                    y_std=float(y.std()), alpha=cho_solve(cho, ys), chol=cho[0])
     return model, ys, rng
 
 
@@ -387,7 +387,7 @@ def test_suggest_single_point_domain():
     point = Domain(names=("x",), lo=(0.4,), hi=(0.4,))
     X = np.array([[0.4], [0.4]])
     model = gp_fit(Dataset(X, np.array([0.0, 0.1])), _cfg(), point)
-    x = suggest(model, point, np.random.default_rng(0))
+    x = suggest(model, point, np.random.default_rng(0), h=2.576)
     assert float(x[0]) == pytest.approx(0.4)
 
 
@@ -405,7 +405,7 @@ def test_suggest_does_not_call_scipy_minimize(monkeypatch):
         raise AssertionError("suggest called scipy.optimize.minimize")
 
     monkeypatch.setattr(optimize, "minimize", forbidden)
-    x = suggest(model, model.domain, np.random.default_rng(5))
+    x = suggest(model, model.domain, np.random.default_rng(5), h=2.576)
     # the bits suggest returned when it refined with optimize.minimize
     assert [v.hex() for v in x.tolist()] == [
         "0x1.0c7f7805812dcp+4", "-0x1.0e7f531b61db8p+4", "0x1.d8dbeee63a040p+5"]
@@ -414,7 +414,7 @@ def test_suggest_does_not_call_scipy_minimize(monkeypatch):
 def test_suggest_stays_in_box():
     model = _edge_model()
     for seed in range(5):
-        x = suggest(model, UNIT, np.random.default_rng(seed))
+        x = suggest(model, UNIT, np.random.default_rng(seed), h=2.576)
         assert 0.0 <= float(x[0]) <= 1.0
 
 
@@ -464,9 +464,8 @@ def test_smbo_penalizes_nonfinite_cost():
 
 
 def test_tuner_config_validation():
-    for kwargs in (dict(T=5, n_init=10), dict(n_init=0), dict(n_restarts=0),
-                   dict(n_candidates=0), dict(h=float("nan")),
-                   dict(h=float("inf"))):
+    for kwargs in (dict(T=5, n_init=10), dict(n_init=0), dict(h=float("nan")),
+                   dict(h=float("inf")), dict(h=-1.0), dict(h=1e308)):
         with pytest.raises(ValueError):
             TunerConfig(**kwargs)
 

@@ -25,6 +25,7 @@ from . import analysis
 from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
                       DivergedTrajectory, GainSet, Reference, Trajectory,
                       simulate)
+from .control import SINGLE_PD_GAINS  # noqa: F401  (re-exported for perfbench)
 from .fuzzy import FlrBounds
 from .gainsio import GainsFileError, LoadedGains, load_gains, load_plant, save_gains
 from .metrics import FAILED_COST, Metrics, MetricsError, compute_metrics
@@ -34,7 +35,6 @@ from .plant import DisturbanceModel, PlantError, PlantParams, SimConfig
 # bound pairs are stored ordered as (lower, upper).
 TUNED_FLR_BOUNDS = FlrBounds.ordered((15.27, -11.61), (0.1, -3.228),
                                      (2.997, -16.94), (0.9537, -0.1))
-SINGLE_PD_GAINS = (117.0, 29.99)
 
 # Default disturbance seed for ablation runs; chosen (by scanning seeds)
 # so the cost ordering of the four cascaded variants is well separated.
@@ -183,7 +183,7 @@ def cmd_simulate(args) -> int:
     sim = _sim_config(args)
     loaded = _resolve_gains(args)
     ctrl = Controller(kind=ControllerKind(args.controller), gains=loaded.gains,
-                      flr_bounds=loaded.bounds, single_gains=SINGLE_PD_GAINS)
+                      flr_bounds=loaded.bounds)
     ref = Reference(kind=args.reference, value=args.reference_value)
     dist = DisturbanceModel(kind=args.disturbance, amplitude=args.amplitude,
                             seed=args.seed, hold=args.hold)
@@ -321,8 +321,7 @@ def run_ablation(params: PlantParams, sim: SimConfig, gains: GainSet,
     ref = Reference(kind="square")
     results = []
     for name, kind in ABLATION_VARIANTS:
-        ctrl = Controller(kind=kind, gains=gains, flr_bounds=bounds,
-                          single_gains=SINGLE_PD_GAINS)
+        ctrl = Controller(kind=kind, gains=gains, flr_bounds=bounds)
         try:
             traj = simulate(params, sim, ctrl, ref, dist)
             m = compute_metrics(traj, ref)

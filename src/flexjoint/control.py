@@ -23,6 +23,8 @@ from .plant import (DisturbanceModel, PlantParams, SimConfig, State,
                     disturbance_draws)
 
 DIVERGENCE_LIMIT = 1e6
+# (kp, kd) of the reduced-order single-PD baseline
+SINGLE_PD_GAINS = (117.0, 29.99)
 
 
 class DivergedTrajectory(RuntimeError):
@@ -131,7 +133,7 @@ class Controller:
     kind: ControllerKind = ControllerKind.FUZZY_CASCADED
     gains: GainSet = field(default_factory=GainSet)
     flr_bounds: FlrBounds = field(default_factory=FlrBounds)
-    single_gains: tuple[float, float] = (117.0, 29.99)
+    single_gains: tuple[float, float] = SINGLE_PD_GAINS
     loop1: RuleBase | None = field(init=False, compare=False, repr=False)
     loop2: RuleBase | None = field(init=False, compare=False, repr=False)
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize._lbfgsb import setulb
 from scipy.stats import qmc
 
 from .control import Controller, ControllerKind, GainSet, Reference, simulate
@@ -164,14 +165,44 @@ def _corr(D2: np.ndarray, ls2: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * (D2 / ls2).sum(axis=-1))
 
 
-def _neg_lml_and_grad(theta: np.ndarray, Xn: np.ndarray, ys: np.ndarray,
-                      D2: np.ndarray) -> tuple[float, np.ndarray]:
-    n, d = Xn.shape
+class _Pairs(NamedTuple):
+    """Per-fit constants of the likelihood over n training points: the
+    identity, the squared differences of the n(n-1)/2 pairs i < j plus a
+    zero row for the diagonal, the (n, n) indices of those rows that
+    spread them into the symmetric matrix, and the squared differences as
+    d contiguous (n, n) slices."""
+
+    eye: np.ndarray
+    P2: np.ndarray
+    spread: np.ndarray
+    D2s: np.ndarray
+
+
+def _pairs(D2: np.ndarray) -> _Pairs:
+    n, d = len(D2), D2.shape[2]
+    iu, ju = np.triu_indices(n, 1)
+    spread = np.full((n, n), len(iu))
+    spread[iu, ju] = spread[ju, iu] = np.arange(len(iu))
+    P2 = np.vstack([D2[iu, ju], np.zeros((1, d))])
+    return _Pairs(np.eye(n), P2, spread,
+                  np.ascontiguousarray(D2.transpose(2, 0, 1)))
+
+
+def _pair_corr(pairs: _Pairs, ls2: np.ndarray) -> np.ndarray:
+    """_corr(D2, ls2) bit for bit from the pairs i < j: the diagonal of D2
+    is zero, as is the last row of P2, and (a-b)**2 == (b-a)**2 makes the
+    matrix exactly symmetric."""
+    return np.exp(-0.5 * (pairs.P2 / ls2).sum(axis=-1)).take(pairs.spread)
+
+
+def _neg_lml_and_grad(theta: np.ndarray, ys: np.ndarray,
+                      pairs: _Pairs) -> tuple[float, np.ndarray]:
+    d, n = len(pairs.D2s), len(ys)
     ls = np.exp(theta[:d])
     sf2 = np.exp(theta[d])
     ratio = np.exp(theta[d + 1])
-    C = _corr(D2, ls ** 2)
-    eye = np.eye(n)
+    C = _pair_corr(pairs, ls ** 2)
+    eye = pairs.eye
     K = sf2 * (C + ratio * eye)
     L, info = dpotrf(np.asarray_chkfinite(K + 1e-12 * sf2 * eye), lower=1)
     if info > 0:  # not positive definite
@@ -182,19 +213,64 @@ def _neg_lml_and_grad(theta: np.ndarray, Xn: np.ndarray, ys: np.ndarray,
     Kinv = dpotrs(L, eye, lower=1)[0]
     W = np.outer(alpha, alpha) - Kinv  # d(lml)/dK = W/2
     grad = np.empty_like(theta)
-    for k in range(d):
-        dK = sf2 * C * (D2[:, :, k] / ls[k] ** 2)
-        grad[k] = 0.5 * (W * dK).sum()
+    sC = sf2 * C
+    for k, D2k in enumerate(pairs.D2s):
+        # a scalar ls[k] ** 2: the array power's element can round apart
+        grad[k] = 0.5 * (W * (sC * (D2k / ls[k] ** 2))).sum()
     grad[d] = 0.5 * (W * K).sum()               # dK/dlog sf2 = K
     grad[d + 1] = 0.5 * W.trace() * sf2 * ratio  # dK/dlog ratio
     return -lml, -grad
 
 
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+
+
+def _lbfgsb(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            args: tuple = ()) -> tuple[np.ndarray, float]:
+    """Minimize fun(x, *args) -> (value, gradient) over the finite box
+    [lo, hi] from x0 as scipy.optimize.minimize(fun, x0, args, jac=True,
+    method="L-BFGS-B", bounds=...) does at its default options, without
+    its per-call wrappers: x0 clipped to the box, then scipy's
+    reverse-communication loop over setulb (m = 10, ftol 2.22e-9,
+    gtol 1e-5, maxls 20, maxiter and maxfun 15000), which evaluates fun
+    only where x changed.  Returns (x, the last value fun gave)."""
+    n = len(x0)
+    x = np.clip(x0, lo, hi)
+    nbd = np.full(n, 2, np.int32)  # both bounds finite
+    wa = np.zeros(2 * 10 * n + 5 * n + 11 * 10 * 10 + 8 * 10)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
+                           np.zeros(29))
+    f, g = np.array(0.0), np.zeros(n)
+    x_seen, nfev, nit = None, 0, 0
+    while True:
+        g = g.astype(np.float64)  # setulb may write g; keep fun's result
+        setulb(10, x, lo, hi, nbd, f, g, _LBFGSB_FACTR, 1e-5, wa, iwa, task,
+               lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if x_seen is None or not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                f_seen, g_seen = fun(x.copy(), *args)
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= 15000:
+                task[:] = 5, 504
+            elif nfev > 15000:
+                task[:] = 5, 502
+        else:
+            return x, f
+
+
 def gp_fit(data: Dataset, config: TunerConfig, domain: Domain) -> GpModel:
     """Fit kernel hyperparameters by maximizing the log marginal likelihood
-    with multi-start L-BFGS-B (analytic gradients), then cache the training
-    factorization.  Singular covariances go through a fixed jitter
-    escalation before failing."""
+    with FIT_STARTS L-BFGS-B starts (analytic gradients) on _lbfgsb, which
+    repeats scipy.optimize.minimize's L-BFGS-B bit for bit over the
+    likelihood's per-fit constants, then cache the training factorization.
+    Singular covariances go through a fixed jitter escalation before
+    failing."""
     if len(data) < 2:
         raise ValueError("gp_fit needs at least 2 rows")
     Xn = domain.normalize(data.X)
@@ -204,24 +280,25 @@ def gp_fit(data: Dataset, config: TunerConfig, domain: Domain) -> GpModel:
         y_std = 1.0
     ys = (data.y - y_mean) / y_std
     d = Xn.shape[1]
-    D2 = _sq_dists(Xn, Xn)
+    pairs = _pairs(_sq_dists(Xn, Xn))
     bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
     rng = np.random.default_rng((config.seed, len(data), 0x6F17))
     starts = [np.concatenate([np.zeros(d), [0.0], [math.log(1e-4)]])]
     for _ in range(FIT_STARTS - 1):
         starts.append(np.array([rng.uniform(a, b) for a, b in bounds]))
-    best = None
+    best_x, best_fun = None, None
     for x0 in starts:
-        res = optimize.minimize(_neg_lml_and_grad, x0, args=(Xn, ys, D2),
-                                jac=True, method="L-BFGS-B", bounds=bounds)
-        if best is None or res.fun < best.fun:
-            best = res
-    theta = np.clip(best.x, [b[0] for b in bounds], [b[1] for b in bounds])
+        x, fun = _lbfgsb(_neg_lml_and_grad, x0, lo, hi, (ys, pairs))
+        if best_x is None or fun < best_fun:
+            best_x, best_fun = x, fun
+    theta = np.clip(best_x, lo, hi)
     sf2 = float(np.exp(theta[d]))
     ratio = float(np.exp(theta[d + 1]))
-    K = sf2 * (_corr(D2, np.exp(theta[:d]) ** 2) + ratio * np.eye(len(ys)))
+    K = sf2 * (_pair_corr(pairs, np.exp(theta[:d]) ** 2) + ratio * pairs.eye)
     for jitter in _JITTERS:
-        c, info = dpotrf(K + jitter * sf2 * np.eye(len(ys)), lower=1, clean=0)
+        c, info = dpotrf(K + jitter * sf2 * pairs.eye, lower=1, clean=0)
         if info == 0:
             break
     else:
@@ -255,37 +332,27 @@ def ucb(mean, stddev, h: float):
     return mean + h * stddev
 
 
-def _point_neg_ucb(model: GpModel, domain: Domain, h: float):
-    """Return f with f(x) == -ucb(*gp_predict(model, domain.clip(x)), h) bit
-    for bit at one point x, without gp_predict's per-call shape handling:
-    the clip, normalization and scalar tail on floats (a zero's sign there
-    is squared away), and the kernel as gp_predict computes it, with the
-    same ufuncs on the same shapes, (1, n) @ alpha, dpotrs on
-    asarray_chkfinite(ks.T) and (ks * v.T).sum(axis=1), into buffers
-    allocated once."""
-    box = list(zip(domain._lo.tolist(), domain._hi.tolist(),
-                   model.domain._lo.tolist(), model.domain._width.tolist()))
+def _batch_neg_ucb(model: GpModel, domain: Domain, h: float):
+    """Return f with f(X)[i] == -ucb(*gp_predict(model, domain.clip(X[i])),
+    h) bit for bit for every row of a batch X of points.  gp_predict's
+    ufuncs on (k, n, d) and (k, n) arrays give each row the bits of a
+    one-point call, and one dpotrs on asarray_chkfinite(ks.T) solves each
+    column as a one-column call does.  The mean is a per-row dot: that is
+    the ddot a (1, n) @ alpha makes, where (k, n) @ alpha is a gemv whose
+    rows round differently."""
+    lo, hi = domain._lo, domain._hi
+    m_lo, m_width = model.domain._lo, model.domain._width
     Xn, ls2, alpha = model.Xn, model.ls2, model.alpha
     sf2, c = model.signal_variance, model.chol
     y_mean, y_std = model.y_mean, model.y_std
-    D2 = np.empty(Xn.shape)          # (n, d) scaled squared differences
-    ks = np.empty((1, len(Xn)))      # (1, n) cross-covariance
-    s = ks[0]
 
-    def neg_ucb(x) -> float:
-        u = [(min(max(a, lo), hi) - m) / w
-             for a, (lo, hi, m, w) in zip(x, box)]
-        np.subtract(u, Xn, out=D2)
-        np.square(D2, out=D2)
-        np.divide(D2, ls2, out=D2)
-        D2.sum(axis=-1, out=s)
-        np.multiply(ks, -0.5, out=ks)
-        np.exp(ks, out=ks)
-        np.multiply(ks, sf2, out=ks)
-        mean = y_mean + y_std * (ks @ alpha).item()
+    def neg_ucb(X) -> list[float]:
+        Un = (np.clip(X, lo, hi) - m_lo) / m_width
+        ks = sf2 * _corr(_sq_dists(Un, Xn), ls2)  # (k, n)
+        mean = y_mean + y_std * np.array([row.dot(alpha) for row in ks])
         v = dpotrs(c, np.asarray_chkfinite(ks.T), lower=1)[0]
-        var = max(sf2 - (ks * v.T).sum(axis=1).item(), 0.0)
-        return -(mean + h * (y_std * math.sqrt(var)))
+        var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
+        return (-(mean + h * (y_std * np.sqrt(var)))).tolist()
 
     return neg_ucb
 
@@ -295,15 +362,17 @@ def _sorted_simplex(sim: list, fs: list) -> tuple[list, list]:
     return [sim[i] for i in order], [fs[i] for i in order]
 
 
-def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
-    """Minimize f from x0 by the Nelder-Mead simplex, doing on plain-float
-    vertices the arithmetic of scipy.optimize.minimize(f, x0,
+def _nelder_mead(x0):
+    """Minimize a function from x0 by the Nelder-Mead simplex, as a
+    generator: it yields each query point (a list of floats), is sent that
+    point's value, and returns (best vertex, its value).  On plain-float
+    vertices it does the arithmetic of scipy.optimize.minimize(f, x0,
     method="Nelder-Mead", options={"maxiter": 120, "xatol": 1e-6,
     "fatol": 1e-12}): its initial simplex, coefficients (reflection 1,
     expansion 2, contraction 1/2, shrink 1/2), branch order, stopping test,
     centroid summed vertex by vertex from the first, and reordering by
     np.argsort, so that tied values (clipping makes them on box faces)
-    break as scipy's do.  Returns (best vertex, its value)."""
+    break as scipy's do."""
     x0 = np.asarray(x0, dtype=float).tolist()
     n = len(x0)
     sim = [x0]
@@ -311,8 +380,11 @@ def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
         y = list(x0)
         y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
+    fs = []
+    for x in sim:
+        fs.append((yield x))
     # scipy sorts the initial simplex twice; a repeat can reorder ties
-    sim, fs = _sorted_simplex(sim, [f(x) for x in sim])
+    sim, fs = _sorted_simplex(sim, fs)
     sim, fs = _sorted_simplex(sim, fs)
     for _ in range(119):
         best, worst = sim[0], sim[-1]
@@ -324,28 +396,28 @@ def _nelder_mead(f, x0) -> tuple[np.ndarray, float]:
             xbar = [s + a for s, a in zip(xbar, x)]
         xbar = [s / n for s in xbar]
         xr = [2 * c - w for c, w in zip(xbar, worst)]
-        fxr = f(xr)
+        fxr = yield xr
         if fxr < fs[0]:
             xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-            fxe = f(xe)
+            fxe = yield xe
             sim[-1], fs[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fs[-2]:
             sim[-1], fs[-1] = xr, fxr
         else:
             if fxr < fs[-1]:  # outside contraction
                 xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = f(xc)
+                fxc = yield xc
                 accept = fxc <= fxr
             else:  # inside contraction
                 xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = f(xc)
+                fxc = yield xc
                 accept = fxc < fs[-1]
             if accept:
                 sim[-1], fs[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 for j in range(1, n + 1):
                     sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
-                    fs[j] = f(sim[j])
+                    fs[j] = yield sim[j]
         sim, fs = _sorted_simplex(sim, fs)
     return np.array(sim[0]), float(np.min(fs))
 
@@ -354,9 +426,11 @@ def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
             h: float) -> np.ndarray:
     """Maximize the UCB over the box: a scan of SOBOL_CANDIDATES scrambled
     Sobol points (one batched gp_predict), then _nelder_mead from the best
-    LOCAL_SEARCHES candidates on the clipped point UCB of _point_neg_ucb.
-    Tests hold the two to scipy's Nelder-Mead and to gp_predict bit for
-    bit.  Ties fall to the first best candidate of the seeded scan."""
+    LOCAL_SEARCHES candidates on the clipped UCB of _batch_neg_ucb.  The
+    searches run in lockstep: each round evaluates the pending query of
+    every live search in one batch.  Tests hold the two to scipy's
+    Nelder-Mead and to one-point gp_predict calls bit for bit.  Ties fall
+    to the first best candidate of the seeded scan."""
     d = domain.dim
     sob = qmc.Sobol(d, scramble=True, seed=int(rng.integers(2 ** 63)))
     U = sob.random(SOBOL_CANDIDATES)
@@ -367,9 +441,18 @@ def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
     best_x = cand[order[0]]
     best_score = scores[order[0]]
 
-    neg_ucb = _point_neg_ucb(model, domain, h)
-    for i in order[:LOCAL_SEARCHES]:
-        x, fun = _nelder_mead(neg_ucb, cand[i])
+    neg_ucb = _batch_neg_ucb(model, domain, h)
+    searches = [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]]
+    queries = {i: next(s) for i, s in enumerate(searches)}  # live searches
+    results = [None] * len(searches)
+    while queries:
+        for i, value in zip(list(queries), neg_ucb(list(queries.values()))):
+            try:
+                queries[i] = searches[i].send(value)
+            except StopIteration as done:
+                del queries[i]
+                results[i] = done.value
+    for x, fun in results:  # in candidate order
         if -fun > best_score:
             best_score = -fun
             best_x = domain.clip(x)

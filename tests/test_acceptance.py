@@ -15,10 +15,11 @@ import pytest
 from flexjoint.analysis import (check_flr_conditions, check_gain_conditions,
                                 closed_loop_charpoly, eigenvalues,
                                 error_jacobian, StabilityBounds)
-from flexjoint.cli import (DEFAULT_DISTURBANCE_SEED, SINGLE_PD_GAINS,
-                           TUNED_FLR_BOUNDS, main, run_ablation)
-from flexjoint.control import (Controller, ControllerKind, DivergedTrajectory,
-                               GainSet, Reference, simulate)
+from flexjoint.cli import (DEFAULT_DISTURBANCE_SEED, TUNED_FLR_BOUNDS, main,
+                           run_ablation)
+from flexjoint.control import (SINGLE_PD_GAINS, Controller, ControllerKind,
+                               DivergedTrajectory, GainSet, Reference,
+                               simulate)
 from flexjoint.fuzzy import (ERROR_SCALE, RATE_SCALE, FlrBounds, RuleBase,
                              infer)
 from flexjoint.metrics import compute_metrics

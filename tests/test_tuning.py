@@ -11,8 +11,9 @@ from scipy.stats import qmc
 from flexjoint.control import TRAJ_COLUMNS, Trajectory
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, Dataset, Domain, GpModel,
-                              TunerConfig, _neg_lml_and_grad, _nelder_mead,
-                              _point_neg_ucb, flr_bound_domain,
+                              TunerConfig, _batch_neg_ucb, _lbfgsb,
+                              _neg_lml_and_grad, _nelder_mead, _pair_corr,
+                              _pairs, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               pd_gain_domain, smbo, suggest, tracking_cost,
                               ucb)
@@ -280,8 +281,23 @@ def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
     theta = np.concatenate([rng.uniform(*_LEN_BOUNDS, d),
                             [rng.uniform(*_SIG_BOUNDS)],
                             [rng.uniform(*_NOISE_RATIO_BOUNDS)]])
-    assert _bytes(*_neg_lml_and_grad(theta, model.Xn, ys, D2)) == \
+    assert _bytes(*_neg_lml_and_grad(theta, ys, _pairs(D2))) == \
         _bytes(*_ref_neg_lml_and_grad(theta, model.Xn, ys, D2))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+       n=st.integers(1, 150))
+@settings(max_examples=100, deadline=None)
+def test_pair_corr_matches_full_corr_bitwise(seed, d, n):
+    """The likelihood's correlations from the upper triangle equal the
+    full (n, n, d) computation bit for bit, from n = 1 to 150 points."""
+    rng = np.random.default_rng(seed)
+    Xn = rng.random((n, d))
+    Xn[rng.random(n) < 0.1] = Xn[0]  # repeated points
+    D2 = _ref_sq_dists(Xn, Xn)
+    ls = np.exp(rng.uniform(*_LEN_BOUNDS, d))
+    assert _pair_corr(_pairs(D2), ls ** 2).tobytes() == \
+        _ref_corr(D2, ls).tobytes()
 
 
 def test_surrogate_rejects_nonfinite_and_non_pd_input():
@@ -295,26 +311,38 @@ def test_surrogate_rejects_nonfinite_and_non_pd_input():
         gp_predict(model, np.array([np.inf, model.domain.lo[1]]))
     D2 = _ref_sq_dists(model.Xn, model.Xn)
     with pytest.raises(ValueError):
-        _neg_lml_and_grad(np.full(4, np.nan), model.Xn, ys, D2)
+        _neg_lml_and_grad(np.full(4, np.nan), ys, _pairs(D2))
     # correlations 0.99 / 0.99 / 0 around a chain of three points: not PSD
     c = -2.0 * math.log(0.99)
     D2 = np.array([[0.0, c, 100.0], [c, 0.0, c], [100.0, c, 0.0]])[:, :, None]
     theta = np.array([0.0, 0.0, _NOISE_RATIO_BOUNDS[0]])
     ys = np.array([1.0, -1.0, 0.5])
-    value, grad = _neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)
+    value, grad = _neg_lml_and_grad(theta, ys, _pairs(D2))
     assert value == 1e12 and grad.tobytes() == np.zeros(3).tobytes()
     assert _ref_neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)[0] == 1e12
+
+
+def _drive(search, f):
+    """Run a _nelder_mead generator on the point function f."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
        n=st.integers(2, 40), h=st.sampled_from([0.0, 2.576, None]))
 @settings(max_examples=40, deadline=None)
 def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
-    """suggest's point evaluator equals -ucb of gp_predict at the clipped
-    point, and _nelder_mead equals scipy's Nelder-Mead on that function,
-    bit for bit, from Sobol candidates, corners, points on box faces (where
+    """suggest's batch evaluator equals -ucb of gp_predict at the clipped
+    point for every point of a batch of 1 to 8, and _nelder_mead driven
+    point by point equals scipy's Nelder-Mead on that function, bit for
+    bit, from Sobol candidates, corners, points on box faces (where
     clipping ties values), points with zero components and boxes with
-    zero-width dimensions."""
+    zero-width dimensions.  Every query of the simplex is evaluated at a
+    random slot of a random batch."""
     model, _, rng = _random_model(seed, d, n)
     dom = model.domain
     h = float(rng.uniform(0.0, 5.0)) if h is None else h
@@ -322,6 +350,14 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
     def neg_ucb(x):
         m, s = gp_predict(model, dom.clip(x))
         return -ucb(m, s, h)
+
+    def in_batch(f, x):
+        # f's value at x from a random slot of a batch of 1 to 8 points
+        k = int(rng.integers(1, 9))
+        batch = dom.denormalize(rng.uniform(-0.5, 1.5, (k, d)))
+        i = int(rng.integers(k))
+        batch[i] = x
+        return f(batch)[i]
 
     lo, hi = np.array(dom.lo), np.array(dom.hi)
     starts = list(dom.denormalize(
@@ -333,26 +369,101 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
     zeros = dom.denormalize(rng.random((1, d)))[0]
     zeros[rng.random(d) < 0.5] = 0.0
     starts += [face, zeros, np.zeros(d), np.full(d, -0.0)]
-    f = _point_neg_ucb(model, dom, h)
+    f = _batch_neg_ucb(model, dom, h)
     # a clip box other than the model's: clip to it, normalize by the model's
     lo2 = lo + rng.uniform(-0.5, 0.5, d) * (hi - lo + 1.0)
     other = Domain(names=dom.names, lo=tuple(lo2),
                    hi=tuple(lo2 + rng.uniform(0.0, 1.5, d) * (hi - lo)))
-    f_other = _point_neg_ucb(model, other, h)
+    f_other = _batch_neg_ucb(model, other, h)
+
+    def checked(x):
+        value = in_batch(f, x)
+        assert np.float64(value).tobytes() == np.float64(neg_ucb(x)).tobytes()
+        return value
+
     for x0 in starts:
         probes = [x0, x0 + rng.uniform(-1.0, 1.0, d) * (hi - lo + 1.0)]
         for x in probes:
-            assert np.float64(f(x)).tobytes() == \
-                np.float64(neg_ucb(x)).tobytes()
+            checked(x)
             m, s = gp_predict(model, other.clip(x))
-            assert np.float64(f_other(x)).tobytes() == \
+            assert np.float64(in_batch(f_other, x)).tobytes() == \
                 np.float64(-ucb(m, s, h)).tobytes()
-        x, fun = _nelder_mead(f, x0)
+        x, fun = _drive(_nelder_mead(x0), checked)
         res = optimize.minimize(neg_ucb, x0, method="Nelder-Mead",
                                 options={"maxiter": 120, "xatol": 1e-6,
                                          "fatol": 1e-12})
         assert x.tobytes() == res.x.tobytes()
         assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+
+
+def _chain_pairs(D2: np.ndarray) -> np.ndarray:
+    """D2 with the first three points moved, along dimension 0 alone, to
+    the distances of a chain whose correlations at unit length scale are
+    0.99, 0.99 and 0: no point set has them, and near that scale the
+    covariance is not positive definite."""
+    D2 = D2.copy()
+    c = -2.0 * math.log(0.99)
+    for (i, j), v in {(0, 1): c, (1, 2): c, (0, 2): 100.0}.items():
+        D2[i, j] = D2[j, i] = 0.0
+        D2[i, j, 0] = D2[j, i, 0] = v
+    return D2
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+       n=st.integers(2, 40), chain=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lbfgsb_matches_scipy_bitwise(seed, d, n, chain):
+    """_lbfgsb returns scipy.optimize.minimize's L-BFGS-B x and value bit
+    for bit on the likelihood, from gp_fit's fixed start, a random start,
+    a corner of the box and a start outside it (which both clip).  With
+    `chain` the covariance is not positive definite near unit length
+    scales, so runs start in or pass through the 1e12 branch."""
+    rng = np.random.default_rng(seed)
+    Xn = rng.random((n, d))
+    Xn[rng.random(n) < 0.1] = Xn[0]  # repeated points
+    D2 = _ref_sq_dists(Xn, Xn)
+    if chain and n >= 3:
+        D2 = _chain_pairs(D2)
+    ys = rng.standard_normal(n)
+    bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    starts = [np.concatenate([np.zeros(d), [0.0], [math.log(1e-4)]]),
+              rng.uniform(lo, hi), np.where(rng.random(d + 2) < 0.5, lo, hi),
+              rng.uniform(lo - 3.0, hi + 3.0)]
+    pairs = _pairs(D2)
+    for x0 in starts:
+        x, fun = _lbfgsb(_neg_lml_and_grad, x0, lo, hi, (ys, pairs))
+        res = optimize.minimize(_neg_lml_and_grad, x0, args=(ys, pairs),
+                                jac=True, method="L-BFGS-B", bounds=bounds)
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+
+
+def test_lbfgsb_passes_through_the_non_pd_branch():
+    """A run that starts where the covariance is positive definite, steps
+    into the 1e12 branch and backs out of it matches scipy bit for bit."""
+    rng = np.random.default_rng(11)
+    Xn = rng.random((6, 2))
+    pairs = _pairs(_chain_pairs(_ref_sq_dists(Xn, Xn)))
+    ys = rng.standard_normal(6)
+    bounds = [_LEN_BOUNDS] * 2 + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    values = []
+
+    def fun(theta, *args):
+        value, grad = _neg_lml_and_grad(theta, *args)
+        values.append(value)
+        return value, grad
+
+    x0 = np.array([-3.36, 2.04, -1.95, -13.42])
+    x, value = _lbfgsb(fun, x0, lo, hi, (ys, pairs))
+    assert values[0] != 1e12 and 1e12 in values
+    res = optimize.minimize(_neg_lml_and_grad, x0, args=(ys, pairs),
+                            jac=True, method="L-BFGS-B", bounds=bounds)
+    assert x.tobytes() == res.x.tobytes()
+    assert np.float64(value).tobytes() == np.float64(res.fun).tobytes()
 
 
 def test_ucb_definition():
@@ -409,6 +520,18 @@ def test_suggest_does_not_call_scipy_minimize(monkeypatch):
     # the bits suggest returned when it refined with optimize.minimize
     assert [v.hex() for v in x.tolist()] == [
         "0x1.0c7f7805812dcp+4", "-0x1.0e7f531b61db8p+4", "0x1.d8dbeee63a040p+5"]
+
+
+def test_gp_fit_does_not_call_scipy_minimize(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gp_fit called scipy.optimize.minimize")
+
+    monkeypatch.setattr(optimize, "minimize", forbidden)
+    rng = np.random.default_rng(2)
+    dom = Domain(names=("a", "b"), lo=(0.0, -1.0), hi=(1.0, 1.0))
+    X = dom.denormalize(rng.random((12, 2)))
+    model = gp_fit(Dataset(X, np.sin(3.0 * X[:, 0]) + X[:, 1]), _cfg(), dom)
+    assert np.isfinite(model.theta).all()
 
 
 def test_suggest_stays_in_box():

@@ -226,9 +226,9 @@ def cmd_tune(args) -> int:
     else:
         if not args.gains:
             raise CliError("stage flr requires --gains from the pd stage")
-        loaded = _resolve_gains(args)
+        base_gains = _resolve_gains(args).gains
         domain = flr_bound_domain(args.flr_half_width)
-        cost = make_flr_cost(params, sim, ref, dist, loaded.gains)
+        cost = make_flr_cost(params, sim, ref, dist, base_gains)
     meta = dict(command="tune", stage=args.stage, plant=asdict(params),
                 sim=asdict(sim), tuner=asdict(config),
                 disturbance=asdict(dist), seed=args.seed,
@@ -246,8 +246,7 @@ def cmd_tune(args) -> int:
     if args.stage == "pd":
         save_gains(gains_path, GainSet(*best_x))
     else:
-        save_gains(gains_path, _resolve_gains(args).gains,
-                   flr_bounds_from_vector(best_x))
+        save_gains(gains_path, base_gains, flr_bounds_from_vector(best_x))
     print(f"best cost {best_y!r} -> {gains_path}")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ inside the configured bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,34 +44,6 @@ class FuzzyConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class TriangularMF:
-    left: float
-    peak: float
-    right: float
-
-    def __post_init__(self):
-        if not (self.left <= self.peak <= self.right):
-            raise FuzzyConfigError(
-                f"triangle requires left <= peak <= right, got "
-                f"({self.left}, {self.peak}, {self.right})")
-
-
-def grade(mf: TriangularMF, x: float) -> float:
-    """Membership of x in [0, 1]; linear on each flank, 0 outside support.
-
-    Edge membership functions may have a zero-width flank (left == peak or
-    peak == right); the degenerate side simply never fires.
-    """
-    if x == mf.peak:
-        return 1.0
-    if x <= mf.left or x >= mf.right:
-        return 0.0
-    if x < mf.peak:
-        return (x - mf.left) / (mf.peak - mf.left)
-    return (mf.right - x) / (mf.right - mf.peak)
-
-
-@dataclass(frozen=True)
 class LinguisticScale:
     """Five-term partition of [lo, hi] with evenly spaced peaks.
 
@@ -82,25 +55,35 @@ class LinguisticScale:
 
     lo: float
     hi: float
-    mfs: tuple[TriangularMF, ...] = field(init=False)
+    peaks: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise FuzzyConfigError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         peaks = np.linspace(self.lo, self.hi, 5)
-        mfs = []
-        for i in range(5):
-            left = peaks[i - 1] if i > 0 else peaks[0]
-            right = peaks[i + 1] if i < 4 else peaks[4]
-            mfs.append(TriangularMF(float(left), float(peaks[i]), float(right)))
-        object.__setattr__(self, "mfs", tuple(mfs))
+        if not (np.diff(peaks) > 0.0).all():
+            raise FuzzyConfigError(f"need distinct peaks in [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "peaks", tuple(peaks.tolist()))
 
     def clamp(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
     def grades(self, x: float) -> np.ndarray:
+        """Memberships of x, clamped to [lo, hi], in the five terms: 1.0 at
+        a peak, else (b - x)/(b - a) and (x - a)/(b - a) on the two terms
+        whose peaks a < x < b enclose it, and 0.0 on the rest.  A NaN x
+        gives five NaNs."""
         x = self.clamp(x)
-        return np.array([grade(mf, x) for mf in self.mfs])
+        if x != x:
+            return np.full(5, np.nan)
+        g = np.zeros(5)
+        i = bisect_right(self.peaks, x) - 1  # the last peak a <= x
+        a = self.peaks[i]
+        if x == a:
+            g[i] = 1.0
+        else:
+            b = self.peaks[i + 1]
+            g[i] = (b - x) / (b - a)
+            g[i + 1] = (x - a) / (b - a)
+        return g
 
 
 # Input domains: angular error in rad, angular-velocity error in rad/s.
@@ -155,12 +138,11 @@ class FlrBounds:
 
 def firing_strengths(e: float, de: float) -> np.ndarray:
     """Normalized rule activations as a 5x5 array (rows: ERROR_SCALE terms
-    of e, columns: RATE_SCALE terms of de); non-negative and summing to 1."""
+    of e, columns: RATE_SCALE terms of de); non-negative and summing to 1,
+    or all NaN when e or de is NaN.  Some term of each scale grades at
+    least 1/2 at any clamped input, so the total is never 0."""
     w = np.outer(ERROR_SCALE.grades(e), RATE_SCALE.grades(de))
-    total = w.sum()
-    if total <= 0.0:
-        raise FuzzyConfigError("no rule fired; scale violates partition of unity")
-    return w / total
+    return w / w.sum()
 
 
 def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:

@@ -311,13 +311,16 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation (original cost units) of the
     latent function at one point or a batch of points (GPML Alg. 2.1), from
     the model's cached state, solving with LAPACK dpotrs directly after
-    cho_solve's finiteness check.  A NaN or infinite query raises
-    ValueError."""
+    cho_solve's finiteness check.  Every row of a batch has the bits of a
+    one-point call: the mean is a per-row dot (one ddot, where a (m, n) @
+    alpha gemv rounds rows apart), and the kernel, the dpotrs columns and
+    the variance reduction are per row already.  A NaN or infinite query
+    raises ValueError."""
     X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
     Un = model.domain.normalize(X)
     sf2 = model.signal_variance
     ks = sf2 * _corr(_sq_dists(Un, model.Xn), model.ls2)  # (m, n)
-    mean_s = ks @ model.alpha
+    mean_s = np.vecdot(ks, model.alpha)
     v = dpotrs(model.chol, np.asarray_chkfinite(ks.T), lower=1)[0]  # K^-1 k*
     var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
     mean = model.y_mean + model.y_std * mean_s
@@ -330,31 +333,6 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
 def ucb(mean, stddev, h: float):
     """Acquisition score mean + h*stddev."""
     return mean + h * stddev
-
-
-def _batch_neg_ucb(model: GpModel, domain: Domain, h: float):
-    """Return f with f(X)[i] == -ucb(*gp_predict(model, domain.clip(X[i])),
-    h) bit for bit for every row of a batch X of points.  gp_predict's
-    ufuncs on (k, n, d) and (k, n) arrays give each row the bits of a
-    one-point call, and one dpotrs on asarray_chkfinite(ks.T) solves each
-    column as a one-column call does.  The mean is a per-row dot: that is
-    the ddot a (1, n) @ alpha makes, where (k, n) @ alpha is a gemv whose
-    rows round differently."""
-    lo, hi = domain._lo, domain._hi
-    m_lo, m_width = model.domain._lo, model.domain._width
-    Xn, ls2, alpha = model.Xn, model.ls2, model.alpha
-    sf2, c = model.signal_variance, model.chol
-    y_mean, y_std = model.y_mean, model.y_std
-
-    def neg_ucb(X) -> list[float]:
-        Un = (np.clip(X, lo, hi) - m_lo) / m_width
-        ks = sf2 * _corr(_sq_dists(Un, Xn), ls2)  # (k, n)
-        mean = y_mean + y_std * np.array([row.dot(alpha) for row in ks])
-        v = dpotrs(c, np.asarray_chkfinite(ks.T), lower=1)[0]
-        var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
-        return (-(mean + h * (y_std * np.sqrt(var)))).tolist()
-
-    return neg_ucb
 
 
 def _sorted_simplex(sim: list, fs: list) -> tuple[list, list]:
@@ -426,11 +404,12 @@ def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
             h: float) -> np.ndarray:
     """Maximize the UCB over the box: a scan of SOBOL_CANDIDATES scrambled
     Sobol points (one batched gp_predict), then _nelder_mead from the best
-    LOCAL_SEARCHES candidates on the clipped UCB of _batch_neg_ucb.  The
+    LOCAL_SEARCHES candidates on the UCB at the clipped point.  The
     searches run in lockstep: each round evaluates the pending query of
-    every live search in one batch.  Tests hold the two to scipy's
-    Nelder-Mead and to one-point gp_predict calls bit for bit.  Ties fall
-    to the first best candidate of the seeded scan."""
+    every live search in one batched gp_predict, whose rows have the bits
+    of one-point calls.  Tests hold the local search to scipy's
+    Nelder-Mead bit for bit.  Ties fall to the first best candidate of the
+    seeded scan."""
     d = domain.dim
     sob = qmc.Sobol(d, scramble=True, seed=int(rng.integers(2 ** 63)))
     U = sob.random(SOBOL_CANDIDATES)
@@ -441,12 +420,13 @@ def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
     best_x = cand[order[0]]
     best_score = scores[order[0]]
 
-    neg_ucb = _batch_neg_ucb(model, domain, h)
     searches = [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]]
     queries = {i: next(s) for i, s in enumerate(searches)}  # live searches
     results = [None] * len(searches)
     while queries:
-        for i, value in zip(list(queries), neg_ucb(list(queries.values()))):
+        pending = domain.clip(np.array(list(queries.values())))
+        values = -ucb(*gp_predict(model, pending), h)
+        for i, value in zip(list(queries), values.tolist()):
             try:
                 queries[i] = searches[i].send(value)
             except StopIteration as done:

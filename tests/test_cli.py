@@ -261,6 +261,16 @@ def test_tune_flr_quick(tmp_path):
         assert vals[f"{name}_lo"] <= vals[f"{name}_hi"]
 
 
+def test_tune_flr_reads_gains_once(tmp_path, capsys):
+    gfile = tmp_path / "pd.txt"
+    gfile.write_text("kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n"
+                     "dkp1_lo = 15.27\ndkp1_hi = -11.61\n")
+    out = str(tmp_path / "t5")
+    assert run(["tune", "--stage", "flr", "--out", out, "--gains", str(gfile),
+                "--episodes", "2", "--n-init", "1"]) == EXIT_OK
+    assert capsys.readouterr().err.count("note: dkp1 bounds") == 1
+
+
 def test_tune_single_episode_returns_the_sample(tmp_path):
     # tuner seed 5 draws a sample that does not diverge; a failed one would
     # exit EXIT_DIVERGED with no gains file

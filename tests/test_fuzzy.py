@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from flexjoint.fuzzy import (ERROR_SCALE, KD_RULES, KP_RULES, RATE_SCALE,
                              TERMS, FlrBounds, FuzzyConfigError,
-                             LinguisticScale, RuleBase, TriangularMF,
-                             firing_strengths, grade, infer)
+                             LinguisticScale, RuleBase, firing_strengths,
+                             infer)
 
 IDX = {t: i for i, t in enumerate(TERMS)}
 
@@ -16,36 +16,72 @@ IDX = {t: i for i, t in enumerate(TERMS)}
 # ---------------------------------------------------------------------------
 # membership functions
 
+def _ref_grade(left, peak, right, x):
+    """Membership of x in one triangle, as fuzzy.grade computed it before
+    the scales held only their peaks."""
+    if x == peak:
+        return 1.0
+    if x <= left or x >= right:
+        return 0.0
+    if x < peak:
+        return (x - left) / (peak - left)
+    return (right - x) / (right - peak)
+
+
+def _ref_grades(scale, x):
+    x = scale.clamp(x)
+    p = [float(v) for v in np.linspace(scale.lo, scale.hi, 5)]
+    return np.array([_ref_grade(p[max(i - 1, 0)], p[i], p[min(i + 1, 4)], x)
+                     for i in range(5)])
+
+
+SCALE = LinguisticScale(-2.0, 2.0)
+
+
 def test_grade_frozen_values():
-    mf = TriangularMF(-1.0, 0.0, 1.0)
-    assert grade(mf, 0.0) == 1.0
-    assert grade(mf, 0.5) == 0.5
-    assert grade(mf, -0.25) == 0.75
-    assert grade(mf, 1.0) == 0.0
-    assert grade(mf, 2.0) == 0.0
+    assert SCALE.grades(0.0).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    assert SCALE.grades(1.0).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+    assert SCALE.grades(0.5).tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
+    assert SCALE.grades(-0.25).tolist() == [0.0, 0.25, 0.75, 0.0, 0.0]
 
 
 def test_degenerate_flank_never_fires():
-    # half-triangle at a domain edge: zero-width left flank
-    mf = TriangularMF(0.0, 0.0, 1.0)
-    assert grade(mf, 0.0) == 1.0
-    assert grade(mf, 0.5) == 0.5
-    assert grade(mf, -0.1) == 0.0
+    # NB and PB are half-triangles: beyond an edge only the edge term fires
+    assert SCALE.grades(-2.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert SCALE.grades(-1.5).tolist() == [0.5, 0.5, 0.0, 0.0, 0.0]
+    assert SCALE.grades(-2.1).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert SCALE.grades(7.0).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert SCALE.grades(-np.inf).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
-def test_triangle_validation():
-    with pytest.raises(FuzzyConfigError):
-        TriangularMF(0.0, -1.0, 1.0)
+def _peaks_and_neighbours(scale):
+    return st.sampled_from([v for p in scale.peaks
+                            for v in (np.nextafter(p, -np.inf), p,
+                                      np.nextafter(p, np.inf))])
+
+
+@given(data=st.data(), scale=st.sampled_from([ERROR_SCALE, RATE_SCALE]))
+@settings(max_examples=500, deadline=None)
+def test_grades_match_per_triangle_grade_bitwise(data, scale):
+    """The scale's grades equal the per-triangle formula bit for bit, on
+    and next to the peaks, at +-0.0, +-inf and on draws inside and
+    outside the domain."""
+    x = data.draw(st.one_of(
+        st.floats(allow_nan=False), _peaks_and_neighbours(scale),
+        st.floats(2.0 * scale.lo, 2.0 * scale.hi),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf])))
+    assert scale.grades(x).tobytes() == _ref_grades(scale, x).tobytes()
 
 
 def test_scale_peaks_evenly_spaced():
-    sc = LinguisticScale(-2.0, 2.0)
-    assert [mf.peak for mf in sc.mfs] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert SCALE.peaks == (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 def test_scale_validation():
     with pytest.raises(FuzzyConfigError):
         LinguisticScale(1.0, 1.0)
+    with pytest.raises(FuzzyConfigError):  # peaks that round together
+        LinguisticScale(0.0, 5e-324)
 
 
 @given(x=st.floats(-math.pi, math.pi, allow_nan=False))
@@ -141,6 +177,12 @@ def test_outputs_bounded(e, de):
     dkp, dkd = infer(rb, e, de)
     assert -11.61 - 1e-12 <= dkp <= 15.27 + 1e-12
     assert -3.228 - 1e-12 <= dkd <= 0.1 + 1e-12
+
+
+@pytest.mark.parametrize("e,de", [(math.nan, 0.0), (0.0, math.nan)])
+def test_nan_input_gives_nan_output(bounds, e, de):
+    rb = RuleBase(bounds.dkp1, bounds.dkd1)
+    assert all(math.isnan(v) for v in infer(rb, e, de))
 
 
 def test_zero_width_bounds_give_zero_output():

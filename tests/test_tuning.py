@@ -11,7 +11,7 @@ from scipy.stats import qmc
 from flexjoint.control import TRAJ_COLUMNS, Trajectory
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, Dataset, Domain, GpModel,
-                              TunerConfig, _batch_neg_ucb, _lbfgsb,
+                              TunerConfig, _lbfgsb,
                               _neg_lml_and_grad, _nelder_mead, _pair_corr,
                               _pairs, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
@@ -268,7 +268,9 @@ def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
     dom = model.domain
     # queries inside the box and up to half a width outside it
     Q = dom.denormalize(rng.uniform(-0.5, 1.5, (m, d)))
-    assert _bytes(*gp_predict(model, Q)) == _bytes(*_ref_gp_predict(model, Q))
+    mean, std = gp_predict(model, Q)
+    for i in range(m):  # each batch row has the bits of a one-point call
+        assert _bytes(mean[i], std[i]) == _bytes(*_ref_gp_predict(model, Q[i]))
     assert _bytes(*gp_predict(model, Q[0])) == \
         _bytes(*_ref_gp_predict(model, Q[0]))
     assert dom.normalize(Q).tobytes() == _ref_normalize(dom, Q).tobytes()
@@ -336,8 +338,9 @@ def _drive(search, f):
        n=st.integers(2, 40), h=st.sampled_from([0.0, 2.576, None]))
 @settings(max_examples=40, deadline=None)
 def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
-    """suggest's batch evaluator equals -ucb of gp_predict at the clipped
-    point for every point of a batch of 1 to 8, and _nelder_mead driven
+    """-ucb of a batched gp_predict at the clipped points, as suggest
+    evaluates its local searches, equals -ucb of a one-point gp_predict
+    for every point of a batch of 1 to 8, and _nelder_mead driven
     point by point equals scipy's Nelder-Mead on that function, bit for
     bit, from Sobol candidates, corners, points on box faces (where
     clipping ties values), points with zero components and boxes with
@@ -369,12 +372,16 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
     zeros = dom.denormalize(rng.random((1, d)))[0]
     zeros[rng.random(d) < 0.5] = 0.0
     starts += [face, zeros, np.zeros(d), np.full(d, -0.0)]
-    f = _batch_neg_ucb(model, dom, h)
+
+    def batch_neg_ucb(box):
+        return lambda X: -ucb(*gp_predict(model, box.clip(np.array(X))), h)
+
+    f = batch_neg_ucb(dom)
     # a clip box other than the model's: clip to it, normalize by the model's
     lo2 = lo + rng.uniform(-0.5, 0.5, d) * (hi - lo + 1.0)
     other = Domain(names=dom.names, lo=tuple(lo2),
                    hi=tuple(lo2 + rng.uniform(0.0, 1.5, d) * (hi - lo)))
-    f_other = _batch_neg_ucb(model, other, h)
+    f_other = batch_neg_ucb(other)
 
     def checked(x):
         value = in_batch(f, x)

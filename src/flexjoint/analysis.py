@@ -13,7 +13,8 @@ DISCREPANCIES.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,20 +49,31 @@ class Verdict:
     violated: tuple[str, ...] = ()
 
 
-def error_jacobian(params: PlantParams, gains: GainSet,
-                   dpartials: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-                   ) -> np.ndarray:
-    """4x4 Jacobian of the error dynamics.
+class WorstCaseGains(NamedTuple):
+    """Each PD gain plus its fuzzy regulator's lower bound: the smallest
+    gains the fuzzy cascade can apply.  The plain sums, unclamped, so a
+    gain may be negative, which GainSet rejects."""
 
-    dpartials = (dd1/de1, dd1/de2, dd2/de3, dd2/de4).
-    """
+    kp1: float
+    kd1: float
+    kp2: float
+    kd2: float
+
+
+def worst_case_gains(base: GainSet, flr: FlrBounds) -> WorstCaseGains:
+    return WorstCaseGains(base.kp1 + flr.dkp1[0], base.kd1 + flr.dkd1[0],
+                          base.kp2 + flr.dkp2[0], base.kd2 + flr.dkd2[0])
+
+
+def error_jacobian(params: PlantParams,
+                   gains: GainSet | WorstCaseGains) -> np.ndarray:
+    """4x4 Jacobian of the error dynamics with zero disturbance partials."""
     p, g = params, gains
-    p11, p12, p23, p24 = dpartials
     return np.array([
         [0.0, 1.0, 0.0, 0.0],
-        [-p11 - g.kp1, -p12 - g.kd1, p.k / p.I_l, 0.0],
+        [-g.kp1, -g.kd1, p.k / p.I_l, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -(p.k + g.kp2) / p.I_m - p23, -(p.mu + g.kd2) / p.I_m - p24],
+        [0.0, 0.0, -(p.k + g.kp2) / p.I_m, -(p.mu + g.kd2) / p.I_m],
     ])
 
 
@@ -144,33 +156,29 @@ def state_matrix(params: PlantParams, gains: GainSet) -> np.ndarray:
     return A
 
 
+def _verdict(g: GainSet | WorstCaseGains, p: PlantParams,
+             L: StabilityBounds, names: tuple[str, ...]) -> Verdict:
+    """The four strict inequalities on g, reported under names."""
+    oks = (g.kd1 > L.L12, g.kp1 > L.L11,
+           (p.mu + g.kd2) / p.I_m > L.L22, (p.k + g.kp2) / p.I_m > L.L21)
+    violated = tuple(name for name, ok in zip(names, oks) if not ok)
+    return Verdict(stable=not violated, violated=violated)
+
+
 def check_gain_conditions(gains: GainSet, params: PlantParams,
                    bounds: StabilityBounds) -> Verdict:
     """Strict gain inequalities guaranteeing local asymptotic stability:
     kd1 > L12, kp1 > L11, (mu+kd2)/I_m > L22, (k+kp2)/I_m > L21."""
-    g, p, L = gains, params, bounds
-    checks = (
-        ("kd1 > L12", g.kd1 > L.L12),
-        ("kp1 > L11", g.kp1 > L.L11),
-        ("(mu+kd2)/I_m > L22", (p.mu + g.kd2) / p.I_m > L.L22),
-        ("(k+kp2)/I_m > L21", (p.k + g.kp2) / p.I_m > L.L21),
-    )
-    violated = tuple(name for name, ok in checks if not ok)
-    return Verdict(stable=not violated, violated=violated)
+    return _verdict(gains, params, bounds,
+                    ("kd1 > L12", "kp1 > L11", "(mu+kd2)/I_m > L22",
+                     "(k+kp2)/I_m > L21"))
 
 
 def check_flr_conditions(base: GainSet, flr: FlrBounds, params: PlantParams,
                          bounds: StabilityBounds) -> Verdict:
-    """Stability conditions with each gain reduced by its fuzzy-regulator
-    lower bound (the worst admissible gain set)."""
-    g, p, L = base, params, bounds
-    checks = (
-        ("kd1 + dkd1_lo > L12", g.kd1 + flr.dkd1[0] > L.L12),
-        ("kp1 + dkp1_lo > L11", g.kp1 + flr.dkp1[0] > L.L11),
-        ("(mu+kd2+dkd2_lo)/I_m > L22",
-         (p.mu + g.kd2 + flr.dkd2[0]) / p.I_m > L.L22),
-        ("(k+kp2+dkp2_lo)/I_m > L21",
-         (p.k + g.kp2 + flr.dkp2[0]) / p.I_m > L.L21),
-    )
-    violated = tuple(name for name, ok in checks if not ok)
-    return Verdict(stable=not violated, violated=violated)
+    """The gain inequalities at worst_case_gains(base, flr), the worst
+    admissible gain set."""
+    return _verdict(worst_case_gains(base, flr), params, bounds,
+                    ("kd1 + dkd1_lo > L12", "kp1 + dkp1_lo > L11",
+                     "(mu+kd2+dkd2_lo)/I_m > L22",
+                     "(k+kp2+dkp2_lo)/I_m > L21"))

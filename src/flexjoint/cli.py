@@ -95,13 +95,14 @@ def write_meta(out_prefix: str, config: dict) -> None:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_shared(p: argparse.ArgumentParser, simulates: bool = True) -> None:
     p.add_argument("--plant", help="plant parameter file (key = value overrides)")
-    p.add_argument("--sim-dt", type=float, default=0.005)
-    p.add_argument("--control-dt", type=float, default=0.05)
-    p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=DEFAULT_DISTURBANCE_SEED,
-                   help="disturbance seed")
+    if simulates:
+        p.add_argument("--sim-dt", type=float, default=0.005)
+        p.add_argument("--control-dt", type=float, default=0.05)
+        p.add_argument("--horizon", type=float, default=10.0)
+        p.add_argument("--seed", type=int, default=DEFAULT_DISTURBANCE_SEED,
+                       help="disturbance seed")
     p.add_argument("--out", default="out", help="output path prefix")
     p.add_argument("--gains", help="gains file (key = value)")
 
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flr-half-width", type=float, default=20.0)
 
     p = sub.add_parser("analyze", help="stability report for a gain set")
-    _add_shared(p)
+    _add_shared(p, simulates=False)
     p.add_argument("--with-flr", action="store_true",
                    help="force the worst-case regulator analysis even for zero bounds")
     p.add_argument("--L", type=float, nargs=4, default=(0.0, 0.0, 0.0, 0.0),
@@ -220,12 +221,13 @@ def cmd_tune(args) -> int:
                             seed=args.seed, hold=args.hold)
     config = TunerConfig(T=args.episodes, n_init=args.n_init, h=args.ucb_h,
                          seed=args.tuner_seed)
+    if (args.stage == "flr") != bool(args.gains):
+        raise CliError("stage flr requires --gains from the pd stage; "
+                       "stage pd tunes the gains and takes none")
     if args.stage == "pd":
         domain = pd_gain_domain()
         cost = make_pd_cost(params, sim, ref, dist)
     else:
-        if not args.gains:
-            raise CliError("stage flr requires --gains from the pd stage")
         base_gains = _resolve_gains(args).gains
         domain = flr_bound_domain(args.flr_half_width)
         cost = make_flr_cost(params, sim, ref, dist, base_gains)
@@ -251,55 +253,43 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
+def _spectrum(zs) -> str:
+    return ", ".join(f"{z.real:.4f}{z.imag:+.4f}j" for z in zs)
+
+
 def cmd_analyze(args) -> int:
     params = _resolve_plant(args)
     loaded = _resolve_gains(args)
     gains, bounds = loaded.gains, loaded.bounds
     L = analysis.StabilityBounds(*args.L)
-    jac = analysis.error_jacobian(params, gains)
-    eig = analysis.eigenvalues(jac)
-    poly = analysis.closed_loop_charpoly(params, gains)
-    roots = poly.roots()
-    verdict = analysis.check_gain_conditions(gains, params, L)
-
-    has_flr = args.with_flr or any(
-        getattr(bounds, n) != (0.0, 0.0) for n in ("dkp1", "dkd1", "dkp2", "dkd2"))
+    sections = [(0.0, "error-dynamics", "gain-condition", gains,
+                 analysis.check_gain_conditions(gains, params, L))]
+    if args.with_flr or bounds != FlrBounds():
+        sections.append((1.0, "worst-case regulator", "worst-case condition",
+                         analysis.worst_case_gains(gains, bounds),
+                         analysis.check_flr_conditions(gains, bounds, params, L)))
     lines = ["stability report (settling band 2%)",
-             f"gains: kp1={gains.kp1} kd1={gains.kd1} kp2={gains.kp2} kd2={gains.kd2}",
-             "error-dynamics eigenvalues: "
-             + ", ".join(f"{z.real:.4f}{z.imag:+.4f}j" for z in eig),
-             "characteristic polynomial roots: "
-             + ", ".join(f"{z.real:.4f}{z.imag:+.4f}j" for z in roots),
-             f"gain-condition verdict: "
-             f"{'stable' if verdict.stable else 'violated: ' + ', '.join(verdict.violated)}"]
-    rows = [("nominal", i, z.real, z.imag) for i, z in enumerate(eig)]
-    all_ok = verdict.stable and all(z.real < 0 for z in eig)
-
-    flr_verdict = None
-    if has_flr:
-        flr_verdict = analysis.check_flr_conditions(gains, bounds, params, L)
-        wc = GainSet(max(gains.kp1 + bounds.dkp1[0], 0.0),
-                     max(gains.kd1 + bounds.dkd1[0], 0.0),
-                     max(gains.kp2 + bounds.dkp2[0], 0.0),
-                     max(gains.kd2 + bounds.dkd2[0], 0.0))
-        wc_eig = analysis.eigenvalues(analysis.error_jacobian(params, wc))
-        lines.append("worst-case regulator eigenvalues: "
-                     + ", ".join(f"{z.real:.4f}{z.imag:+.4f}j" for z in wc_eig))
-        lines.append("worst-case condition verdict: "
-                     + ("stable" if flr_verdict.stable
-                        else "violated: " + ", ".join(flr_verdict.violated)))
-        rows += [("flr-worst-case", i, z.real, z.imag)
-                 for i, z in enumerate(wc_eig)]
-        all_ok = all_ok and flr_verdict.stable and all(z.real < 0 for z in wc_eig)
+             f"gains: kp1={gains.kp1} kd1={gains.kd1} kp2={gains.kp2} kd2={gains.kd2}"]
+    rows = []
+    all_ok = True
+    for worst_case, spectrum, condition, g, verdict in sections:
+        eig = analysis.eigenvalues(analysis.error_jacobian(params, g))
+        lines.append(f"{spectrum} eigenvalues: {_spectrum(eig)}")
+        if not worst_case:
+            roots = analysis.closed_loop_charpoly(params, gains).roots()
+            lines.append(f"characteristic polynomial roots: {_spectrum(roots)}")
+        lines.append(f"{condition} verdict: "
+                     + ("stable" if verdict.stable
+                        else "violated: " + ", ".join(verdict.violated)))
+        rows += [(worst_case, i, z.real, z.imag) for i, z in enumerate(eig)]
+        all_ok = all_ok and verdict.stable and all(z.real < 0 for z in eig)
 
     print("\n".join(lines))
     write_meta(args.out, dict(command="analyze", plant=asdict(params),
                               gains=asdict(gains), flr_bounds=asdict(bounds),
                               L=list(args.L)))
     write_csv(f"{args.out}_analysis.csv",
-              ("matrix_is_worst_case", "index", "re", "im"),
-              [(1.0 if name != "nominal" else 0.0, i, re, im)
-               for name, i, re, im in rows])
+              ("matrix_is_worst_case", "index", "re", "im"), rows)
     return EXIT_OK if all_ok else EXIT_UNSTABLE
 
 

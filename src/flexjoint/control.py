@@ -211,9 +211,8 @@ class Trajectory:
 
 
 def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
-             ref: Reference, dist: DisturbanceModel,
-             initial_state: State = State(0.0, 0.0, 0.0, 0.0)) -> Trajectory:
-    """Run the closed loop with zero-order-hold torque.
+             ref: Reference, dist: DisturbanceModel) -> Trajectory:
+    """Run the closed loop with zero-order-hold torque, starting from rest.
 
     The torque is recomputed every control_dt and held over the
     control_dt/sim_dt Euler sub-steps.  Disturbances are indexed by sim step
@@ -235,7 +234,7 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     draws = disturbance_draws(dist, 0) if dist.kind != "off" else None
     per_control = dist.hold == "per-control-step"
     d1 = d2 = 0.0
-    x1, x2, x3, x4 = initial_state.as_array().tolist()
+    x1 = x2 = x3 = x4 = 0.0
     rows: list[tuple] = []
     sim_step = 0
     for n in range(sim.n_control_steps):

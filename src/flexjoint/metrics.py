@@ -10,6 +10,7 @@ import numpy as np
 from .control import Reference, Trajectory
 
 SETTLING_BAND = 0.02  # fraction of the step size
+COST_STEPS = 200  # control steps in the cost window, 10 s at the default rate
 FAILED_COST = -1.0e4  # below any reachable tracking cost (>= -200*pi)
 
 
@@ -33,7 +34,7 @@ class Metrics:
     rms_error: float
 
 
-def tracking_cost(trajectory: Trajectory, n_steps: int = 200) -> float:
+def tracking_cost(trajectory: Trajectory, n_steps: int = COST_STEPS) -> float:
     """Negative sum of absolute link-angle error over the first n_steps
     control steps."""
     e1 = trajectory.e1
@@ -48,11 +49,10 @@ def step_overshoot(x1: np.ndarray, target: float, step_size: float) -> float:
     return max(0.0, float((np.max(x1) - target) / step_size) * 100.0)
 
 
-def settling_time(t: np.ndarray, e1: np.ndarray, step_size: float,
-                  band: float = SETTLING_BAND) -> float:
-    """First time from which |e1| stays below band*step_size; nan if the
-    error never stays inside the band."""
-    inside = np.abs(e1) < band * step_size
+def settling_time(t: np.ndarray, e1: np.ndarray, step_size: float) -> float:
+    """First time from which |e1| stays below SETTLING_BAND*step_size; nan
+    if the error never stays inside the band."""
+    inside = np.abs(e1) < SETTLING_BAND * step_size
     if not inside[-1]:
         return float("nan")
     # last index at which the trajectory was outside the band
@@ -63,15 +63,14 @@ def settling_time(t: np.ndarray, e1: np.ndarray, step_size: float,
     return float(t[i])
 
 
-def compute_metrics(traj: Trajectory, ref: Reference,
-                    cost_steps: int = 200) -> Metrics:
+def compute_metrics(traj: Trajectory, ref: Reference) -> Metrics:
     """Metrics over a completed tracking run.  The cost window is the first
-    cost_steps control steps (the full square-wave protocol yields 200);
+    COST_STEPS control steps (the full square-wave protocol yields 200);
     shorter runs are scored over what they have."""
     if len(traj) < 2:
         raise MetricsError("trajectory has no simulated control steps")
     t, e1, x1 = traj.t, traj.e1, traj.x1
-    cost = tracking_cost(traj, n_steps=min(cost_steps, len(traj)))
+    cost = tracking_cost(traj, n_steps=min(COST_STEPS, len(traj)))
     if ref.kind in ("square", "constant"):
         target = traj.x1d[-1]
         step = abs(target - x1[0])

@@ -317,9 +317,12 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     the variance reduction are per row already.  A NaN or infinite query
     raises ValueError."""
     X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
-    Un = model.domain.normalize(X)
     sf2 = model.signal_variance
-    ks = sf2 * _corr(_sq_dists(Un, model.Xn), model.ls2)  # (m, n)
+    # off a zero-width dimension the normalized offset or its square
+    # overflows to inf: zero correlation, the intended limit
+    with np.errstate(over="ignore"):
+        Un = model.domain.normalize(X)
+        ks = sf2 * _corr(_sq_dists(Un, model.Xn), model.ls2)  # (m, n)
     mean_s = np.vecdot(ks, model.alpha)
     v = dpotrs(model.chol, np.asarray_chkfinite(ks.T), lower=1)[0]  # K^-1 k*
     var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
@@ -400,18 +403,17 @@ def _nelder_mead(x0):
     return np.array(sim[0]), float(np.min(fs))
 
 
-def suggest(model: GpModel, domain: Domain, rng: np.random.Generator,
-            h: float) -> np.ndarray:
-    """Maximize the UCB over the box: a scan of SOBOL_CANDIDATES scrambled
-    Sobol points (one batched gp_predict), then _nelder_mead from the best
-    LOCAL_SEARCHES candidates on the UCB at the clipped point.  The
+def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
+    """Maximize the UCB over the model's box: a scan of SOBOL_CANDIDATES
+    scrambled Sobol points (one batched gp_predict), then _nelder_mead from
+    the best LOCAL_SEARCHES candidates on the UCB at the clipped point.  The
     searches run in lockstep: each round evaluates the pending query of
     every live search in one batched gp_predict, whose rows have the bits
     of one-point calls.  Tests hold the local search to scipy's
     Nelder-Mead bit for bit.  Ties fall to the first best candidate of the
     seeded scan."""
-    d = domain.dim
-    sob = qmc.Sobol(d, scramble=True, seed=int(rng.integers(2 ** 63)))
+    domain = model.domain
+    sob = qmc.Sobol(domain.dim, scramble=True, seed=int(rng.integers(2 ** 63)))
     U = sob.random(SOBOL_CANDIDATES)
     cand = domain.denormalize(U)
     mean, std = gp_predict(model, cand)
@@ -485,7 +487,7 @@ def smbo(cost, domain: Domain, config: TunerConfig,
             x = domain.denormalize(rng.random((1, domain.dim)))[0]
         else:
             model = gp_fit(data, config, domain)
-            x = suggest(model, domain, rng, config.h)
+            x = suggest(model, rng, config.h)
         y = evaluate(x)
         data.append(x, y)
     best_y = np.maximum.accumulate(data.y)

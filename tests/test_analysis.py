@@ -31,17 +31,6 @@ def test_error_jacobian_entries(params, gains):
     np.testing.assert_allclose(A, expected, rtol=1e-12)
 
 
-def test_error_jacobian_disturbance_partials(params, gains):
-    A = error_jacobian(params, gains, dpartials=(1.0, 2.0, 3.0, 4.0))
-    A0 = error_jacobian(params, gains)
-    np.testing.assert_allclose(A - A0, np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [-1.0, -2.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, -3.0, -4.0],
-    ]))
-
-
 def test_eigenvalues_sorted():
     ev = eigenvalues(np.diag([3.0, -1.0, 2.0, -5.0]))
     np.testing.assert_allclose(ev, [-5.0, -1.0, 2.0, 3.0])

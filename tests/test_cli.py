@@ -198,6 +198,35 @@ def test_analyze_lipschitz_flags(tmp_path):
         == EXIT_UNSTABLE
 
 
+def test_analyze_worst_case_uses_the_unclamped_sums(tmp_path, capsys):
+    """kd2 + dkd2_lo = -0.15: the worst-case spectrum is that of the gains
+    the regulator applies, not of a gain clamped at 0."""
+    gfile = tmp_path / "neg.txt"
+    gfile.write_text("kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 0.05\n"
+                     "dkd2_lo = -0.2\ndkd2_hi = 0\n")
+    out = str(tmp_path / "neg")
+    assert run(["analyze", "--out", out, "--gains", str(gfile)]) == EXIT_UNSTABLE
+    text = capsys.readouterr().out
+    assert "worst-case regulator eigenvalues: -5.0900-5.1266j, " \
+        "-5.0900+5.1266j, 0.0833-28.5481j, 0.0833+28.5481j" in text
+    assert "violated: (mu+kd2+dkd2_lo)/I_m > L22" in text
+    header, data = read_csv(out + "_analysis.csv")
+    worst = data[data[:, 0] == 1.0]
+    np.testing.assert_allclose(worst[:, 2], [-5.09, -5.09, 1 / 12, 1 / 12])
+
+
+@pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--seed", "3"],
+                                   ["--sim-dt", "-1"], ["--control-dt", "1"]],
+                         ids=" ".join)
+def test_analyze_rejects_simulation_flags(tmp_path, capsys, flags):
+    out = str(tmp_path / "as")
+    assert run(["analyze", "--out", out] + flags) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == \
+        [f"flexjoint: error: unrecognized arguments: {' '.join(flags)}"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_ablate_table(tmp_path, capsys):
     out = str(tmp_path / "ab")
     assert run(["ablate", "--out", out, "--seed", "10"]) == EXIT_OK
@@ -248,6 +277,17 @@ def test_tune_flr_requires_gains(tmp_path, capsys):
     assert "requires --gains" in capsys.readouterr().err
 
 
+def test_tune_pd_rejects_gains(tmp_path, capsys):
+    gfile = tmp_path / "bad.txt"
+    gfile.write_text("kp1 = x\n")
+    out = str(tmp_path / "tp")
+    assert run(["tune", "--stage", "pd", "--out", out, "--gains", str(gfile),
+                "--episodes", "2", "--n-init", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
+
+
 def test_tune_flr_quick(tmp_path):
     gfile = tmp_path / "pd.txt"
     save_gains(gfile, GainSet())
@@ -288,7 +328,8 @@ def test_tune_single_episode_returns_the_sample(tmp_path):
 # array; a refactor of the simulation core must leave every byte in place.
 # The two longer tunes fit the GP at n = 10..15 in 4-D and at n = 10, 11 in
 # 8-D, so a change to the surrogate's rounding shows in their histories.
-# GAINS stands for the first-stage gains file the test writes.
+# GAINS stands for the first-stage gains file the test writes, GAINS_FLR
+# for the same gains with regulator bounds.
 FROZEN_ARTIFACTS = (
     ("simulate --controller fuzzy-cascaded",
      ["simulate", "--controller", "fuzzy-cascaded", "--disturbance", "uniform",
@@ -314,15 +355,26 @@ FROZEN_ARTIFACTS = (
       "--gains", "GAINS"],
      {"_history.csv": "b0f739b285fb90e3a49cb807f70fde324ad7188c440c7a9f1e312abf49b87052",
       "_gains.txt": "096a4dfcca912f8d28024ad8c28bbc46e29cc0f49f103639524ce1220bb8f5ec"}),
+    ("analyze --with-flr",
+     ["analyze", "--with-flr"],
+     {"_analysis.csv": "e74d724c249895cd9ce56de18cc26a8ece4573fab3e9db8545074f797fc43a61"}),
+    ("analyze --gains GAINS_FLR --L 0 4.5 0 0",
+     ["analyze", "--gains", "GAINS_FLR", "--L", "0", "4.5", "0", "0"],
+     {"_analysis.csv": "6f50d5c7e38da1d217ab5e5d90edaf452ec7a5c5845749a0decd2f7eaba3f2bb"}),
 )
 
 
 @pytest.mark.parametrize("args,digests", [a[1:] for a in FROZEN_ARTIFACTS],
                          ids=[a[0] for a in FROZEN_ARTIFACTS])
 def test_artifacts_match_frozen_bytes(tmp_path, args, digests):
-    gains = tmp_path / "pd_gains.txt"
-    gains.write_text("kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n")
-    args = [str(gains) if a == "GAINS" else a for a in args]
+    gains = "kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n"
+    files = {"GAINS": gains,
+             "GAINS_FLR": gains + "dkp1_lo = -20.0\ndkp1_hi = 5.0\n"
+             "dkd1_lo = -5.5\ndkd1_hi = 2.0\ndkp2_lo = -40.0\ndkp2_hi = 10.0\n"
+             "dkd2_lo = -3.0\ndkd2_hi = 1.0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in files else a for a in args]
     out = str(tmp_path / "f")
     assert run(args + ["--out", out]) == EXIT_OK
     for suffix, digest in digests.items():

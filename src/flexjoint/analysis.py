@@ -60,21 +60,32 @@ class WorstCaseGains(NamedTuple):
     kd2: float
 
 
+def _require_finite(values, what: str, gains) -> None:
+    """Finite gains can still overflow the sums and products formed from
+    them; name the gains instead of handing inf to the solvers."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} overflows for {gains}")
+
+
 def worst_case_gains(base: GainSet, flr: FlrBounds) -> WorstCaseGains:
-    return WorstCaseGains(base.kp1 + flr.dkp1[0], base.kd1 + flr.dkd1[0],
-                          base.kp2 + flr.dkp2[0], base.kd2 + flr.dkd2[0])
+    wc = WorstCaseGains(base.kp1 + flr.dkp1[0], base.kd1 + flr.dkd1[0],
+                        base.kp2 + flr.dkp2[0], base.kd2 + flr.dkd2[0])
+    _require_finite(wc, "a gain plus its regulator lower bound", base)
+    return wc
 
 
 def error_jacobian(params: PlantParams,
                    gains: GainSet | WorstCaseGains) -> np.ndarray:
     """4x4 Jacobian of the error dynamics with zero disturbance partials."""
     p, g = params, gains
-    return np.array([
+    A = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [-g.kp1, -g.kd1, p.k / p.I_l, 0.0],
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, -(p.k + g.kp2) / p.I_m, -(p.mu + g.kd2) / p.I_m],
     ])
+    _require_finite(A.flat, "the error Jacobian", g)
+    return A
 
 
 def eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -125,11 +136,9 @@ def closed_loop_charpoly(params: PlantParams, gains: GainSet) -> CharPoly:
     a1, a0 = g.kd1, g.kp1
     b1 = (p.mu + g.kd2) / p.I_m
     b0 = (p.k + g.kp2) / p.I_m
-    return CharPoly((1.0,
-                     a1 + b1,
-                     a0 + b0 + a1 * b1,
-                     a1 * b0 + a0 * b1,
-                     a0 * b0))
+    coeffs = (1.0, a1 + b1, a0 + b0 + a1 * b1, a1 * b0 + a0 * b1, a0 * b0)
+    _require_finite(coeffs, "the characteristic polynomial", g)
+    return CharPoly(coeffs)
 
 
 def state_matrix(params: PlantParams, gains: GainSet) -> np.ndarray:

@@ -176,6 +176,13 @@ def _sim_config(args) -> SimConfig:
                      horizon=args.horizon)
 
 
+def _disturbance(args, kind: str) -> DisturbanceModel:
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
+    return DisturbanceModel(kind=kind, amplitude=args.amplitude,
+                            seed=args.seed, hold=args.hold)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -186,8 +193,7 @@ def cmd_simulate(args) -> int:
     ctrl = Controller(kind=ControllerKind(args.controller), gains=loaded.gains,
                       flr_bounds=loaded.bounds)
     ref = Reference(kind=args.reference, value=args.reference_value)
-    dist = DisturbanceModel(kind=args.disturbance, amplitude=args.amplitude,
-                            seed=args.seed, hold=args.hold)
+    dist = _disturbance(args, args.disturbance)
     meta = dict(command="simulate", plant=asdict(params), sim=asdict(sim),
                 controller=args.controller, gains=asdict(loaded.gains),
                 flr_bounds=asdict(loaded.bounds), reference=args.reference,
@@ -217,8 +223,7 @@ def cmd_tune(args) -> int:
     params = _resolve_plant(args)
     sim = _sim_config(args)
     ref = Reference(kind="square")
-    dist = DisturbanceModel(kind=args.disturbance, amplitude=args.amplitude,
-                            seed=args.seed, hold=args.hold)
+    dist = _disturbance(args, args.disturbance)
     config = TunerConfig(T=args.episodes, n_init=args.n_init, h=args.ucb_h,
                          seed=args.tuner_seed)
     if (args.stage == "flr") != bool(args.gains):
@@ -268,8 +273,7 @@ def cmd_analyze(args) -> int:
         sections.append((1.0, "worst-case regulator", "worst-case condition",
                          analysis.worst_case_gains(gains, bounds),
                          analysis.check_flr_conditions(gains, bounds, params, L)))
-    lines = ["stability report (settling band 2%)",
-             f"gains: kp1={gains.kp1} kd1={gains.kd1} kp2={gains.kp2} kd2={gains.kd2}"]
+    lines = [f"gains: kp1={gains.kp1} kd1={gains.kd1} kp2={gains.kp2} kd2={gains.kd2}"]
     rows = []
     all_ok = True
     for worst_case, spectrum, condition, g, verdict in sections:
@@ -326,8 +330,7 @@ def cmd_ablate(args) -> int:
     params = _resolve_plant(args)
     sim = _sim_config(args)
     loaded = _resolve_gains(args)
-    dist = DisturbanceModel(kind="uniform", amplitude=args.amplitude,
-                            seed=args.seed, hold=args.hold)
+    dist = _disturbance(args, "uniform")
     write_meta(args.out, dict(command="ablate", plant=asdict(params),
                               sim=asdict(sim), gains=asdict(loaded.gains),
                               flr_bounds=asdict(loaded.bounds),

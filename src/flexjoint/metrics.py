@@ -11,7 +11,9 @@ from .control import Reference, Trajectory
 
 SETTLING_BAND = 0.02  # fraction of the step size
 COST_STEPS = 200  # control steps in the cost window, 10 s at the default rate
-FAILED_COST = -1.0e4  # below any reachable tracking cost (>= -200*pi)
+# Cost given to a diverged episode.  Not a floor: |e1| is bounded only by
+# the 1e6 divergence guard, not by pi, so a finite episode can score lower.
+FAILED_COST = -1.0e4
 
 
 class MetricsError(ValueError):

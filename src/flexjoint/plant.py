@@ -75,8 +75,9 @@ class DisturbanceModel:
     kind "off" yields (0, 0).  kind "uniform" draws i.i.d. values from
     [-amplitude, +amplitude]; the draw for a given (seed, step index) is a
     pure function of both, so replays and parallel runs agree bit-exactly.
-    The generator is numpy PCG64 keyed by (seed, step_index).  The amplitude
-    must be finite, and so must the width 2*amplitude of the draw interval.
+    The generator is numpy PCG64 keyed by (seed, step_index).  The seed is
+    an int >= 0 (not a bool), whatever the kind.  The amplitude must be
+    finite, and so must the width 2*amplitude of the draw interval.
 
     hold "per-sim-step" redraws at every integration step; "per-control-step"
     reuses one draw for all sub-steps of a control period.
@@ -92,6 +93,9 @@ class DisturbanceModel:
             raise PlantError(f"unknown disturbance kind: {self.kind!r}")
         if self.hold not in ("per-sim-step", "per-control-step"):
             raise PlantError(f"unknown disturbance hold: {self.hold!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise PlantError(f"disturbance seed must be an int >= 0, got {self.seed!r}")
         if not (self.amplitude >= 0 and math.isfinite(2 * self.amplitude)):
             raise PlantError(
                 f"disturbance amplitude must be finite and >= 0, got {self.amplitude}")
@@ -171,10 +175,107 @@ def disturbance_sample(model: DisturbanceModel, step_index: int) -> tuple[float,
     return float(d[0]), float(d[1])
 
 
+# The steps of default_rng((seed, i)).uniform(low, high, 2), on arrays over i:
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants.
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875          # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED          # generate_state
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's entropy words of a non-negative int, least
+    significant first; 0 is one word."""
+    if n < 0:
+        raise ValueError(f"entropy must be >= 0, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value: np.ndarray, h: int,
+             mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of uint32 words; returns the next hash
+    constant with the mixed words."""
+    h_next = h * mult & _M32
+    value = (value ^ h) * h_next
+    return value ^ value >> 16, h_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ r >> 16
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's 128-bit LCG step, state * MULT + inc mod 2**128, on uint64
+    (high, low) limbs; the high limb of lo * MULT_LO from 32-bit halves."""
+    m0, m1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    a0, a1 = lo & _M32, lo >> 32
+    p01, p10 = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry_hi = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = carry_hi + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+    return new_hi + (new_lo < inc_lo), new_lo
+
+
+def _uniform_pairs(seed: int, amplitude: float, start: int, stop: int) -> np.ndarray:
+    """The draws of indices start..stop-1 as a (stop - start, 2) array:
+    row j is ``disturbance_sample`` of a uniform model at index start + j,
+    bit for bit.  Indices must be below 2**32, one entropy word each."""
+    if not 0 <= start <= stop <= 2 ** 32:
+        raise ValueError(f"draw indices must lie in [0, 2**32], got {start}..{stop}")
+    n = stop - start
+    entropy = [np.full(n, w, np.uint32) for w in _uint32_words(seed)]
+    entropy.append(np.arange(start, stop, dtype=np.uint64).astype(np.uint32))
+    # SeedSequence.mix_entropy
+    h = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word = entropy[i] if i < len(entropy) else np.zeros(n, np.uint32)
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state(4, uint64): eight words, paired little-endian
+    h = _INIT_B
+    words = []
+    for k in range(8):
+        value, h = _hashmix(pool[k % _POOL_SIZE], h, _MULT_B)
+        words.append(value.astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    # PCG64 srandom: inc = 2*initseq + 1; state = (inc + initstate) * MULT + inc
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    lo = inc_lo + s_lo
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    # uniform(low, high, 2): low + (high - low) * next_double, XSL-RR output
+    low, high = float(-amplitude), float(amplitude)
+    width = high - low
+    out = np.empty((n, 2))
+    for j in range(2):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        x = x >> rot | x << ((64 - rot) & 63)
+        out[:, j] = low + width * ((x >> 11) * (1.0 / 9007199254740992.0))
+    return out
+
+
 # Tables kept by disturbance_draws.  Every caller replays one seed at a time
 # (a tune, an ablation, one round of a sweep), so a few tables suffice.
 DISTURBANCE_TABLES = 4
-_draw_lock = threading.Lock()   # a table grows under it, one index at a time
+DRAW_BLOCK = 2048   # indices drawn per kernel call, bounding its temporaries
+_draw_lock = threading.Lock()   # a table grows under it, one block at a time
 
 
 @functools.lru_cache(maxsize=DISTURBANCE_TABLES)
@@ -187,16 +288,20 @@ def disturbance_draws(model: DisturbanceModel, stop: int) -> list[tuple[float, f
     entry i is ``disturbance_sample(model, i)``.
 
     The table is shared by every model with the same kind, seed and
-    amplitude, whatever its hold, and grows in step order on demand, so
-    nothing past ``stop`` is drawn.  The least recently used table is
-    dropped once more than DISTURBANCE_TABLES are live.  Entries are never
-    changed once appended, so a caller may index the table below its length
-    without the lock.
+    amplitude, whatever its hold, and grows in step order on demand, a
+    whole DRAW_BLOCK of indices per ``_uniform_pairs`` call.  (Kind "off"
+    draws from the zero-width interval: every entry is (0.0, 0.0).)  The
+    least recently used table is dropped once more than DISTURBANCE_TABLES
+    are live.  Entries are never changed once appended, so a caller may
+    index the table below its length without the lock.
     """
     table = _draw_table(model.kind, model.seed, model.amplitude)
+    amplitude = model.amplitude if model.kind == "uniform" else 0.0
     with _draw_lock:
         while len(table) < stop:
-            table.append(disturbance_sample(model, len(table)))
+            start = len(table)
+            d = _uniform_pairs(model.seed, amplitude, start, start + DRAW_BLOCK)
+            table.extend(zip(d[:, 0].tolist(), d[:, 1].tolist()))
     return table
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from flexjoint.analysis import (CharPoly, StabilityBounds, Verdict,
                                 block_eigenvalues, check_flr_conditions,
                                 check_gain_conditions, closed_loop_charpoly,
-                                eigenvalues, error_jacobian, state_matrix)
+                                eigenvalues, error_jacobian, state_matrix,
+                                worst_case_gains)
 from flexjoint.control import GainSet
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import PlantParams
@@ -62,6 +63,17 @@ def test_charpoly_validation():
         CharPoly((2.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         CharPoly((1.0, 0.0, 0.0))
+
+
+def test_overflowing_gains_name_themselves(params):
+    """Finite gains whose sums or products overflow raise a ValueError that
+    names the gains before any solver sees an inf."""
+    with pytest.raises(ValueError, match=r"characteristic polynomial .*kp1=1e\+308"):
+        closed_loop_charpoly(params, GainSet(kp1=1e308))
+    with pytest.raises(ValueError, match=r"error Jacobian .*kp2=1e\+308"):
+        error_jacobian(params, GainSet(kp2=1e308))
+    with pytest.raises(ValueError, match=r"regulator lower bound .*kd1=1e\+308"):
+        worst_case_gains(GainSet(kd1=1e308), FlrBounds(dkd1=(1e308, 1e308)))
 
 
 def test_charpoly_matches_jacobian_spectrum(params, gains):

@@ -215,6 +215,35 @@ def test_analyze_worst_case_uses_the_unclamped_sums(tmp_path, capsys):
     np.testing.assert_allclose(worst[:, 2], [-5.09, -5.09, 1 / 12, 1 / 12])
 
 
+@pytest.mark.parametrize("gains", [
+    "kp1 = 1e308\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 0.05\n"
+    "dkp1_lo = 1e308\ndkp1_hi = 1e308\n",
+    "kp1 = 52.19\nkd1 = 1e308\nkp2 = 144.5\nkd2 = 0.05\n"
+    "dkd1_lo = 1e308\ndkd1_hi = 1e308\n",
+], ids=["kp1", "kd1"])
+def test_analyze_overflowing_gains_is_one_line_usage_error(tmp_path, capsys,
+                                                           gains):
+    """Finite gains whose worst-case sums or characteristic polynomial
+    overflow: one error line that names the gains, not numpy's."""
+    gfile = tmp_path / "huge.txt"
+    gfile.write_text(gains)
+    out = str(tmp_path / "huge")
+    assert run(["analyze", "--out", out, "--gains", str(gfile)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "overflows for GainSet(kp1=" in err[0]
+
+
+@pytest.mark.parametrize("flags", [[], ["--disturbance", "uniform"]],
+                         ids=["off", "uniform"])
+def test_negative_seed_is_one_line_usage_error(tmp_path, capsys, flags):
+    out = str(tmp_path / "ns")
+    assert run(["simulate", "--out", out, "--seed", "-1"] + flags) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --seed must be >= 0, got -1"]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--seed", "3"],
                                    ["--sim-dt", "-1"], ["--control-dt", "1"]],
                          ids=" ".join)

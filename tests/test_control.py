@@ -12,9 +12,9 @@ from flexjoint.control import (DIVERGENCE_LIMIT, TRAJ_COLUMNS, Controller,
                                GainSet, Reference, motor_reference, pd,
                                simulate)
 from flexjoint.fuzzy import FlrBounds
-from flexjoint.plant import (DISTURBANCE_TABLES, DisturbanceModel, PlantError,
-                             PlantParams, SimConfig, State, disturbance_sample,
-                             euler_step)
+from flexjoint.plant import (DISTURBANCE_TABLES, DRAW_BLOCK, DisturbanceModel,
+                             PlantError, PlantParams, SimConfig, State,
+                             disturbance_sample, euler_step)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -305,15 +305,15 @@ def test_simulate_matches_euler_step_bitwise(kind, gains, tiny_motor, uniform,
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The step indices passed to plant.disturbance_sample, in call order."""
+    """The step indices drawn by plant._uniform_pairs, in call order."""
     calls = []
-    sample = plant.disturbance_sample
+    kernel = plant._uniform_pairs
 
-    def counting(model, step_index):
-        calls.append(step_index)
-        return sample(model, step_index)
+    def counting(seed, amplitude, start, stop):
+        calls.extend(range(start, stop))
+        return kernel(seed, amplitude, start, stop)
 
-    monkeypatch.setattr(plant, "disturbance_sample", counting)
+    monkeypatch.setattr(plant, "_uniform_pairs", counting)
     return calls
 
 
@@ -324,7 +324,7 @@ def test_repeated_disturbance_is_drawn_once(params, gains, draws):
     ctrl = Controller(ControllerKind.CASCADED_PD, gains)
     first = simulate(params, sim, ctrl, Reference("square"),
                      DisturbanceModel("uniform", 7.25, 2_000_001))
-    assert draws == list(range(200))
+    assert draws == list(range(DRAW_BLOCK))   # 200 steps, one whole block
     draws.clear()
     for hold in ("per-sim-step", "per-control-step"):
         again = simulate(params, sim, ctrl, Reference("square"),
@@ -333,11 +333,13 @@ def test_repeated_disturbance_is_drawn_once(params, gains, draws):
     assert again.data.tobytes() != first.data.tobytes()
 
 
-def test_diverged_episode_draws_no_further(params, sim, draws):
+def test_diverged_episode_draws_no_further(params, draws):
+    sim = SimConfig(horizon=100.0)   # 20000 steps, about ten blocks
     with pytest.raises(DivergedTrajectory) as exc:
         simulate(params, sim, Controller(ControllerKind.SINGLE_PD),
                  Reference("square"), DisturbanceModel("uniform", 7.5, 2_000_002))
-    assert 0 < len(draws) <= exc.value.sim_step
+    blocks = math.ceil(exc.value.sim_step / DRAW_BLOCK)
+    assert 0 < len(draws) <= blocks * DRAW_BLOCK
 
 
 def test_disturbance_memo_is_bounded(params, gains, draws):
@@ -355,7 +357,7 @@ def test_disturbance_memo_is_bounded(params, gains, draws):
     run(seeds[-1])
     assert draws == []
     run(seeds[0])
-    assert draws == list(range(100))
+    assert draws == list(range(DRAW_BLOCK))
 
 
 def test_error_rows_exact_per_step(params, gains):

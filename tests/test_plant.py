@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from flexjoint.plant import (DisturbanceModel, PlantError, PlantParams,
-                             SimConfig, State, derivatives,
-                             disturbance_draws, disturbance_sample, euler_step,
-                             mechanical_energy)
+from flexjoint import plant
+from flexjoint.plant import (DRAW_BLOCK, MAX_SUBSTEPS, DisturbanceModel,
+                             PlantError, PlantParams, SimConfig, State,
+                             derivatives, disturbance_draws,
+                             disturbance_sample, euler_step, mechanical_energy)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -196,13 +197,13 @@ def test_disturbance_independent_of_call_order():
 
 def test_disturbance_draws_grow_in_order_across_threads():
     """Threads that extend one table at once leave entry i the draw of
-    step i."""
+    step i, in whole blocks."""
     m = DisturbanceModel(kind="uniform", amplitude=3.5, seed=3_000_001)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=disturbance_draws, args=(m, stop))
-                   for stop in (150, 300, 200, 300, 250, 100)]
+                   for stop in (150, 4097, 2048, 2049, 4096, 100)]
         for th in threads:
             th.start()
         for th in threads:
@@ -210,7 +211,38 @@ def test_disturbance_draws_grow_in_order_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert disturbance_draws(m, 0) == [disturbance_sample(m, i) for i in range(300)]
+    table = disturbance_draws(m, 0)
+    assert len(table) == 3 * DRAW_BLOCK
+    assert table == [disturbance_sample(m, i) for i in range(len(table))]
+
+
+KERNEL_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100 + 3)
+KERNEL_AMPLITUDES = (0.0, 3.7, 10.0, 8.9e307)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_uniform_pairs_are_disturbance_sample(seed):
+    """The vectorized kernel is disturbance_sample, bit for bit, across
+    one-, two-, three- and four-word seeds: at every index of a 2000-step
+    table (one amplitude per seed, in turn), and at every amplitude at the
+    block edges and in a short block just below MAX_SUBSTEPS."""
+    full = KERNEL_AMPLITUDES[KERNEL_SEEDS.index(seed) % len(KERNEL_AMPLITUDES)]
+    for amplitude in KERNEL_AMPLITUDES:
+        m = DisturbanceModel("uniform", amplitude, seed)
+        table = disturbance_draws(m, 2 * DRAW_BLOCK + 1)
+        indices = [*range(2000)] if amplitude == full else []
+        indices += [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK]
+        assert [table[i] for i in indices] == \
+            [disturbance_sample(m, i) for i in indices]
+        start = MAX_SUBSTEPS - 5
+        short = plant._uniform_pairs(seed, amplitude, start, MAX_SUBSTEPS)
+        want = [disturbance_sample(m, i) for i in range(start, MAX_SUBSTEPS)]
+        assert list(map(tuple, short.tolist())) == want
+        assert short.tobytes() == np.array(want).tobytes()   # signed zeros too
+
+
+def test_disturbance_draws_off_are_zero():
+    assert disturbance_draws(DisturbanceModel(seed=3), 3)[:3] == [(0.0, 0.0)] * 3
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -219,6 +251,9 @@ def test_disturbance_draws_grow_in_order_across_threads():
     dict(kind="uniform", amplitude=float("nan")),
     dict(kind="uniform", amplitude=float("inf")),
     dict(kind="uniform", amplitude=1e308),   # the width 2e308 overflows
+    dict(kind="uniform", seed=-1), dict(kind="off", seed=-1),
+    dict(kind="uniform", seed=True), dict(kind="uniform", seed=3.0),
+    dict(kind="uniform", seed=np.int64(3)),
 ])
 def test_disturbance_model_validation(kwargs):
     with pytest.raises(PlantError):

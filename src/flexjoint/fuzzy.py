@@ -12,6 +12,7 @@ inside the configured bounds.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -63,26 +64,24 @@ class LinguisticScale:
             raise FuzzyConfigError(f"need distinct peaks in [{self.lo}, {self.hi}]")
         object.__setattr__(self, "peaks", tuple(peaks.tolist()))
 
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
+    def terms(self, x: float) -> tuple[int, float, float]:
+        """(i, g_i, g_i+1) for x clamped to [lo, hi] and peaks i, i + 1 at
+        a <= x < b (or x = b = hi): (b - x)/(b - a) and (x - a)/(b - a), or
+        1.0 and 0.0 at x = a.  Other terms grade 0; a NaN x grades NaN."""
+        x = min(max(x, self.lo), self.hi)
+        if x != x:
+            return 0, math.nan, math.nan
+        i = bisect_right(self.peaks, x, 0, 4) - 1
+        a, b = self.peaks[i], self.peaks[i + 1]
+        if x == a:
+            return i, 1.0, 0.0
+        return i, (b - x) / (b - a), (x - a) / (b - a)
 
     def grades(self, x: float) -> np.ndarray:
-        """Memberships of x, clamped to [lo, hi], in the five terms: 1.0 at
-        a peak, else (b - x)/(b - a) and (x - a)/(b - a) on the two terms
-        whose peaks a < x < b enclose it, and 0.0 on the rest.  A NaN x
-        gives five NaNs."""
-        x = self.clamp(x)
-        if x != x:
-            return np.full(5, np.nan)
-        g = np.zeros(5)
-        i = bisect_right(self.peaks, x) - 1  # the last peak a <= x
-        a = self.peaks[i]
-        if x == a:
-            g[i] = 1.0
-        else:
-            b = self.peaks[i + 1]
-            g[i] = (b - x) / (b - a)
-            g[i + 1] = (x - a) / (b - a)
+        """Memberships of x in the five terms: terms(x), 0.0 elsewhere."""
+        i, gi, gj = self.terms(x)
+        g = np.zeros(5) if gi == gi else np.full(5, gi)
+        g[i:i + 2] = gi, gj
         return g
 
 
@@ -91,12 +90,30 @@ ERROR_SCALE = LinguisticScale(-np.pi, np.pi)
 RATE_SCALE = LinguisticScale(-5.0, 5.0)
 
 
+def _check_bounds(name: str, lo: float, hi: float) -> None:
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise FuzzyConfigError(f"{name} bounds ({lo}, {hi}) must be ordered and "
+                               f"finite, and the width hi - lo must not overflow")
+
+
+# np.sum over a contiguous 25-cell table adds cell p to running sum p % 8,
+# then adds ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) + cell 24.
+# The zero cells outside the 2x2 block (a, b / c, d) at origin 4i + j can
+# change only the sign of a zero: the block is summed in one of these orders.
+_ORDERS = (lambda a, b, c, d: (a + b) + (c + d),
+           lambda a, b, c, d: ((a + b) + d) + c,
+           lambda a, b, c, d: ((c + d) + a) + b,
+           lambda a, b, c, d: ((a + b) + c) + d)
+_BLOCK_SUM = tuple(_ORDERS[k] for k in (0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 2, 0, 0, 3))
+
+
 @dataclass(frozen=True)
 class RuleBase:
     """Output bounds of one regulator (dkp and dkd) over KP_RULES/KD_RULES.
 
     kp_consequents[i, j] is the singleton that rule (e term i, de term j)
-    outputs for dkp; kd_consequents likewise for dkd.
+    outputs for dkp; kd_consequents likewise for dkd.  _kp and _kd hold
+    their 2x2 blocks at origins 4i + j as tuples of floats.
     """
 
     kp_bounds: tuple[float, float]
@@ -105,12 +122,14 @@ class RuleBase:
     kd_consequents: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for lo, hi in (self.kp_bounds, self.kd_bounds):
-            if lo > hi:
-                raise FuzzyConfigError(f"bounds must satisfy lower <= upper, got ({lo}, {hi})")
-        for name, idx, (lo, hi) in (("kp_consequents", _KP_INDEX, self.kp_bounds),
-                                    ("kd_consequents", _KD_INDEX, self.kd_bounds)):
-            object.__setattr__(self, name, np.linspace(lo, hi, 5)[idx])
+        for name, idx, (lo, hi) in (("kp", _KP_INDEX, self.kp_bounds),
+                                    ("kd", _KD_INDEX, self.kd_bounds)):
+            _check_bounds(name, lo, hi)
+            c = np.linspace(lo, hi, 5)[idx]
+            object.__setattr__(self, f"{name}_consequents", c)
+            object.__setattr__(self, f"_{name}", tuple(
+                tuple(c[i:i + 2, j:j + 2].ravel().tolist())
+                for i in range(4) for j in range(4)))
 
 
 @dataclass(frozen=True)
@@ -124,9 +143,7 @@ class FlrBounds:
 
     def __post_init__(self):
         for name in ("dkp1", "dkd1", "dkp2", "dkd2"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise FuzzyConfigError(f"{name} bounds must be ordered, got ({lo}, {hi})")
+            _check_bounds(name, *getattr(self, name))
 
     @staticmethod
     def ordered(dkp1, dkd1, dkp2, dkd2) -> "FlrBounds":
@@ -136,17 +153,19 @@ class FlrBounds:
         return FlrBounds(fix(dkp1), fix(dkd1), fix(dkp2), fix(dkd2))
 
 
-def firing_strengths(e: float, de: float) -> np.ndarray:
-    """Normalized rule activations as a 5x5 array (rows: ERROR_SCALE terms
-    of e, columns: RATE_SCALE terms of de); non-negative and summing to 1,
-    or all NaN when e or de is NaN.  Some term of each scale grades at
-    least 1/2 at any clamped input, so the total is never 0."""
-    w = np.outer(ERROR_SCALE.grades(e), RATE_SCALE.grades(de))
-    return w / w.sum()
-
-
 def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
-    """Sugeno output (dkp, dkd): firing-strength-weighted singleton average."""
-    w = firing_strengths(e, de)
-    return (float(np.sum(w * rb.kp_consequents)),
-            float(np.sum(w * rb.kd_consequents)))
+    """Sugeno output (dkp, dkd): firing-strength-weighted singleton average,
+    np.sum(w / w.sum() * consequents) for the outer product w of the grades,
+    bit for bit: over the block that can fire, in np.sum's order, and 0.0
+    for a zero sum, as np.sum starts from 0.0."""
+    i, e0, e1 = ERROR_SCALE.terms(e)
+    j, d0, d1 = RATE_SCALE.terms(de)
+    o = 4 * i + j
+    add = _BLOCK_SUM[o]
+    w00, w01, w10, w11 = e0 * d0, e0 * d1, e1 * d0, e1 * d1
+    s = add(w00, w01, w10, w11)
+    w00, w01, w10, w11 = w00 / s, w01 / s, w10 / s, w11 / s
+    p00, p01, p10, p11 = rb._kp[o]
+    q00, q01, q10, q11 = rb._kd[o]
+    return (add(w00 * p00, w01 * p01, w10 * p10, w11 * p11) or 0.0,
+            add(w00 * q00, w01 * q01, w10 * q10, w11 * q11) or 0.0)

@@ -234,6 +234,23 @@ def test_analyze_overflowing_gains_is_one_line_usage_error(tmp_path, capsys,
     assert "overflows for GainSet(kp1=" in err[0]
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_overflowing_regulator_width_is_one_line_usage_error(tmp_path, capsys,
+                                                             command):
+    """Bounds whose width hi - lo overflows: one error line, exit 1, and no
+    numpy warning (which the suite turns into an error), where simulate
+    used to report NaN singletons as a divergence and analyze a verdict."""
+    gfile = tmp_path / "wide.txt"
+    gfile.write_text("kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n"
+                     "dkp1_lo = -1e308\ndkp1_hi = 1e308\n")
+    out = str(tmp_path / "wide")
+    assert run([command, "--out", out, "--gains", str(gfile)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dkp1 bounds")
+    assert "overflow" in err[0] and captured.out == ""
+
+
 @pytest.mark.parametrize("flags", [[], ["--disturbance", "uniform"]],
                          ids=["off", "uniform"])
 def test_negative_seed_is_one_line_usage_error(tmp_path, capsys, flags):

@@ -1,14 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexjoint.fuzzy import (ERROR_SCALE, KD_RULES, KP_RULES, RATE_SCALE,
-                             TERMS, FlrBounds, FuzzyConfigError,
-                             LinguisticScale, RuleBase, firing_strengths,
-                             infer)
+from flexjoint.fuzzy import (_BLOCK_SUM, ERROR_SCALE, KD_RULES, KP_RULES,
+                             RATE_SCALE, TERMS, FlrBounds, FuzzyConfigError,
+                             LinguisticScale, RuleBase, infer)
 
 IDX = {t: i for i, t in enumerate(TERMS)}
 
@@ -29,7 +29,7 @@ def _ref_grade(left, peak, right, x):
 
 
 def _ref_grades(scale, x):
-    x = scale.clamp(x)
+    x = min(max(x, scale.lo), scale.hi)
     p = [float(v) for v in np.linspace(scale.lo, scale.hi, 5)]
     return np.array([_ref_grade(p[max(i - 1, 0)], p[i], p[min(i + 1, 4)], x)
                      for i in range(5)])
@@ -143,6 +143,25 @@ def test_singletons_evenly_spaced():
 # ---------------------------------------------------------------------------
 # inference
 
+def firing_strengths(e, de):
+    """The dense 5x5 normalized rule activations (rows: ERROR_SCALE terms of
+    e, columns: RATE_SCALE terms of de), the formula infer evaluated before
+    it summed only the 2x2 block of rules that can fire."""
+    w = np.outer(ERROR_SCALE.grades(e), RATE_SCALE.grades(de))
+    return w / w.sum()
+
+
+def dense_infer(rb, e, de):
+    """infer's former numpy formula, the oracle of the bitwise tests."""
+    w = firing_strengths(e, de)
+    return (float(np.sum(w * rb.kp_consequents)),
+            float(np.sum(w * rb.kd_consequents)))
+
+
+def _bits(pair):
+    return struct.pack("<2d", *pair)
+
+
 @given(e=st.floats(-10, 10, allow_nan=False), de=st.floats(-20, 20, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_firing_strengths_normalized(e, de):
@@ -179,10 +198,15 @@ def test_outputs_bounded(e, de):
     assert -3.228 - 1e-12 <= dkd <= 0.1 + 1e-12
 
 
-@pytest.mark.parametrize("e,de", [(math.nan, 0.0), (0.0, math.nan)])
+@pytest.mark.parametrize("e,de", [
+    (math.nan, 0.0), (0.0, math.nan),
+    pytest.param(-math.nan, 0.0, id="negative-nan-0.0"),
+    pytest.param(0.3, -math.nan, id="0.3-negative-nan")])
 def test_nan_input_gives_nan_output(bounds, e, de):
     rb = RuleBase(bounds.dkp1, bounds.dkd1)
     assert all(math.isnan(v) for v in infer(rb, e, de))
+    # a NaN of either sign grades as np.nan, so both outputs have its bits
+    assert _bits(infer(rb, e, de)) == _bits((np.nan, np.nan))
 
 
 def test_zero_width_bounds_give_zero_output():
@@ -199,12 +223,71 @@ def test_antisymmetric_response():
     assert dkd_n == pytest.approx(-dkd_p, abs=1e-12)
 
 
+def _inputs(scale):
+    return st.one_of(_peaks_and_neighbours(scale),
+                     st.floats(2.0 * scale.lo, 2.0 * scale.hi), st.floats(),
+                     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+_VALUE = st.floats(-1e3, 1e3)
+_BOUNDS = st.one_of(
+    st.tuples(_VALUE, _VALUE).map(lambda p: (min(p), max(p))),
+    _VALUE.map(lambda v: (v, v)),                       # zero width
+    st.floats(0.0, 8e307).map(lambda v: (-v, v)),       # symmetric: cancels
+    st.tuples(st.floats(-8e307, 8e307), st.floats(-8e307, 8e307))
+    .map(lambda p: (min(p), max(p))),                   # wide
+    st.sampled_from([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1.0, -0.0),
+                     (-8e307, 8e307)]))
+
+
+@given(kp=_BOUNDS, kd=_BOUNDS, e=_inputs(ERROR_SCALE), de=_inputs(RATE_SCALE))
+@settings(max_examples=1000, deadline=None)
+def test_infer_matches_dense_formula_bitwise(kp, kd, e, de):
+    """infer has the bits of the dense numpy formula, signed zeros and NaN
+    included, at and next to the peaks, outside the scales and at +-inf,
+    for zero-width, symmetric and wide bounds."""
+    rb = RuleBase(kp, kd)
+    assert _bits(infer(rb, e, de)) == _bits(dense_infer(rb, e, de))
+
+
+def test_block_sum_follows_numpy_order():
+    """_BLOCK_SUM[4i + j] adds the 2x2 block at (i, j) of an otherwise zero
+    5x5 table with the bits of np.sum over the whole table."""
+    rng = np.random.default_rng(5)
+    for origin, add in enumerate(_BLOCK_SUM):
+        i, j = divmod(origin, 4)
+        for _ in range(500):
+            table = np.zeros((5, 5))
+            table[i:i + 2, j:j + 2] = (rng.standard_normal((2, 2))
+                                       * 10.0 ** rng.integers(-8, 9, (2, 2)))
+            block = table[i:i + 2, j:j + 2].ravel().tolist()
+            assert struct.pack("<d", add(*block)) == struct.pack("<d", np.sum(table))
+
+
+def test_zero_output_is_positive_zero():
+    # every 0.0 * c is -0.0 for bounds (-1.0, -0.0), and at the PB corner
+    # every product is -0.0 too; np.sum starts from 0.0 and gives +0.0
+    rb = RuleBase((-1.0, -0.0), (-1.0, -0.0))
+    assert _bits(infer(rb, math.pi, 5.0)) == _bits((0.0, -1.0))
+    assert _bits(dense_infer(rb, math.pi, 5.0)) == _bits((0.0, -1.0))
+
+
 # ---------------------------------------------------------------------------
 # bounds container
 
 def test_flr_bounds_validation():
     with pytest.raises(FuzzyConfigError):
         FlrBounds(dkp1=(1.0, -1.0))
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 1.0), (0.0, math.inf),
+                                  (-math.inf, math.inf), (-1e308, 1e308)])
+def test_nonfinite_or_overflowing_bounds_rejected(pair):
+    # np.linspace over a width that overflows gives NaN singletons
+    with pytest.raises(FuzzyConfigError, match="dkd2 bounds"):
+        FlrBounds(dkd2=pair)
+    with pytest.raises(FuzzyConfigError, match="kd bounds"):
+        RuleBase((0.0, 1.0), pair)
 
 
 def test_flr_bounds_order_repair():

@@ -9,7 +9,10 @@ from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.stats import qmc
 
-from flexjoint.control import TRAJ_COLUMNS, Trajectory
+from flexjoint.analysis import state_matrix
+from flexjoint.cli import main, read_csv
+from flexjoint.control import TRAJ_COLUMNS, GainSet, Trajectory
+from flexjoint.plant import PlantParams
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, Dataset, Domain, GpModel,
                               TunerConfig, _lbfgsb,
@@ -628,3 +631,19 @@ def test_tracking_cost_needs_enough_records():
                       final_state=State(0, 0, 0, 0))
     with pytest.raises(ValueError):
         tracking_cost(traj)
+
+
+def test_most_pd_episodes_diverge(tmp_path):
+    """DISCREPANCIES.md section 5: in the first 30 episodes of the default
+    pd tune, 26 score FAILED_COST, and 13 of those gain sets already have
+    an eigenvalue with a positive real part in the exact g = 0
+    linearization.  Pinned so that a change to the tuner that moves these
+    counts has to say so."""
+    out = str(tmp_path / "pd30")
+    assert main(["tune", "--stage", "pd", "--episodes", "30",
+                 "--out", out]) == 0
+    header, rows = read_csv(out + "_history.csv")
+    gains = rows[:, 1:5][rows[:, header.index("y")] == FAILED_COST]
+    unstable = [np.linalg.eigvals(state_matrix(PlantParams(), GainSet(*g)))
+                .real.max() > 0.0 for g in gains]
+    assert (len(rows), len(gains), sum(unstable)) == (30, 26, 13)

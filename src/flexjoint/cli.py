@@ -224,6 +224,8 @@ def cmd_tune(args) -> int:
     sim = _sim_config(args)
     ref = Reference(kind="square")
     dist = _disturbance(args, args.disturbance)
+    if args.tuner_seed < 0:
+        raise CliError(f"--tuner-seed must be >= 0, got {args.tuner_seed}")
     config = TunerConfig(T=args.episodes, n_init=args.n_init, h=args.ucb_h,
                          seed=args.tuner_seed)
     if (args.stage == "flr") != bool(args.gains):

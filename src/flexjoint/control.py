@@ -110,18 +110,6 @@ class Diagnostics(NamedTuple):
     kd2_eff: float
 
 
-def pd(kp: float, kd: float, e: float, e_dot: float) -> float:
-    """Proportional-derivative law kp*e + kd*e_dot."""
-    return kp * e + kd * e_dot
-
-
-def motor_reference(params: PlantParams, x1: float, u_pd1: float) -> float:
-    """Motor angle x3d that makes the link equation deliver u_pd1:
-    x3d = u_pd1*I_l/k + x1 + mgl*cos(x1)/k."""
-    p = params
-    return u_pd1 * p.I_l / p.k + x1 + p.mgl * math.cos(x1) / p.k
-
-
 @dataclass(frozen=True)
 class Controller:
     """Value object bundling a controller kind with its parameters.
@@ -146,37 +134,40 @@ class Controller:
 
     def torque(self, params: PlantParams, s: State,
                ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
-        """Torque and diagnostics at state s for reference (x1d, x1d_dot, _).
+        """Torque and diagnostics at state s for reference (x1d, x1d_dot, _):
+        ``_law`` on the floats of s, its tail wrapped as Diagnostics."""
+        u, *diag = self._law(params.I_l, params.k, params.mgl, s.x1, s.x2,
+                             s.x3, s.x4, ref[0], ref[1], math.cos(s.x1))
+        return u, Diagnostics(*diag)
 
-        SINGLE_PD is the reduced-order baseline: one PD on the link error
-        with single_gains, no reference shaping and no compensation.  Every
-        other kind is the cascade u = u_pd2 + u_pd1*I_l + mgl*cos(x1); a
-        loop with a regulator adds its (dkp, dkd) output to its PD gains,
-        loop 1 feeding it (e1, e2) and loop 2 (e3, e4).
-        """
-        x1d, x1d_dot, _ = ref
-        e1 = x1d - s.x1
-        e2 = x1d_dot - s.x2
+    def _law(self, I_l, k, mgl, x1, x2, x3, x4, x1d, x1d_dot, cos_x1):
+        """(u, *Diagnostics fields) on floats, cos_x1 = cos(x1).  SINGLE_PD
+        is the reduced-order baseline: one PD on the link error with
+        single_gains, no reference shaping and no compensation.  Every other
+        kind is the cascade u = u_pd2 + u_pd1*I_l + mgl*cos(x1), u_pd2 a PD
+        tracking x3d; a loop with a regulator adds its (dkp, dkd) output to
+        its PD gains, loop 1 feeding it (e1, e2) and loop 2 (e3, e4)."""
+        e1 = x1d - x1
+        e2 = x1d_dot - x2
         if self.kind is ControllerKind.SINGLE_PD:
             kp, kd = self.single_gains
-            u = pd(kp, kd, e1, e2)
-            nan = float("nan")
-            return u, Diagnostics(u, nan, e1, e2, nan, nan, kp, kd, nan, nan)
-        kp1, kd1 = self.gains.kp1, self.gains.kd1
+            u = kp * e1 + kd * e2
+            nan = math.nan
+            return u, u, nan, e1, e2, nan, nan, kp, kd, nan, nan
+        g = self.gains
+        kp1, kd1, kp2, kd2 = g.kp1, g.kd1, g.kp2, g.kd2
         if self.loop1 is not None:
             dkp1, dkd1 = infer(self.loop1, e1, e2)
             kp1, kd1 = kp1 + dkp1, kd1 + dkd1
-        u_pd1 = pd(kp1, kd1, e1, e2)
-        x3d = motor_reference(params, s.x1, u_pd1)
-        e3 = x3d - s.x3
-        e4 = 0.0 - s.x4  # x3d rate fixed to zero
-        kp2, kd2 = self.gains.kp2, self.gains.kd2
+        u_pd1 = kp1 * e1 + kd1 * e2
+        x3d = u_pd1 * I_l / k + x1 + mgl * cos_x1 / k
+        e3 = x3d - x3
+        e4 = 0.0 - x4  # x3d rate fixed to zero
         if self.loop2 is not None:
             dkp2, dkd2 = infer(self.loop2, e3, e4)
             kp2, kd2 = kp2 + dkp2, kd2 + dkd2
-        u_pd2 = pd(kp2, kd2, e3, e4)
-        u = u_pd2 + u_pd1 * params.I_l + params.mgl * math.cos(s.x1)
-        return u, Diagnostics(u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
+        u = kp2 * e3 + kd2 * e4 + u_pd1 * I_l + mgl * cos_x1
+        return u, u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2
 
 
 TRAJ_COLUMNS = ("t", "x1", "x2", "x3", "x4", "x1d", "x3d", "u",
@@ -215,63 +206,76 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     """Run the closed loop with zero-order-hold torque, starting from rest.
 
     The torque is recomputed every control_dt and held over the
-    control_dt/sim_dt Euler sub-steps.  Disturbances are indexed by sim step
-    (or by control step under the per-control-step hold) and read from the
-    ``disturbance_draws`` memo.  The sub-steps run on plain floats and are
-    bit-identical to ``euler_step``: each coefficient of ``derivatives`` is
-    computed once, with the association used there.  Raises
+    control_dt/sim_dt Euler sub-steps.  The loop runs on plain floats, from
+    the controller's law (``Controller.torque`` wraps it) to one flat list
+    of rows.  Disturbances are indexed by sim step (or by control step under
+    the per-control-step hold) and read from the ``disturbance_draws`` memo
+    one control period at a time; the memo grows only as a sub-step's index
+    reaches its end.  The sub-steps are bit-identical to ``euler_step``,
+    with each coefficient of ``derivatives`` computed once.  Raises
     DivergedTrajectory before integrating a non-finite torque, and as soon
     as any state component is NaN or its magnitude exceeds 1e6.
     """
-    p = params
-    a_grav = -p.mgl / p.I_l
-    k_l = p.k / p.I_l
-    k_m = p.k / p.I_m
-    mu_m = p.mu / p.I_m
+    I_l, I_m, k, mgl = params.I_l, params.I_m, params.k, params.mgl
+    a_grav = -mgl / I_l
+    k_l = k / I_l
+    k_m = k / I_m
+    mu_m = params.mu / I_m
     dt = sim.sim_dt
     sub = sim.substeps
     lim = DIVERGENCE_LIMIT
-    draws = disturbance_draws(dist, 0) if dist.kind != "off" else None
+    law = controller._law
+    cos = math.cos
+    off = dist.kind == "off"
     per_control = dist.hold == "per-control-step"
-    d1 = d2 = 0.0
+    draws = ((0.0, 0.0),) * sub if off else disturbance_draws(dist, 0)
     x1 = x2 = x3 = x4 = 0.0
-    rows: list[tuple] = []
-    sim_step = 0
+    c = cos(x1)
+    rows: list[float] = []
     for n in range(sim.n_control_steps):
-        s = State(x1, x2, x3, x4)
         t = n * sim.control_dt
-        r = ref(t)
-        u, diag = controller.torque(params, s, r)
+        x1d, x1d_dot, _ = ref(t)
+        (u, _, x3d, e1, e2, e3, e4,
+         kp1, kd1, kp2, kd2) = law(I_l, k, mgl, x1, x2, x3, x4, x1d, x1d_dot, c)
+        base = n * sub
         if not math.isfinite(u):
-            raise DivergedTrajectory(sim_step, t, s, f"non-finite torque {u!r}")
-        rows.append((t, x1, x2, x3, x4, r[0], diag.x3d, u, *diag[2:]))
-        u_m = u / p.I_m
-        for _ in range(sub):
-            if draws is not None:
-                i = n if per_control else sim_step
-                if i >= len(draws):
-                    draws = disturbance_draws(dist, i + 1)
-                d1, d2 = draws[i]
+            raise DivergedTrajectory(base, t, State(x1, x2, x3, x4),
+                                     f"non-finite torque {u!r}")
+        rows += (t, x1, x2, x3, x4, x1d, x3d, u, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
+        if off:
+            ds = draws
+        elif per_control:
+            if n >= len(draws):
+                draws = disturbance_draws(dist, n + 1)
+            ds = (draws[n],) * sub
+        else:
+            ds = draws[base:base + sub]
+            if len(ds) < sub:   # the table ends inside this period
+                ds = (disturbance_draws(dist, i + 1)[i]
+                      for i in range(base, base + sub))
+        u_m = u / I_m
+        for j, (d1, d2) in enumerate(ds, base + 1):
             # derivatives(), term by term; then s + dt * f, no fused multiply-add
             q = x1 - x3
-            dx2 = a_grav * math.cos(x1) - k_l * q + d1
+            dx2 = a_grav * c - k_l * q + d1
             dx4 = k_m * q - mu_m * x4 + u_m + d2
             y1 = x1 + dt * x2
             y2 = x2 + dt * dx2
             y3 = x3 + dt * x4
             y4 = x4 + dt * dx4
-            sim_step += 1
-            if not (abs(y1) <= lim and abs(y2) <= lim
-                    and abs(y3) <= lim and abs(y4) <= lim):
-                t = sim_step * dt
+            # chained comparisons are false for NaN, as abs(y) <= lim is
+            if not (-lim <= y1 <= lim and -lim <= y2 <= lim
+                    and -lim <= y3 <= lim and -lim <= y4 <= lim):
                 if all(map(math.isfinite, (y1, y2, y3, y4))):
-                    raise DivergedTrajectory(sim_step, t, State(y1, y2, y3, y4))
-                raise DivergedTrajectory(sim_step, t, State(x1, x2, x3, x4),
+                    raise DivergedTrajectory(j, j * dt, State(y1, y2, y3, y4))
+                raise DivergedTrajectory(j, j * dt, State(x1, x2, x3, x4),
                                          "non-finite state")
             x1, x2, x3, x4 = y1, y2, y3, y4
+            c = cos(x1)
     s = State(x1, x2, x3, x4)
     if not rows:
         r = ref(0.0)
         u, diag = controller.torque(params, s, r)
-        rows.append((0.0, x1, x2, x3, x4, r[0], diag.x3d, u, *diag[2:]))
-    return Trajectory(np.array(rows, dtype=float), final_state=s)
+        rows += (0.0, x1, x2, x3, x4, r[0], diag.x3d, u, *diag[2:])
+    data = np.array(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
+    return Trajectory(data, final_state=s)

@@ -77,13 +77,6 @@ class LinguisticScale:
             return i, 1.0, 0.0
         return i, (b - x) / (b - a), (x - a) / (b - a)
 
-    def grades(self, x: float) -> np.ndarray:
-        """Memberships of x in the five terms: terms(x), 0.0 elsewhere."""
-        i, gi, gj = self.terms(x)
-        g = np.zeros(5) if gi == gi else np.full(5, gi)
-        g[i:i + 2] = gi, gj
-        return g
-
 
 # Input domains: angular error in rad, angular-velocity error in rad/s.
 ERROR_SCALE = LinguisticScale(-np.pi, np.pi)
@@ -111,22 +104,19 @@ _BLOCK_SUM = tuple(_ORDERS[k] for k in (0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 2, 0
 class RuleBase:
     """Output bounds of one regulator (dkp and dkd) over KP_RULES/KD_RULES.
 
-    kp_consequents[i, j] is the singleton that rule (e term i, de term j)
-    outputs for dkp; kd_consequents likewise for dkd.  _kp and _kd hold
-    their 2x2 blocks at origins 4i + j as tuples of floats.
+    The singleton that rule (e term i, de term j) outputs for dkp is
+    np.linspace(*kp_bounds, 5)[_KP_INDEX][i, j]; _kp holds that table's
+    2x2 blocks at origins 4i + j as tuples of floats, _kd likewise for dkd.
     """
 
     kp_bounds: tuple[float, float]
     kd_bounds: tuple[float, float]
-    kp_consequents: np.ndarray = field(init=False, compare=False, repr=False)
-    kd_consequents: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name, idx, (lo, hi) in (("kp", _KP_INDEX, self.kp_bounds),
                                     ("kd", _KD_INDEX, self.kd_bounds)):
             _check_bounds(name, lo, hi)
             c = np.linspace(lo, hi, 5)[idx]
-            object.__setattr__(self, f"{name}_consequents", c)
             object.__setattr__(self, f"_{name}", tuple(
                 tuple(c[i:i + 2, j:j + 2].ravel().tolist())
                 for i in range(4) for j in range(4)))

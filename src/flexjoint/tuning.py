@@ -103,7 +103,8 @@ class Dataset:
 @dataclass(frozen=True)
 class TunerConfig:
     """SMBO settings: T total episodes, n_init initial Latin-hypercube
-    samples, h the UCB exploration coefficient.
+    samples, h the UCB exploration coefficient, seed an int >= 0 (not a
+    bool).
 
     h lies in [0, 1e6]: the GP-UCB coefficient is non-negative, and the
     posterior stddev is at most 10 times the costs' standard deviation
@@ -120,6 +121,9 @@ class TunerConfig:
             raise ValueError("need n_init >= 1 and T >= n_init")
         if not 0.0 <= self.h <= 1e6:
             raise ValueError(f"h must be finite and in [0, 1e6], got {self.h}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise ValueError(f"tuner seed must be an int >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -236,9 +236,10 @@ def _partition_and_boundedness() -> bool:
     rb = RuleBase(TUNED_FLR_BOUNDS.dkp1, TUNED_FLR_BOUNDS.dkd1)
     for _ in range(500):
         e, de = rng.uniform(-10, 10), rng.uniform(-20, 20)
-        if abs(ERROR_SCALE.grades(e).sum() - 1.0) > 1e-9:
+        # the grades of the two terms that can fire; the others are 0.0
+        if abs(sum(ERROR_SCALE.terms(e)[1:]) - 1.0) > 1e-9:
             return False
-        if abs(RATE_SCALE.grades(de).sum() - 1.0) > 1e-9:
+        if abs(sum(RATE_SCALE.terms(de)[1:]) - 1.0) > 1e-9:
             return False
         dkp, dkd = infer(rb, e, de)
         if not (-11.61 - 1e-9 <= dkp <= 15.27 + 1e-9):

@@ -261,6 +261,15 @@ def test_negative_seed_is_one_line_usage_error(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+def test_negative_tuner_seed_is_one_line_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "nt")
+    assert run(["tune", "--stage", "pd", "--out", out, "--episodes", "2",
+                "--n-init", "2", "--tuner-seed", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --tuner-seed must be >= 0, got -1"]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--seed", "3"],
                                    ["--sim-dt", "-1"], ["--control-dt", "1"]],
                          ids=" ".join)

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexjoint import plant
+from flexjoint import control, plant
 from flexjoint.cli import TUNED_FLR_BOUNDS
 from flexjoint.control import (DIVERGENCE_LIMIT, TRAJ_COLUMNS, Controller,
                                ControllerKind, Diagnostics, DivergedTrajectory,
-                               GainSet, Reference, motor_reference, pd,
-                               simulate)
+                               GainSet, Reference, simulate)
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import (DISTURBANCE_TABLES, DRAW_BLOCK, DisturbanceModel,
                              PlantError, PlantParams, SimConfig, State,
@@ -26,18 +26,56 @@ def _state(traj, n):
 # ---------------------------------------------------------------------------
 # control-law pieces
 
+def pd(kp, kd, e, e_dot):
+    """Proportional-derivative law kp*e + kd*e_dot: the oracle of the
+    control law's PD terms."""
+    return kp * e + kd * e_dot
+
+
+def motor_reference(params, x1, u_pd1):
+    """Motor angle x3d that makes the link equation deliver u_pd1:
+    x3d = u_pd1*I_l/k + x1 + mgl*cos(x1)/k."""
+    p = params
+    return u_pd1 * p.I_l / p.k + x1 + p.mgl * math.cos(x1) / p.k
+
+
+def _single_pd(kp, kd, e, de):
+    """The single-PD torque on link error e and error rate de."""
+    u, _ = Controller(ControllerKind.SINGLE_PD, single_gains=(kp, kd)).torque(
+        PlantParams(), State(0.0, 0.0, 0.0, 0.0), (e, de, 0.0))
+    return u
+
+
 @given(kp=st.floats(0, 100), kd=st.floats(0, 100), e=finite, de=finite,
        a=st.floats(-10, 10))
 @settings(max_examples=200, deadline=None)
 def test_pd_linear(kp, kd, e, de, a):
-    assert pd(kp, kd, a * e, a * de) == pytest.approx(a * pd(kp, kd, e, de),
-                                                      rel=1e-9, abs=1e-9)
+    assert _single_pd(kp, kd, e, de) == pd(kp, kd, e, de)
+    assert _single_pd(kp, kd, a * e, a * de) == pytest.approx(
+        a * _single_pd(kp, kd, e, de), rel=1e-9, abs=1e-9)
 
 
-def test_motor_reference_at_rest(params):
+def test_motor_reference_at_rest(params, gains):
     # frozen from 40-digit decimal arithmetic: mgl/k
-    assert motor_reference(params, 0.0, 0.0) == pytest.approx(0.05000352,
-                                                              rel=1e-12)
+    _, d = Controller(ControllerKind.CASCADED_PD, gains).torque(
+        params, State(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert d.u_pd1 == 0.0
+    assert d.x3d == motor_reference(params, 0.0, 0.0)
+    assert d.x3d == pytest.approx(0.05000352, rel=1e-12)
+
+
+@given(s=st.tuples(finite, finite, finite, finite), ref=st.tuples(finite, finite))
+@settings(max_examples=200, deadline=None)
+def test_cascade_is_the_oracle_composition_bitwise(s, ref):
+    """u = pd2 + pd1*I_l + mgl*cos(x1) with x3d = motor_reference, bit for
+    bit, for the plain cascade."""
+    p, g = PlantParams(), GainSet()
+    u, d = _torque(ControllerKind.CASCADED_PD, p, g, State(*s), (*ref, 0.0))
+    u_pd1 = pd(g.kp1, g.kd1, ref[0] - s[0], ref[1] - s[1])
+    x3d = motor_reference(p, s[0], u_pd1)
+    u_pd2 = pd(g.kp2, g.kd2, x3d - s[2], 0.0 - s[3])
+    assert (d.u_pd1, d.x3d) == (u_pd1, x3d)
+    assert u == u_pd2 + u_pd1 * p.I_l + p.mgl * math.cos(s[0])
 
 
 def test_gain_set_validation():
@@ -340,6 +378,66 @@ def test_diverged_episode_draws_no_further(params, draws):
                  Reference("square"), DisturbanceModel("uniform", 7.5, 2_000_002))
     blocks = math.ceil(exc.value.sim_step / DRAW_BLOCK)
     assert 0 < len(draws) <= blocks * DRAW_BLOCK
+
+
+@pytest.fixture
+def fresh_memo():
+    """Empty the disturbance memo before and after the test."""
+    plant._draw_table.cache_clear()
+    yield plant._draw_table.cache_clear
+    plant._draw_table.cache_clear()
+
+
+@pytest.mark.parametrize("hold", ["per-sim-step", "per-control-step"])
+def test_draws_grow_exactly_across_block_edges(params, gains, draws, fresh_memo,
+                                               monkeypatch, hold):
+    """With a block of 7 indices, which does not divide the 10 sub-steps of
+    a control period, a diverging episode draws only up to the block that
+    holds its last index, and every outcome has the bits of the default
+    block size."""
+    sim = SimConfig(horizon=100.0)
+    dist = DisturbanceModel("uniform", 7.5, 2_000_003, hold)
+
+    def outcomes():
+        fresh_memo()
+        draws.clear()
+        with pytest.raises(DivergedTrajectory) as exc:
+            simulate(params, sim, Controller(ControllerKind.SINGLE_PD),
+                     Reference("square"), dist)
+        drawn = list(draws)
+        traj = simulate(params, SimConfig(horizon=3.0),
+                        Controller(ControllerKind.CASCADED_PD, gains),
+                        Reference("square"), dist)
+        return exc.value, drawn, traj
+
+    expected, _, expected_traj = outcomes()
+    monkeypatch.setattr(plant, "DRAW_BLOCK", 7)
+    diverged, drawn, traj = outcomes()
+    last = diverged.sim_step - 1          # the index of the diverging sub-step
+    if hold == "per-control-step":
+        last //= sim.substeps
+    assert drawn == list(range((last // 7 + 1) * 7))
+    assert (diverged.sim_step, diverged.state) == (expected.sim_step,
+                                                   expected.state)
+    assert traj.data.tobytes() == expected_traj.data.tobytes()
+
+
+def test_simulate_builds_no_per_step_objects(params, sim, gains, bounds,
+                                             monkeypatch):
+    """A run builds one State, the final one, and no Diagnostics."""
+    made = collections.Counter()
+    for cls in (State, Diagnostics):
+        def counting(*args, cls=cls):
+            made[cls.__name__] += 1
+            return cls(*args)
+        monkeypatch.setattr(control, cls.__name__, counting)
+    for kind in (ControllerKind.CASCADED_PD, ControllerKind.FUZZY_CASCADED):
+        made.clear()
+        traj = simulate(params, sim, Controller(kind, gains, bounds),
+                        Reference("square"),
+                        DisturbanceModel("uniform", 10.0, 3))
+        assert len(traj) == 200
+        assert made == {"State": 1}
 
 
 def test_disturbance_memo_is_bounded(params, gains, draws):

@@ -6,15 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexjoint.fuzzy import (_BLOCK_SUM, ERROR_SCALE, KD_RULES, KP_RULES,
-                             RATE_SCALE, TERMS, FlrBounds, FuzzyConfigError,
-                             LinguisticScale, RuleBase, infer)
+from flexjoint.fuzzy import (_BLOCK_SUM, _KD_INDEX, _KP_INDEX, ERROR_SCALE,
+                             KD_RULES, KP_RULES, RATE_SCALE, TERMS, FlrBounds,
+                             FuzzyConfigError, LinguisticScale, RuleBase, infer)
 
 IDX = {t: i for i, t in enumerate(TERMS)}
 
 
 # ---------------------------------------------------------------------------
 # membership functions
+
+def grades(scale, x):
+    """Memberships of x in the five terms of scale: scale.terms(x) spread
+    over five cells, 0.0 elsewhere (NaN everywhere for a NaN x)."""
+    i, gi, gj = scale.terms(x)
+    g = np.zeros(5) if gi == gi else np.full(5, gi)
+    g[i:i + 2] = gi, gj
+    return g
+
 
 def _ref_grade(left, peak, right, x):
     """Membership of x in one triangle, as fuzzy.grade computed it before
@@ -39,19 +48,19 @@ SCALE = LinguisticScale(-2.0, 2.0)
 
 
 def test_grade_frozen_values():
-    assert SCALE.grades(0.0).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
-    assert SCALE.grades(1.0).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
-    assert SCALE.grades(0.5).tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
-    assert SCALE.grades(-0.25).tolist() == [0.0, 0.25, 0.75, 0.0, 0.0]
+    assert grades(SCALE, 0.0).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    assert grades(SCALE, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+    assert grades(SCALE, 0.5).tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
+    assert grades(SCALE, -0.25).tolist() == [0.0, 0.25, 0.75, 0.0, 0.0]
 
 
 def test_degenerate_flank_never_fires():
     # NB and PB are half-triangles: beyond an edge only the edge term fires
-    assert SCALE.grades(-2.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert SCALE.grades(-1.5).tolist() == [0.5, 0.5, 0.0, 0.0, 0.0]
-    assert SCALE.grades(-2.1).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert SCALE.grades(7.0).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
-    assert SCALE.grades(-np.inf).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert grades(SCALE, -2.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert grades(SCALE, -1.5).tolist() == [0.5, 0.5, 0.0, 0.0, 0.0]
+    assert grades(SCALE, -2.1).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert grades(SCALE, 7.0).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert grades(SCALE, -np.inf).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def _peaks_and_neighbours(scale):
@@ -63,14 +72,14 @@ def _peaks_and_neighbours(scale):
 @given(data=st.data(), scale=st.sampled_from([ERROR_SCALE, RATE_SCALE]))
 @settings(max_examples=500, deadline=None)
 def test_grades_match_per_triangle_grade_bitwise(data, scale):
-    """The scale's grades equal the per-triangle formula bit for bit, on
-    and next to the peaks, at +-0.0, +-inf and on draws inside and
-    outside the domain."""
+    """The scale's terms, spread over five cells, equal the per-triangle
+    formula bit for bit, on and next to the peaks, at +-0.0, +-inf and on
+    draws inside and outside the domain."""
     x = data.draw(st.one_of(
         st.floats(allow_nan=False), _peaks_and_neighbours(scale),
         st.floats(2.0 * scale.lo, 2.0 * scale.hi),
         st.sampled_from([0.0, -0.0, np.inf, -np.inf])))
-    assert scale.grades(x).tobytes() == _ref_grades(scale, x).tobytes()
+    assert grades(scale, x).tobytes() == _ref_grades(scale, x).tobytes()
 
 
 def test_scale_peaks_evenly_spaced():
@@ -87,13 +96,13 @@ def test_scale_validation():
 @given(x=st.floats(-math.pi, math.pi, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_partition_of_unity(x):
-    assert ERROR_SCALE.grades(x).sum() == pytest.approx(1.0, abs=1e-9)
+    assert grades(ERROR_SCALE, x).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @given(x=st.floats(-100, 100, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_clamped_inputs_still_partition(x):
-    g = RATE_SCALE.grades(x)
+    g = grades(RATE_SCALE, x)
     assert np.all(g >= 0.0)
     assert g.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -133,10 +142,22 @@ def test_rule_base_validation():
         RuleBase((0.0, 1.0), (1.0, 0.0))
 
 
+def consequents(bounds, index):
+    """The 5x5 singleton table of one gain: np.linspace(lo, hi, 5) indexed
+    by the rule table's term indices."""
+    return np.linspace(*bounds, 5)[index]
+
+
+def _cell(blocks, i, j):
+    """Singleton of rule (i, j) read from a rule base's 2x2 blocks."""
+    a, b = min(i, 3), min(j, 3)
+    return blocks[4 * a + b][2 * (i - a) + (j - b)]
+
+
 def test_singletons_evenly_spaced():
     rb = RuleBase((-2.0, 2.0), (0.0, 1.0))
     cell = {t: (i, j) for i, row in enumerate(KP_RULES) for j, t in enumerate(row)}
-    np.testing.assert_allclose([rb.kp_consequents[cell[t]] for t in TERMS],
+    np.testing.assert_allclose([_cell(rb._kp, *cell[t]) for t in TERMS],
                                [-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
@@ -147,15 +168,15 @@ def firing_strengths(e, de):
     """The dense 5x5 normalized rule activations (rows: ERROR_SCALE terms of
     e, columns: RATE_SCALE terms of de), the formula infer evaluated before
     it summed only the 2x2 block of rules that can fire."""
-    w = np.outer(ERROR_SCALE.grades(e), RATE_SCALE.grades(de))
+    w = np.outer(grades(ERROR_SCALE, e), grades(RATE_SCALE, de))
     return w / w.sum()
 
 
 def dense_infer(rb, e, de):
     """infer's former numpy formula, the oracle of the bitwise tests."""
     w = firing_strengths(e, de)
-    return (float(np.sum(w * rb.kp_consequents)),
-            float(np.sum(w * rb.kd_consequents)))
+    return (float(np.sum(w * consequents(rb.kp_bounds, _KP_INDEX))),
+            float(np.sum(w * consequents(rb.kd_bounds, _KD_INDEX))))
 
 
 def _bits(pair):

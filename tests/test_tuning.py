@@ -604,7 +604,8 @@ def test_smbo_penalizes_nonfinite_cost():
 
 def test_tuner_config_validation():
     for kwargs in (dict(T=5, n_init=10), dict(n_init=0), dict(h=float("nan")),
-                   dict(h=float("inf")), dict(h=-1.0), dict(h=1e308)):
+                   dict(h=float("inf")), dict(h=-1.0), dict(h=1e308),
+                   dict(seed=-1), dict(seed=1.5), dict(seed=True)):
         with pytest.raises(ValueError):
             TunerConfig(**kwargs)
 

@@ -94,21 +94,6 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     return ev[np.lexsort((ev.imag, ev.real))]
 
 
-def block_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Spectrum of the error Jacobian via the closed-form quadratics of its
-    two 2x2 companion blocks; cross-check for the dense solver."""
-    A = np.asarray(A, dtype=float)
-    ev = []
-    for (i, j) in ((0, 1), (2, 3)):
-        # block [[0, 1], [c, b]] -> lambda^2 - b*lambda - c = 0
-        b = A[j, j]
-        c = A[j, i]
-        disc = complex(b * b + 4.0 * c) ** 0.5
-        ev.extend([(b - disc) / 2.0, (b + disc) / 2.0])
-    ev = np.array(ev)
-    return ev[np.lexsort((ev.imag, ev.real))]
-
-
 @dataclass(frozen=True)
 class CharPoly:
     """Monic degree-4 real polynomial, highest power first."""

@@ -7,7 +7,7 @@ seeds: the disturbance seed (``--seed``) and the tuner seed
 (``--tuner-seed``).  Floats are written with ``repr`` (shortest
 round-trip), which makes repeated runs byte-identical.
 
-Exit codes: 0 success, 1 usage or parse error, 2 diverged trajectory,
+Exit codes: 0 success, 1 usage, parse or file error, 2 diverged trajectory,
 3 stability check failure (analyze only).
 """
 
@@ -16,19 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
 from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
-                      DivergedTrajectory, GainSet, Reference, Trajectory,
-                      simulate)
+                      DivergedTrajectory, GainSet, Reference, simulate)
 from .control import SINGLE_PD_GAINS  # noqa: F401  (re-exported for perfbench)
 from .fuzzy import FlrBounds
 from .gainsio import GainsFileError, LoadedGains, load_gains, load_plant, save_gains
-from .metrics import FAILED_COST, Metrics, MetricsError, compute_metrics
+from .metrics import FAILED_COST, MetricsError, compute_metrics
 from .plant import DisturbanceModel, PlantError, PlantParams, SimConfig
 
 # Bundled tuning results (BO over the square-wave task); the regulator
@@ -69,23 +68,6 @@ def write_csv(path, columns, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> tuple[list[str], np.ndarray]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return header, data
-
-
-def write_trajectory(path, traj: Trajectory) -> None:
-    write_csv(path, TRAJ_COLUMNS, traj.data.tolist())
-
-
-def write_metrics(path, m: Metrics) -> None:
-    write_csv(path, METRIC_COLUMNS,
-              [(m.cost, m.overshoot_pct, m.settling_time,
-                m.steady_state_error, m.rms_error)])
-
-
 def write_meta(out_prefix: str, config: dict) -> None:
     config = dict(config, rng=RNG_DESCRIPTION)
     Path(f"{out_prefix}_meta.json").write_text(
@@ -103,6 +85,9 @@ def _add_shared(p: argparse.ArgumentParser, simulates: bool = True) -> None:
         p.add_argument("--horizon", type=float, default=10.0)
         p.add_argument("--seed", type=int, default=DEFAULT_DISTURBANCE_SEED,
                        help="disturbance seed")
+        p.add_argument("--amplitude", type=float, default=10.0)
+        p.add_argument("--hold", default="per-sim-step",
+                       choices=["per-sim-step", "per-control-step"])
     p.add_argument("--out", default="out", help="output path prefix")
     p.add_argument("--gains", help="gains file (key = value)")
 
@@ -121,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["square", "sine", "constant"])
     p.add_argument("--reference-value", type=float, default=1.0)
     p.add_argument("--disturbance", default="off", choices=["off", "uniform"])
-    p.add_argument("--amplitude", type=float, default=10.0)
-    p.add_argument("--hold", default="per-sim-step",
-                   choices=["per-sim-step", "per-control-step"])
 
     p = sub.add_parser("tune", help="Bayesian-optimization tuning")
     _add_shared(p)
@@ -133,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ucb-h", type=float, default=2.576)
     p.add_argument("--tuner-seed", type=int, default=DEFAULT_TUNER_SEED)
     p.add_argument("--disturbance", default="uniform", choices=["off", "uniform"])
-    p.add_argument("--amplitude", type=float, default=10.0)
-    p.add_argument("--hold", default="per-sim-step",
-                   choices=["per-sim-step", "per-control-step"])
     p.add_argument("--flr-half-width", type=float, default=20.0)
 
     p = sub.add_parser("analyze", help="stability report for a gain set")
@@ -148,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="controller-variant comparison")
     _add_shared(p)
-    p.add_argument("--amplitude", type=float, default=10.0)
-    p.add_argument("--hold", default="per-sim-step",
-                   choices=["per-sim-step", "per-control-step"])
     return parser
 
 
@@ -203,12 +179,12 @@ def cmd_simulate(args) -> int:
         traj = simulate(params, sim, ctrl, ref, dist)
     except DivergedTrajectory as exc:
         raise CliError(str(exc), EXIT_DIVERGED) from None
-    write_trajectory(f"{args.out}_trajectory.csv", traj)
+    write_csv(f"{args.out}_trajectory.csv", TRAJ_COLUMNS, traj.data.tolist())
     try:
         m = compute_metrics(traj, ref)
     except MetricsError as exc:
         raise CliError(f"degenerate metrics: {exc}", EXIT_USAGE) from None
-    write_metrics(f"{args.out}_metrics.csv", m)
+    write_csv(f"{args.out}_metrics.csv", METRIC_COLUMNS, [astuple(m)])
     print(f"cost={m.cost!r} overshoot_pct={m.overshoot_pct!r} "
           f"settling_time={m.settling_time!r} "
           f"steady_state_error={m.steady_state_error!r}")
@@ -243,13 +219,15 @@ def cmd_tune(args) -> int:
                 disturbance=asdict(dist), seed=args.seed,
                 tuner_seed=args.tuner_seed)
     write_meta(args.out, meta)
-    best_x, best_y, history = smbo(cost, domain, config)
-    columns = ("episode",) + domain.names + ("y", "best_y")
-    rows = [(i, *history.X[i], history.y[i], history.best_y[i])
-            for i in range(len(history))]
-    write_csv(f"{args.out}_history.csv", columns, rows)
+    X, y = smbo(cost, domain, config)
+    best = np.maximum.accumulate(y)
+    write_csv(f"{args.out}_history.csv",
+              ("episode",) + domain.names + ("y", "best_y"),
+              np.column_stack((np.arange(len(y)), X, y, best)))
+    i_best = int(np.argmax(y))
+    best_x, best_y = X[i_best], float(y[i_best])
     if best_y == FAILED_COST:
-        raise CliError(f"all {len(history)} episodes failed; no gains written",
+        raise CliError(f"all {len(y)} episodes failed; no gains written",
                        EXIT_DIVERGED)
     gains_path = f"{args.out}_gains.txt"
     if args.stage == "pd":
@@ -359,7 +337,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (GainsFileError, PlantError, ValueError) as exc:
+    except (GainsFileError, PlantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

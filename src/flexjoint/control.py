@@ -211,10 +211,11 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     of rows.  Disturbances are indexed by sim step (or by control step under
     the per-control-step hold) and read from the ``disturbance_draws`` memo
     one control period at a time; the memo grows only as a sub-step's index
-    reaches its end.  The sub-steps are bit-identical to ``euler_step``,
-    with each coefficient of ``derivatives`` computed once.  Raises
-    DivergedTrajectory before integrating a non-finite torque, and as soon
-    as any state component is NaN or its magnitude exceeds 1e6.
+    reaches its end.  Each sub-step is one forward-Euler step of the
+    equations in ``plant``'s docstring, term by term, with each coefficient
+    computed once.  Raises DivergedTrajectory before integrating a
+    non-finite torque, and as soon as any state component is NaN or its
+    magnitude exceeds 1e6.
     """
     I_l, I_m, k, mgl = params.I_l, params.I_m, params.k, params.mgl
     a_grav = -mgl / I_l
@@ -255,7 +256,7 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
                       for i in range(base, base + sub))
         u_m = u / I_m
         for j, (d1, d2) in enumerate(ds, base + 1):
-            # derivatives(), term by term; then s + dt * f, no fused multiply-add
+            # the equations term by term; then s + dt * f, no fused multiply-add
             q = x1 - x3
             dx2 = a_grav * c - k_l * q + d1
             dx4 = k_m * q - mu_m * x4 + u_m + d2

@@ -25,8 +25,12 @@ class GainsFileError(ValueError):
 
 
 def _parse_kv(path, allowed) -> dict[str, float]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GainsFileError(f"{path}: not UTF-8 text ({exc})") from None
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

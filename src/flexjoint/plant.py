@@ -3,6 +3,12 @@
 Motor and link are rigid bodies coupled by a torsion spring; the plant is
 under-actuated (one torque input, two degrees of freedom).  State vector is
 (x1, x2, x3, x4) = (link angle, link velocity, motor angle, motor velocity).
+Under torque u and acceleration disturbances (d1, d2) the model is
+
+    x1' = x2,  x2' = -(mgl/I_l) cos x1 - (k/I_l)(x1 - x3) + d1,
+    x3' = x4,  x4' = (k/I_m)(x1 - x3) - (mu/I_m) x4 + u/I_m + d2,
+
+which ``control.simulate`` integrates by forward Euler: s + dt * s'.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +65,6 @@ class State:
         for v in (self.x1, self.x2, self.x3, self.x4):
             if not math.isfinite(v):
                 raise PlantError(f"non-finite state component: {v}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3, self.x4])
-
-    @staticmethod
-    def from_array(a) -> "State":
-        return State(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
 @dataclass(frozen=True)
@@ -139,42 +138,6 @@ class SimConfig:
         return round(self.horizon / self.control_dt)
 
 
-def derivatives(params: PlantParams, s: State, u: float,
-                d1: float = 0.0, d2: float = 0.0) -> np.ndarray:
-    """Right-hand side of the state-space model.
-
-    Returns (x2,
-             -(mgl/I_l) cos x1 - (k/I_l)(x1 - x3) + d1,
-             x4,
-             (k/I_m)(x1 - x3) - (mu/I_m) x4 + u/I_m + d2).
-    """
-    if not all(math.isfinite(v) for v in (u, d1, d2)):
-        raise PlantError("non-finite input to derivatives")
-    p = params
-    dx2 = -p.mgl / p.I_l * math.cos(s.x1) - p.k / p.I_l * (s.x1 - s.x3) + d1
-    dx4 = p.k / p.I_m * (s.x1 - s.x3) - p.mu / p.I_m * s.x4 + u / p.I_m + d2
-    return np.array([s.x2, dx2, s.x4, dx4])
-
-
-def euler_step(params: PlantParams, s: State, u: float,
-               d1: float, d2: float, dt: float) -> State:
-    """One forward-Euler step: s' = s + dt * f(s, u, d)."""
-    if dt < 0:
-        raise PlantError(f"dt must be >= 0, got {dt}")
-    ds = derivatives(params, s, u, d1, d2)
-    return State.from_array(s.as_array() + dt * ds)
-
-
-def disturbance_sample(model: DisturbanceModel, step_index: int) -> tuple[float, float]:
-    """Disturbance pair for one integration step, deterministic in
-    (model.seed, step_index)."""
-    if model.kind == "off":
-        return 0.0, 0.0
-    rng = np.random.default_rng((model.seed, step_index))
-    d = rng.uniform(-model.amplitude, model.amplitude, size=2)
-    return float(d[0]), float(d[1])
-
-
 # The steps of default_rng((seed, i)).uniform(low, high, 2), on arrays over i:
 # numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants.
 _M32 = 0xFFFFFFFF
@@ -225,8 +188,9 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 
 def _uniform_pairs(seed: int, amplitude: float, start: int, stop: int) -> np.ndarray:
     """The draws of indices start..stop-1 as a (stop - start, 2) array:
-    row j is ``disturbance_sample`` of a uniform model at index start + j,
-    bit for bit.  Indices must be below 2**32, one entropy word each."""
+    row j is ``default_rng((seed, start + j)).uniform(-amplitude,
+    amplitude, 2)``, bit for bit.  Indices must be below 2**32, one
+    entropy word each."""
     if not 0 <= start <= stop <= 2 ** 32:
         raise ValueError(f"draw indices must lie in [0, 2**32], got {start}..{stop}")
     n = stop - start
@@ -285,7 +249,8 @@ def _draw_table(kind: str, seed: int, amplitude: float) -> list[tuple[float, flo
 
 def disturbance_draws(model: DisturbanceModel, stop: int) -> list[tuple[float, float]]:
     """Memo of the draws of ``model``, holding at least ``stop`` entries:
-    entry i is ``disturbance_sample(model, i)``.
+    entry i is the pair ``default_rng((seed, i)).uniform(-a, a, 2)``, a
+    the amplitude, so it is a pure function of (seed, i).
 
     The table is shared by every model with the same kind, seed and
     amplitude, whatever its hold, and grows in step order on demand, a
@@ -303,11 +268,3 @@ def disturbance_draws(model: DisturbanceModel, stop: int) -> list[tuple[float, f
             d = _uniform_pairs(model.seed, amplitude, start, start + DRAW_BLOCK)
             table.extend(zip(d[:, 0].tolist(), d[:, 1].tolist()))
     return table
-
-
-def mechanical_energy(params: PlantParams, s: State) -> float:
-    """Kinetic plus spring potential energy (gravity excluded); with g = 0,
-    u = 0 and no disturbance, dE/dt = -mu * x4**2."""
-    p = params
-    return (0.5 * p.I_l * s.x2 ** 2 + 0.5 * p.I_m * s.x4 ** 2
-            + 0.5 * p.k * (s.x1 - s.x3) ** 2)

@@ -77,34 +77,11 @@ class Domain:
         return np.clip(x, self._lo, self._hi)
 
 
-@dataclass
-class Dataset:
-    """Evaluated (parameter vector, cost) rows."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        if self.X.shape[0] != self.y.shape[0]:
-            raise ValueError("X and y row counts differ")
-        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
-            raise ValueError("dataset contains non-finite values")
-
-    def append(self, x, y: float) -> None:
-        self.X = np.vstack([self.X, np.atleast_2d(x)])
-        self.y = np.append(self.y, y)
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-
 @dataclass(frozen=True)
 class TunerConfig:
     """SMBO settings: T total episodes, n_init initial Latin-hypercube
-    samples, h the UCB exploration coefficient, seed an int >= 0 (not a
-    bool).
+    samples, h the UCB exploration coefficient, seed >= 0; T, n_init and
+    seed are ints, not bools.
 
     h lies in [0, 1e6]: the GP-UCB coefficient is non-negative, and the
     posterior stddev is at most 10 times the costs' standard deviation
@@ -117,13 +94,16 @@ class TunerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("T", "n_init", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"tuner {name} must be an int, got {v!r}")
         if self.n_init < 1 or self.T < self.n_init:
             raise ValueError("need n_init >= 1 and T >= n_init")
         if not 0.0 <= self.h <= 1e6:
             raise ValueError(f"h must be finite and in [0, 1e6], got {self.h}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                or self.seed < 0):
-            raise ValueError(f"tuner seed must be an int >= 0, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"tuner seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -154,10 +134,6 @@ class GpModel:
     @property
     def length_scales(self) -> np.ndarray:
         return np.exp(self.theta[:-2])
-
-    @property
-    def noise_variance(self) -> float:
-        return float(np.exp(self.theta[-2] + self.theta[-1]))
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -268,27 +244,34 @@ def _lbfgsb(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             return x, f
 
 
-def gp_fit(data: Dataset, config: TunerConfig, domain: Domain) -> GpModel:
-    """Fit kernel hyperparameters by maximizing the log marginal likelihood
-    with FIT_STARTS L-BFGS-B starts (analytic gradients) on _lbfgsb, which
-    repeats scipy.optimize.minimize's L-BFGS-B bit for bit over the
-    likelihood's per-fit constants, then cache the training factorization.
-    Singular covariances go through a fixed jitter escalation before
-    failing."""
-    if len(data) < 2:
+def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
+    """Fit kernel hyperparameters to the finite rows X (at least 2) and
+    costs y by maximizing the log marginal likelihood with FIT_STARTS
+    L-BFGS-B starts (analytic gradients, random ones seeded by seed and the
+    row count) on _lbfgsb, which repeats scipy.optimize.minimize's L-BFGS-B
+    bit for bit over the likelihood's per-fit constants, then cache the
+    training factorization.  Singular covariances go through a fixed jitter
+    escalation before failing."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("X and y row counts differ")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("gp_fit data contains non-finite values")
+    if len(y) < 2:
         raise ValueError("gp_fit needs at least 2 rows")
-    Xn = domain.normalize(data.X)
-    y_mean = float(np.mean(data.y))
-    y_std = float(np.std(data.y))
+    Xn = domain.normalize(X)
+    y_mean = float(np.mean(y))
+    y_std = float(np.std(y))
     if y_std <= 0.0:
         y_std = 1.0
-    ys = (data.y - y_mean) / y_std
+    ys = (y - y_mean) / y_std
     d = Xn.shape[1]
     pairs = _pairs(_sq_dists(Xn, Xn))
     bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    rng = np.random.default_rng((config.seed, len(data), 0x6F17))
+    rng = np.random.default_rng((seed, len(y), 0x6F17))
     starts = [np.concatenate([np.zeros(d), [0.0], [math.log(1e-4)]])]
     for _ in range(FIT_STARTS - 1):
         starts.append(np.array([rng.uniform(a, b) for a, b in bounds]))
@@ -445,59 +428,35 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     return np.asarray(best_x, dtype=float)
 
 
-@dataclass
-class TuningHistory:
-    """Episode-indexed record of an SMBO run."""
-
-    X: np.ndarray
-    y: np.ndarray
-    best_y: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-
-def smbo(cost, domain: Domain, config: TunerConfig,
-         ) -> tuple[np.ndarray, float, TuningHistory]:
+def smbo(cost, domain: Domain,
+         config: TunerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sequential model-based optimization (maximization).
 
-    Draws n_init Latin-hypercube samples, then alternates GP fit, UCB
-    maximization and cost evaluation until T episodes are recorded.  A cost
-    evaluation that raises RuntimeError (DivergedTrajectory, say) or returns
-    a non-finite value scores FAILED_COST and the loop continues; any other
-    exception is a bug, not a bad parameter set, and propagates.
-    Identical seeds reproduce identical histories.
+    Draws n_init Latin-hypercube samples, then alternates GP fit on the
+    episodes so far, UCB maximization and cost evaluation until T episodes
+    are recorded.  A cost evaluation that raises RuntimeError
+    (DivergedTrajectory, say) or returns a non-finite value scores
+    FAILED_COST and the loop continues; any other exception is a bug, not a
+    bad parameter set, and propagates.  Returns (X, y), episode i's
+    parameters X[i] and score y[i]; identical seeds reproduce them.
     """
     rng = np.random.default_rng((config.seed, 0x5B0))
     lhs = qmc.LatinHypercube(domain.dim, seed=int(rng.integers(2 ** 63)))
-    X_init = domain.denormalize(lhs.random(config.n_init))
-    data: Dataset | None = None
-    xs, ys = [], []
-
-    def evaluate(x) -> float:
+    X = np.empty((config.T, domain.dim))
+    y = np.empty(config.T)
+    X[:config.n_init] = domain.denormalize(lhs.random(config.n_init))
+    for n in range(config.T):
+        if n >= max(config.n_init, 2):
+            model = gp_fit(X[:n], y[:n], domain, config.seed)
+            X[n] = suggest(model, rng, config.h)
+        elif n >= config.n_init:  # one row: too few to fit the surrogate
+            X[n] = domain.denormalize(rng.random((1, domain.dim)))[0]
         try:
-            y = float(cost(np.asarray(x, dtype=float)))
+            v = float(cost(X[n].copy()))
         except RuntimeError:
-            return FAILED_COST
-        return y if math.isfinite(y) else FAILED_COST
-
-    for x in X_init:
-        xs.append(np.array(x))
-        ys.append(evaluate(x))
-    data = Dataset(np.array(xs), np.array(ys))
-    while len(data) < config.T:
-        if len(data) < 2:
-            # not enough rows to fit the surrogate yet
-            x = domain.denormalize(rng.random((1, domain.dim)))[0]
-        else:
-            model = gp_fit(data, config, domain)
-            x = suggest(model, rng, config.h)
-        y = evaluate(x)
-        data.append(x, y)
-    best_y = np.maximum.accumulate(data.y)
-    i_best = int(np.argmax(data.y))
-    history = TuningHistory(X=data.X.copy(), y=data.y.copy(), best_y=best_y)
-    return data.X[i_best].copy(), float(data.y[i_best]), history
+            v = FAILED_COST
+        y[n] = v if math.isfinite(v) else FAILED_COST
+    return X, y
 
 
 # ---------------------------------------------------------------------------

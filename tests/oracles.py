@@ -1,0 +1,93 @@
+"""Reference implementations that the tests hold the library to.
+
+Each is the plain, one-call-at-a-time form of something the library
+computes on plain floats, in bulk or in closed form: the model's
+right-hand side and one forward-Euler step on a ``State`` (``simulate``
+must match their loop bit for bit), one disturbance draw (the memo
+``disturbance_draws`` must match it bit for bit), the mechanical energy,
+the spectrum of the error Jacobian from its two 2x2 blocks, a CSV reader
+for the command line's artifacts and a fitted GP's noise variance.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from flexjoint.plant import DisturbanceModel, PlantError, PlantParams, State
+
+
+def as_array(s: State) -> np.ndarray:
+    return np.array([s.x1, s.x2, s.x3, s.x4])
+
+
+def from_array(a) -> State:
+    return State(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+
+
+def derivatives(params: PlantParams, s: State, u: float,
+                d1: float = 0.0, d2: float = 0.0) -> np.ndarray:
+    """Right-hand side of the state-space model (see ``flexjoint.plant``)."""
+    if not all(math.isfinite(v) for v in (u, d1, d2)):
+        raise PlantError("non-finite input to derivatives")
+    p = params
+    dx2 = -p.mgl / p.I_l * math.cos(s.x1) - p.k / p.I_l * (s.x1 - s.x3) + d1
+    dx4 = p.k / p.I_m * (s.x1 - s.x3) - p.mu / p.I_m * s.x4 + u / p.I_m + d2
+    return np.array([s.x2, dx2, s.x4, dx4])
+
+
+def euler_step(params: PlantParams, s: State, u: float,
+               d1: float, d2: float, dt: float) -> State:
+    """One forward-Euler step: s' = s + dt * f(s, u, d)."""
+    if dt < 0:
+        raise PlantError(f"dt must be >= 0, got {dt}")
+    ds = derivatives(params, s, u, d1, d2)
+    return from_array(as_array(s) + dt * ds)
+
+
+def disturbance_sample(model: DisturbanceModel, step_index: int) -> tuple[float, float]:
+    """Disturbance pair for one integration step, deterministic in
+    (model.seed, step_index)."""
+    if model.kind == "off":
+        return 0.0, 0.0
+    rng = np.random.default_rng((model.seed, step_index))
+    d = rng.uniform(-model.amplitude, model.amplitude, size=2)
+    return float(d[0]), float(d[1])
+
+
+def mechanical_energy(params: PlantParams, s: State) -> float:
+    """Kinetic plus spring potential energy (gravity excluded); with g = 0,
+    u = 0 and no disturbance, dE/dt = -mu * x4**2."""
+    p = params
+    return (0.5 * p.I_l * s.x2 ** 2 + 0.5 * p.I_m * s.x4 ** 2
+            + 0.5 * p.k * (s.x1 - s.x3) ** 2)
+
+
+def block_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Spectrum of the error Jacobian via the closed-form quadratics of its
+    two 2x2 companion blocks; cross-check for the dense solver."""
+    A = np.asarray(A, dtype=float)
+    ev = []
+    for (i, j) in ((0, 1), (2, 3)):
+        # block [[0, 1], [c, b]] -> lambda^2 - b*lambda - c = 0
+        b = A[j, j]
+        c = A[j, i]
+        disc = complex(b * b + 4.0 * c) ** 0.5
+        ev.extend([(b - disc) / 2.0, (b + disc) / 2.0])
+    ev = np.array(ev)
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
+def read_csv(path) -> tuple[list[str], np.ndarray]:
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",")
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return header, data
+
+
+def noise_variance(model) -> float:
+    """Observation-noise variance of a fitted ``GpModel``, in standardized
+    cost units: signal variance times the noise-to-signal ratio."""
+    return float(np.exp(model.theta[-2] + model.theta[-1]))

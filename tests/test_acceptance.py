@@ -23,11 +23,11 @@ from flexjoint.control import (SINGLE_PD_GAINS, Controller, ControllerKind,
 from flexjoint.fuzzy import (ERROR_SCALE, RATE_SCALE, FlrBounds, RuleBase,
                              infer)
 from flexjoint.metrics import compute_metrics
-from flexjoint.plant import (DisturbanceModel, PlantParams, SimConfig, State,
-                             euler_step, mechanical_energy)
-from flexjoint.tuning import (Dataset, Domain, TunerConfig, gp_fit,
-                              gp_predict, make_pd_cost, pd_gain_domain, smbo,
+from flexjoint.plant import DisturbanceModel, PlantParams, SimConfig, State
+from flexjoint.tuning import (Domain, TunerConfig, gp_fit, gp_predict,
+                              make_pd_cost, pd_gain_domain, smbo,
                               tracking_cost)
+from oracles import euler_step, mechanical_energy
 
 PARAMS = PlantParams()
 GAINS = GainSet()
@@ -197,21 +197,20 @@ def test_criterion_6_bo_sanity():
     unit = Domain(names=("x",), lo=(0.0,), hi=(1.0,))
     hits = 0
     for seed in range(10):
-        bx, _, _ = smbo(lambda v: -(v[0] - 0.3) ** 2, unit,
-                        TunerConfig(T=30, n_init=10, seed=seed))
-        hits += abs(float(bx[0]) - 0.3) <= 0.05
+        X, y = smbo(lambda v: -(v[0] - 0.3) ** 2, unit,
+                    TunerConfig(T=30, n_init=10, seed=seed))
+        hits += abs(float(X[np.argmax(y), 0]) - 0.3) <= 0.05
     t0 = time.time()
     cost = make_pd_cost(PARAMS, SIM, SQUARE,
                         DisturbanceModel(kind="uniform", amplitude=10.0,
                                          seed=DEFAULT_DISTURBANCE_SEED))
-    best_x, best_y, hist = smbo(cost, pd_gain_domain(),
-                                TunerConfig(T=150, n_init=10, seed=0))
+    X, y = smbo(cost, pd_gain_domain(), TunerConfig(T=150, n_init=10, seed=0))
     elapsed = time.time() - t0
-    tuned = GainSet(*best_x)
+    tuned = GainSet(*X[np.argmax(y)])
     verdict = check_gain_conditions(tuned, PARAMS, StabilityBounds())
     report(6, [("1-D quadratic 9/10 seeds", hits >= 9),
                ("4-D tuning under 10 min", elapsed < 600.0),
-               ("history complete", len(hist) == 150),
+               ("history complete", len(y) == 150),
                ("tuned gains satisfy the gain conditions", verdict.stable)])
 
 
@@ -292,11 +291,10 @@ def _gp_dense_oracle() -> bool:
     # observation noise keeps the training covariance well conditioned, so
     # the 1e-6 agreement is about the algorithm and not about cancellation
     y = np.cos(4 * X[:, 0]) + X[:, 1] + 0.05 * rng.standard_normal(40)
-    data = Dataset(X, y)
-    model = gp_fit(data, TunerConfig(T=30, n_init=5), dom)
+    model = gp_fit(X, y, dom, 0)
     Xq = rng.uniform(0, 1, size=(30, 2))
     mean, std = gp_predict(model, Xq)
-    mo, so = _dense_oracle(model, data, Xq)
+    mo, so = _dense_oracle(model, X, y, Xq)
     return (np.allclose(mean, mo, rtol=1e-6, atol=1e-6 * model.y_std)
             and np.allclose(std, so, rtol=1e-6, atol=1e-6 * model.y_std))
 

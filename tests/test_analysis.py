@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexjoint.analysis import (CharPoly, StabilityBounds, Verdict,
-                                block_eigenvalues, check_flr_conditions,
-                                check_gain_conditions, closed_loop_charpoly,
-                                eigenvalues, error_jacobian, state_matrix,
-                                worst_case_gains)
+                                check_flr_conditions, check_gain_conditions,
+                                closed_loop_charpoly, eigenvalues,
+                                error_jacobian, state_matrix, worst_case_gains)
 from flexjoint.control import GainSet
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import PlantParams
+from oracles import block_eigenvalues
 
 pos = st.floats(0.05, 50.0, allow_nan=False)
 gain = st.floats(0.0, 200.0, allow_nan=False)
@@ -112,7 +112,8 @@ def test_state_matrix_agrees_with_finite_differences(gains):
     """Independent oracle: numerically differentiate the closed-loop vector
     field (g = 0, constant reference at the origin) and compare."""
     from flexjoint.control import Controller, ControllerKind
-    from flexjoint.plant import State, derivatives
+    from flexjoint.plant import State
+    from oracles import derivatives
     p = PlantParams(g=0.0)
     A = state_matrix(p, gains)
     ctrl = Controller(ControllerKind.CASCADED_PD, gains, FlrBounds())

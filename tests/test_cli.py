@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from flexjoint.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
-                           METRIC_COLUMNS, TRAJ_COLUMNS, main, read_csv)
+                           METRIC_COLUMNS, TRAJ_COLUMNS, main)
 from flexjoint.gainsio import save_gains
 from flexjoint.control import GainSet
 from flexjoint.metrics import FAILED_COST
+from oracles import read_csv
 
 
 def run(args):
@@ -137,6 +138,28 @@ def test_flr_half_width_is_one_line_usage_error(tmp_path, capsys, half_width):
                 "--flr-half-width", half_width]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["simulate", "--gains"], "missing.txt"),
+    (["simulate", "--out"], "missing/dir/x"),
+    (["analyze", "--plant"], "adir"),
+    (["ablate", "--gains"], "missing"),
+    (["tune", "--stage", "flr", "--episodes", "2", "--n-init", "1", "--gains"],
+     "latin1.txt"),
+    (["tune", "--stage", "pd", "--episodes", "2", "--n-init", "1", "--plant"],
+     "latin1.txt"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_unreadable_file_is_one_line_usage_error(tmp_path, capsys, argv, name):
+    """A file the command cannot open, write or decode ends in one error
+    line that names it."""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.txt").write_bytes(b"kp1 = 1.0 # caf\xe9\n")
+    path = str(tmp_path / name)
+    out = [] if argv[-1] == "--out" else ["--out", str(tmp_path / "o")]
+    assert run(argv + [path] + out) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and path in err[0]
 
 
 def test_tune_with_every_episode_failed_writes_no_gains(tmp_path, capsys):
@@ -313,9 +336,12 @@ def test_tune_pd_quick(tmp_path):
     header, data = read_csv(out + "_history.csv")
     assert header == ["episode", "kp1", "kd1", "kp2", "kd2", "y", "best_y"]
     assert data.shape[0] == 3
-    # gains inside the search box
+    y = data[:, 5]
+    np.testing.assert_array_equal(data[:, 6], np.maximum.accumulate(y))
+    # gains inside the search box, from the best episode
     vals = [float(l.split("=")[1]) for l in lines]
     assert 0.0 <= vals[0] <= 150.0 and 0.0 <= vals[1] <= 30.0
+    assert vals == data[np.argmax(y), 1:5].tolist()
 
 
 def test_tune_too_short_horizon_is_usage_error(tmp_path, capsys):

@@ -13,8 +13,8 @@ from flexjoint.control import (DIVERGENCE_LIMIT, TRAJ_COLUMNS, Controller,
                                GainSet, Reference, simulate)
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import (DISTURBANCE_TABLES, DRAW_BLOCK, DisturbanceModel,
-                             PlantError, PlantParams, SimConfig, State,
-                             disturbance_sample, euler_step)
+                             PlantError, PlantParams, SimConfig, State)
+from oracles import disturbance_sample, euler_step
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 

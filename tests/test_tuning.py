@@ -10,17 +10,18 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.stats import qmc
 
 from flexjoint.analysis import state_matrix
-from flexjoint.cli import main, read_csv
+from flexjoint.cli import main
 from flexjoint.control import TRAJ_COLUMNS, GainSet, Trajectory
 from flexjoint.plant import PlantParams
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
-                              FAILED_COST, Dataset, Domain, GpModel,
+                              FAILED_COST, Domain, GpModel,
                               TunerConfig, _lbfgsb,
                               _neg_lml_and_grad, _nelder_mead, _pair_corr,
                               _pairs, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               pd_gain_domain, smbo, suggest, tracking_cost,
                               ucb)
+from oracles import noise_variance, read_csv
 
 UNIT = Domain(names=("x",), lo=(0.0,), hi=(1.0,))
 
@@ -72,12 +73,9 @@ def test_flr_domain_and_vector_repair():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.zeros(2))
+        gp_fit(np.zeros((3, 2)), np.zeros(2), UNIT, 0)
     with pytest.raises(ValueError):
-        Dataset(np.array([[0.0], [np.nan]]), np.zeros(2))
-    ds = Dataset(np.zeros((2, 1)), np.zeros(2))
-    ds.append([1.0], 3.0)
-    assert len(ds) == 3 and ds.y[-1] == 3.0
+        gp_fit(np.array([[0.0], [np.nan]]), np.zeros(2), UNIT, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +83,11 @@ def test_dataset_validation():
 
 def test_gp_needs_two_rows():
     with pytest.raises(ValueError):
-        gp_fit(Dataset(np.array([[0.5]]), np.array([1.0])), _cfg(), UNIT)
+        gp_fit(np.array([[0.5]]), np.array([1.0]), UNIT, 0)
 
 
 def test_gp_interpolates_two_points():
-    data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-    model = gp_fit(data, _cfg(), UNIT)
+    model = gp_fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), UNIT, 0)
     mean, std = gp_predict(model, np.array([0.0]))
     assert mean == pytest.approx(0.0, abs=1e-3)
     assert std >= 0.0
@@ -100,7 +97,7 @@ def test_gp_constant_targets():
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 1, size=(12, 1))
     c = 7.5
-    model = gp_fit(Dataset(X, np.full(12, c)), _cfg(), UNIT)
+    model = gp_fit(X, np.full(12, c), UNIT, 0)
     for q in np.linspace(X.min(), X.max(), 17):
         mean, _ = gp_predict(model, np.array([q]))
         assert mean == pytest.approx(c, abs=1e-2 * abs(c) + 1e-6)
@@ -110,8 +107,8 @@ def test_gp_reproduces_training_targets():
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 1, size=(20, 1))
     y = np.sin(3.0 * X[:, 0])
-    model = gp_fit(Dataset(X, y), _cfg(), UNIT)
-    tol = 3.0 * np.sqrt(model.noise_variance) * model.y_std + 1e-6
+    model = gp_fit(X, y, UNIT, 0)
+    tol = 3.0 * np.sqrt(noise_variance(model)) * model.y_std + 1e-6
     for xi, yi in zip(X, y):
         mean, _ = gp_predict(model, xi)
         assert abs(mean - yi) <= tol
@@ -120,27 +117,28 @@ def test_gp_reproduces_training_targets():
 def test_gp_regression_quality_held_out():
     rng = np.random.default_rng(5)
     X = rng.uniform(0, 1, size=(20, 1))
-    model = gp_fit(Dataset(X, np.sin(3.0 * X[:, 0])), _cfg(), UNIT)
+    model = gp_fit(X, np.sin(3.0 * X[:, 0]), UNIT, 0)
     q = np.linspace(0.0, 1.0, 50)[:, None]
     mean, _ = gp_predict(model, q)
     rms = float(np.sqrt(np.mean((mean - np.sin(3.0 * q[:, 0])) ** 2)))
     assert rms < 0.1
 
 
-def _dense_oracle(model: GpModel, data: Dataset, Xq: np.ndarray):
+def _dense_oracle(model: GpModel, X: np.ndarray, y: np.ndarray,
+                  Xq: np.ndarray):
     """Posterior recomputed by plain dense linear algebra (np.linalg.solve,
     no Cholesky, no caching) from the fitted hyperparameters."""
     ls = model.length_scales
     sf2 = model.signal_variance
-    ratio = model.noise_variance / sf2
+    ratio = noise_variance(model) / sf2
 
     def corr(A, B):
         D2 = (A[:, None, :] - B[None, :, :]) ** 2
         return np.exp(-0.5 * np.sum(D2 / ls ** 2, axis=-1))
 
-    Xn = model.domain.normalize(data.X)
+    Xn = model.domain.normalize(X)
     Un = model.domain.normalize(Xq)
-    ys = (data.y - model.y_mean) / model.y_std
+    ys = (y - model.y_mean) / model.y_std
     K = sf2 * (corr(Xn, Xn) + ratio * np.eye(len(ys)))
     ks = sf2 * corr(Un, Xn)
     Kinv = np.linalg.solve(K, np.eye(len(ys)))
@@ -156,11 +154,10 @@ def test_gp_matches_dense_oracle(seed, n, d):
                  lo=(0.0,) * d, hi=(1.0,) * d)
     X = rng.uniform(0, 1, size=(n, d))
     y = np.sin(X.sum(axis=1) * 2.0) + 0.01 * rng.standard_normal(n)
-    data = Dataset(X, y)
-    model = gp_fit(data, _cfg(), dom)
+    model = gp_fit(X, y, dom, 0)
     Xq = rng.uniform(0, 1, size=(25, d))
     mean, std = gp_predict(model, Xq)
-    mean_o, std_o = _dense_oracle(model, data, Xq)
+    mean_o, std_o = _dense_oracle(model, X, y, Xq)
     np.testing.assert_allclose(mean, mean_o, rtol=1e-6, atol=1e-6 * model.y_std)
     np.testing.assert_allclose(std, std_o, rtol=1e-6, atol=1e-6 * model.y_std)
 
@@ -172,7 +169,7 @@ def test_posterior_variance_nonnegative_everywhere():
         dom = Domain(names=tuple(f"x{i}" for i in range(d)),
                      lo=(0.0,) * d, hi=(1.0,) * d)
         X = rng.uniform(0, 1, size=(15, d))
-        model = gp_fit(Dataset(X, rng.standard_normal(15)), _cfg(), dom)
+        model = gp_fit(X, rng.standard_normal(15), dom, 0)
         _, std = gp_predict(model, rng.uniform(0, 1, size=(2000, d)))
         assert np.all(std >= 0.0)
 
@@ -312,7 +309,7 @@ def test_gp_predict_off_a_zero_width_dimension_is_the_prior():
     standard deviation, and no overflow warning on the way."""
     dom = Domain(names=("a", "b"), lo=(0.0, 2.0), hi=(1.0, 2.0))
     X = np.array([[0.1, 2.0], [0.5, 2.0], [0.9, 2.0]])
-    model = gp_fit(Dataset(X, np.array([0.0, 1.0, 0.5])), _cfg(), dom)
+    model = gp_fit(X, np.array([0.0, 1.0, 0.5]), dom, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for offset in (1.0, 1e10):  # the square overflows, then the divide
@@ -493,7 +490,7 @@ def test_ucb_definition():
 def _edge_model():
     # monotone data: the UCB maximum sits at the right domain edge
     X = np.linspace(0.05, 0.8, 8)[:, None]
-    return gp_fit(Dataset(X, X[:, 0].copy()), _cfg(), UNIT)
+    return gp_fit(X, X[:, 0].copy(), UNIT, 0)
 
 
 def test_suggest_finds_edge_maximum():
@@ -513,7 +510,7 @@ def test_suggest_finds_edge_maximum():
 def test_suggest_single_point_domain():
     point = Domain(names=("x",), lo=(0.4,), hi=(0.4,))
     X = np.array([[0.4], [0.4]])
-    model = gp_fit(Dataset(X, np.array([0.0, 0.1])), _cfg(), point)
+    model = gp_fit(X, np.array([0.0, 0.1]), point, 0)
     x = suggest(model, np.random.default_rng(0), h=2.576)
     assert float(x[0]) == pytest.approx(0.4)
 
@@ -546,7 +543,7 @@ def test_gp_fit_does_not_call_scipy_minimize(monkeypatch):
     rng = np.random.default_rng(2)
     dom = Domain(names=("a", "b"), lo=(0.0, -1.0), hi=(1.0, 1.0))
     X = dom.denormalize(rng.random((12, 2)))
-    model = gp_fit(Dataset(X, np.sin(3.0 * X[:, 0]) + X[:, 1]), _cfg(), dom)
+    model = gp_fit(X, np.sin(3.0 * X[:, 0]) + X[:, 1], dom, 0)
     assert np.isfinite(model.theta).all()
 
 
@@ -562,19 +559,21 @@ def test_suggest_stays_in_box():
 
 def test_smbo_history_contract():
     cfg = _cfg(T=25, n_init=6, seed=4)
-    bx, by, hist = smbo(lambda v: -(v[0] - 0.3) ** 2, UNIT, cfg)
-    assert len(hist) == 25
-    assert by == hist.y.max()
-    assert np.all(np.diff(hist.best_y) >= 0.0)  # running maximum
-    np.testing.assert_allclose(hist.best_y, np.maximum.accumulate(hist.y))
+
+    def f(v):
+        return -(v[0] - 0.3) ** 2
+
+    X, y = smbo(f, UNIT, cfg)
+    assert X.shape == (25, 1) and y.shape == (25,)
+    assert y.tolist() == [f(x) for x in X]  # y[i] scores row i of X
 
 
 def test_smbo_reproducible():
     cfg = _cfg(T=15, n_init=5, seed=7)
-    _, _, h1 = smbo(lambda v: -(v[0] - 0.6) ** 2, UNIT, cfg)
-    _, _, h2 = smbo(lambda v: -(v[0] - 0.6) ** 2, UNIT, cfg)
-    np.testing.assert_array_equal(h1.X, h2.X)
-    np.testing.assert_array_equal(h1.y, h2.y)
+    X1, y1 = smbo(lambda v: -(v[0] - 0.6) ** 2, UNIT, cfg)
+    X2, y2 = smbo(lambda v: -(v[0] - 0.6) ** 2, UNIT, cfg)
+    np.testing.assert_array_equal(X1, X2)
+    np.testing.assert_array_equal(y1, y2)
 
 
 def test_smbo_penalizes_failing_cost():
@@ -583,10 +582,10 @@ def test_smbo_penalizes_failing_cost():
             raise RuntimeError("episode blew up")
         return float(v[0])
 
-    bx, by, hist = smbo(cost, UNIT, _cfg(T=20, n_init=8, seed=1))
-    assert FAILED_COST in hist.y
-    assert len(hist) == 20          # loop survived the failures
-    assert by <= 0.5 and by >= 0.0
+    X, y = smbo(cost, UNIT, _cfg(T=20, n_init=8, seed=1))
+    assert FAILED_COST in y
+    assert len(y) == 20          # loop survived the failures
+    assert y.max() <= 0.5 and y.max() >= 0.0
 
 
 def test_smbo_propagates_programming_errors():
@@ -598,14 +597,16 @@ def test_smbo_propagates_programming_errors():
 
 
 def test_smbo_penalizes_nonfinite_cost():
-    _, by, hist = smbo(lambda v: float("nan"), UNIT, _cfg(T=6, n_init=5))
-    assert np.all(hist.y == FAILED_COST)
+    _, y = smbo(lambda v: float("nan"), UNIT, _cfg(T=6, n_init=5))
+    assert np.all(y == FAILED_COST)
 
 
 def test_tuner_config_validation():
     for kwargs in (dict(T=5, n_init=10), dict(n_init=0), dict(h=float("nan")),
                    dict(h=float("inf")), dict(h=-1.0), dict(h=1e308),
-                   dict(seed=-1), dict(seed=1.5), dict(seed=True)):
+                   dict(seed=-1), dict(seed=1.5), dict(seed=True),
+                   dict(T=3.5, n_init=2), dict(n_init=2.5),
+                   dict(T=True, n_init=True), dict(T=np.int64(5), n_init=2)):
         with pytest.raises(ValueError):
             TunerConfig(**kwargs)
 

@@ -41,14 +41,6 @@ class StabilityBounds:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of the gain-inequality stability conditions."""
-
-    stable: bool
-    violated: tuple[str, ...] = ()
-
-
 class WorstCaseGains(NamedTuple):
     """Each PD gain plus its fuzzy regulator's lower bound: the smallest
     gains the fuzzy cascade can apply.  The plain sums, unclamped, so a
@@ -88,29 +80,24 @@ def error_jacobian(params: PlantParams,
     return A
 
 
+def _sorted(z: np.ndarray) -> np.ndarray:
+    """z sorted by (real part, imaginary part)."""
+    return z[np.lexsort((z.imag, z.real))]
+
+
 def eigenvalues(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real matrix, sorted by (real part, imaginary part)."""
-    ev = np.linalg.eigvals(np.asarray(A, dtype=float))
-    return ev[np.lexsort((ev.imag, ev.real))]
+    return _sorted(np.linalg.eigvals(np.asarray(A, dtype=float)))
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic degree-4 real polynomial, highest power first."""
-
-    coeffs: tuple[float, float, float, float, float]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 5 or self.coeffs[0] != 1.0:
-            raise ValueError("need 5 coefficients with leading coefficient 1")
-
-    def roots(self) -> np.ndarray:
-        r = np.roots(self.coeffs)
-        return r[np.lexsort((r.imag, r.real))]
+def polynomial_roots(coeffs) -> np.ndarray:
+    """Roots, sorted by (real, imag), of coefficients highest power first."""
+    return _sorted(np.roots(coeffs))
 
 
-def closed_loop_charpoly(params: PlantParams, gains: GainSet) -> CharPoly:
-    """Characteristic polynomial of the closed error loop (g treated as 0).
+def closed_loop_charpoly(params: PlantParams, gains: GainSet) -> tuple:
+    """The five coefficients, highest power first, of the monic
+    characteristic polynomial of the closed error loop (g treated as 0).
 
     Expanded in closed form as the product of the two loop quadratics
     (s^2 + kd1*s + kp1) * (s^2 + ((mu+kd2)/I_m)*s + (k+kp2)/I_m);
@@ -123,7 +110,7 @@ def closed_loop_charpoly(params: PlantParams, gains: GainSet) -> CharPoly:
     b0 = (p.k + g.kp2) / p.I_m
     coeffs = (1.0, a1 + b1, a0 + b0 + a1 * b1, a1 * b0 + a0 * b1, a0 * b0)
     _require_finite(coeffs, "the characteristic polynomial", g)
-    return CharPoly(coeffs)
+    return coeffs
 
 
 def state_matrix(params: PlantParams, gains: GainSet) -> np.ndarray:
@@ -150,29 +137,29 @@ def state_matrix(params: PlantParams, gains: GainSet) -> np.ndarray:
     return A
 
 
-def _verdict(g: GainSet | WorstCaseGains, p: PlantParams,
-             L: StabilityBounds, names: tuple[str, ...]) -> Verdict:
-    """The four strict inequalities on g, reported under names."""
+def _violated(g: GainSet | WorstCaseGains, p: PlantParams,
+              L: StabilityBounds, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The names of the four strict inequalities on g that fail."""
     oks = (g.kd1 > L.L12, g.kp1 > L.L11,
            (p.mu + g.kd2) / p.I_m > L.L22, (p.k + g.kp2) / p.I_m > L.L21)
-    violated = tuple(name for name, ok in zip(names, oks) if not ok)
-    return Verdict(stable=not violated, violated=violated)
+    return tuple(name for name, ok in zip(names, oks) if not ok)
 
 
 def check_gain_conditions(gains: GainSet, params: PlantParams,
-                   bounds: StabilityBounds) -> Verdict:
-    """Strict gain inequalities guaranteeing local asymptotic stability:
-    kd1 > L12, kp1 > L11, (mu+kd2)/I_m > L22, (k+kp2)/I_m > L21."""
-    return _verdict(gains, params, bounds,
-                    ("kd1 > L12", "kp1 > L11", "(mu+kd2)/I_m > L22",
-                     "(k+kp2)/I_m > L21"))
+                          bounds: StabilityBounds) -> tuple[str, ...]:
+    """The violated ones of the strict gain inequalities that guarantee
+    local asymptotic stability: kd1 > L12, kp1 > L11, (mu+kd2)/I_m > L22,
+    (k+kp2)/I_m > L21.  Empty means stable."""
+    return _violated(gains, params, bounds,
+                     ("kd1 > L12", "kp1 > L11", "(mu+kd2)/I_m > L22",
+                      "(k+kp2)/I_m > L21"))
 
 
 def check_flr_conditions(base: GainSet, flr: FlrBounds, params: PlantParams,
-                         bounds: StabilityBounds) -> Verdict:
-    """The gain inequalities at worst_case_gains(base, flr), the worst
-    admissible gain set."""
-    return _verdict(worst_case_gains(base, flr), params, bounds,
-                    ("kd1 + dkd1_lo > L12", "kp1 + dkp1_lo > L11",
-                     "(mu+kd2+dkd2_lo)/I_m > L22",
-                     "(k+kp2+dkp2_lo)/I_m > L21"))
+                         bounds: StabilityBounds) -> tuple[str, ...]:
+    """The violated gain inequalities at worst_case_gains(base, flr), the
+    worst admissible gain set.  Empty means stable."""
+    return _violated(worst_case_gains(base, flr), params, bounds,
+                     ("kd1 + dkd1_lo > L12", "kp1 + dkp1_lo > L11",
+                      "(mu+kd2+dkd2_lo)/I_m > L22",
+                      "(k+kp2+dkp2_lo)/I_m > L21"))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,23 +92,6 @@ class Reference:
         return self.value, 0.0, 0.0
 
 
-class Diagnostics(NamedTuple):
-    """Per-step controller internals recorded alongside the torque; the
-    fields from e1 on are the last trajectory columns, in TRAJ_COLUMNS
-    order."""
-
-    u_pd1: float
-    x3d: float
-    e1: float
-    e2: float
-    e3: float
-    e4: float
-    kp1_eff: float
-    kd1_eff: float
-    kp2_eff: float
-    kd2_eff: float
-
-
 @dataclass(frozen=True)
 class Controller:
     """Value object bundling a controller kind with its parameters.
@@ -132,21 +114,14 @@ class Controller:
         object.__setattr__(self, "loop1", RuleBase(b.dkp1, b.dkd1) if fuzzy1 else None)
         object.__setattr__(self, "loop2", RuleBase(b.dkp2, b.dkd2) if fuzzy2 else None)
 
-    def torque(self, params: PlantParams, s: State,
-               ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
-        """Torque and diagnostics at state s for reference (x1d, x1d_dot, _):
-        ``_law`` on the floats of s, its tail wrapped as Diagnostics."""
-        u, *diag = self._law(params.I_l, params.k, params.mgl, s.x1, s.x2,
-                             s.x3, s.x4, ref[0], ref[1], math.cos(s.x1))
-        return u, Diagnostics(*diag)
-
     def _law(self, I_l, k, mgl, x1, x2, x3, x4, x1d, x1d_dot, cos_x1):
-        """(u, *Diagnostics fields) on floats, cos_x1 = cos(x1).  SINGLE_PD
-        is the reduced-order baseline: one PD on the link error with
-        single_gains, no reference shaping and no compensation.  Every other
-        kind is the cascade u = u_pd2 + u_pd1*I_l + mgl*cos(x1), u_pd2 a PD
-        tracking x3d; a loop with a regulator adds its (dkp, dkd) output to
-        its PD gains, loop 1 feeding it (e1, e2) and loop 2 (e3, e4)."""
+        """(u, u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2) on floats, the
+        gains as applied, cos_x1 = cos(x1).  SINGLE_PD is the reduced-order
+        baseline: one PD on the link error with single_gains, no reference
+        shaping and no compensation.  Every other kind is the cascade
+        u = u_pd2 + u_pd1*I_l + mgl*cos(x1), u_pd2 a PD tracking x3d; a loop
+        with a regulator adds its (dkp, dkd) output to its PD gains, loop 1
+        feeding it (e1, e2) and loop 2 (e3, e4)."""
         e1 = x1d - x1
         e2 = x1d_dot - x2
         if self.kind is ControllerKind.SINGLE_PD:
@@ -207,15 +182,14 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
 
     The torque is recomputed every control_dt and held over the
     control_dt/sim_dt Euler sub-steps.  The loop runs on plain floats, from
-    the controller's law (``Controller.torque`` wraps it) to one flat list
-    of rows.  Disturbances are indexed by sim step (or by control step under
-    the per-control-step hold) and read from the ``disturbance_draws`` memo
-    one control period at a time; the memo grows only as a sub-step's index
-    reaches its end.  Each sub-step is one forward-Euler step of the
-    equations in ``plant``'s docstring, term by term, with each coefficient
-    computed once.  Raises DivergedTrajectory before integrating a
-    non-finite torque, and as soon as any state component is NaN or its
-    magnitude exceeds 1e6.
+    the controller's law to one flat list of rows.  Disturbances are indexed
+    by sim step (or by control step under the per-control-step hold) and
+    read from the ``disturbance_draws`` memo one control period at a time;
+    the memo grows only as a sub-step's index reaches its end.  Each
+    sub-step is one forward-Euler step of the equations in ``plant``'s
+    docstring, term by term, with each coefficient computed once.  Raises
+    DivergedTrajectory before integrating a non-finite torque, and as soon
+    as any state component is NaN or its magnitude exceeds 1e6.
     """
     I_l, I_m, k, mgl = params.I_l, params.I_m, params.k, params.mgl
     a_grav = -mgl / I_l
@@ -232,17 +206,20 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     draws = ((0.0, 0.0),) * sub if off else disturbance_draws(dist, 0)
     x1 = x2 = x3 = x4 = 0.0
     c = cos(x1)
+    steps = sim.n_control_steps
     rows: list[float] = []
-    for n in range(sim.n_control_steps):
+    for n in range(steps or 1):
         t = n * sim.control_dt
         x1d, x1d_dot, _ = ref(t)
         (u, _, x3d, e1, e2, e3, e4,
          kp1, kd1, kp2, kd2) = law(I_l, k, mgl, x1, x2, x3, x4, x1d, x1d_dot, c)
+        rows += (t, x1, x2, x3, x4, x1d, x3d, u, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
+        if n == steps:   # a zero horizon: the row at rest, nothing integrated
+            break
         base = n * sub
         if not math.isfinite(u):
             raise DivergedTrajectory(base, t, State(x1, x2, x3, x4),
                                      f"non-finite torque {u!r}")
-        rows += (t, x1, x2, x3, x4, x1d, x3d, u, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
         if off:
             ds = draws
         elif per_control:
@@ -273,10 +250,5 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
                                          "non-finite state")
             x1, x2, x3, x4 = y1, y2, y3, y4
             c = cos(x1)
-    s = State(x1, x2, x3, x4)
-    if not rows:
-        r = ref(0.0)
-        u, diag = controller.torque(params, s, r)
-        rows += (0.0, x1, x2, x3, x4, r[0], diag.x3d, u, *diag[2:])
     data = np.array(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
-    return Trajectory(data, final_state=s)
+    return Trajectory(data, final_state=State(x1, x2, x3, x4))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .control import GainSet
 from .fuzzy import FlrBounds
-from .plant import PlantParams
+from .plant import PlantError, PlantParams
 
 GAIN_KEYS = ("kp1", "kd1", "kp2", "kd2")
 BOUND_KEYS = ("dkp1_lo", "dkp1_hi", "dkd1_lo", "dkd1_hi",
@@ -17,11 +17,7 @@ PLANT_KEYS = ("m", "g", "l", "I_l", "I_m", "k", "mu")
 
 
 class GainsFileError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A gains or plant file that does not parse; the message names it."""
 
 
 def _parse_kv(path, allowed) -> dict[str, float]:
@@ -34,20 +30,21 @@ def _parse_kv(path, allowed) -> dict[str, float]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}: line {lineno}"
         if "=" not in line:
-            raise GainsFileError(f"expected 'key = value', got {raw!r}", lineno)
+            raise GainsFileError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in allowed:
-            raise GainsFileError(f"unknown key {key!r}", lineno)
+            raise GainsFileError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise GainsFileError(f"duplicate key {key!r}", lineno)
+            raise GainsFileError(f"{where}: duplicate key {key!r}")
         try:
             values[key] = float(val.strip())
         except ValueError:
-            raise GainsFileError(f"invalid number {val.strip()!r}", lineno) from None
+            raise GainsFileError(f"{where}: invalid number {val.strip()!r}") from None
         if not math.isfinite(values[key]):
-            raise GainsFileError(f"non-finite number {val.strip()!r}", lineno)
+            raise GainsFileError(f"{where}: non-finite number {val.strip()!r}")
     return values
 
 
@@ -65,7 +62,7 @@ def load_gains(path) -> LoadedGains:
     values = _parse_kv(path, set(GAIN_KEYS) | set(BOUND_KEYS))
     for key in GAIN_KEYS:
         if key not in values:
-            raise GainsFileError(f"missing required key {key!r}")
+            raise GainsFileError(f"{path}: missing required key {key!r}")
     pairs = {}
     repaired = []
     for name in ("dkp1", "dkd1", "dkp2", "dkd2"):
@@ -94,4 +91,7 @@ def load_plant(path) -> PlantParams:
     """Plant-parameter overrides in the same key = value format; keys not
     present keep their defaults."""
     values = _parse_kv(path, set(PLANT_KEYS))
-    return PlantParams(**values)
+    try:
+        return PlantParams(**values)
+    except PlantError as exc:
+        raise PlantError(f"{path}: {exc}") from None

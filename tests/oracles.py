@@ -3,16 +3,19 @@
 Each is the plain, one-call-at-a-time form of something the library
 computes on plain floats, in bulk or in closed form: the model's
 right-hand side and one forward-Euler step on a ``State`` (``simulate``
-must match their loop bit for bit), one disturbance draw (the memo
+must match their loop bit for bit), the control law's torque and
+``Diagnostics`` at a ``State``, one disturbance draw (the memo
 ``disturbance_draws`` must match it bit for bit), the mechanical energy,
 the spectrum of the error Jacobian from its two 2x2 blocks, a CSV reader
-for the command line's artifacts and a fitted GP's noise variance.
+for the command line's artifacts, a fitted GP's noise variance and its
+posterior by dense linear algebra.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +48,33 @@ def euler_step(params: PlantParams, s: State, u: float,
         raise PlantError(f"dt must be >= 0, got {dt}")
     ds = derivatives(params, s, u, d1, d2)
     return from_array(as_array(s) + dt * ds)
+
+
+class Diagnostics(NamedTuple):
+    """Per-step controller internals recorded alongside the torque; the
+    fields from e1 on are the last trajectory columns, in TRAJ_COLUMNS
+    order."""
+
+    u_pd1: float
+    x3d: float
+    e1: float
+    e2: float
+    e3: float
+    e4: float
+    kp1_eff: float
+    kd1_eff: float
+    kp2_eff: float
+    kd2_eff: float
+
+
+def torque(controller, params: PlantParams, s: State,
+           ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
+    """Torque and diagnostics of a ``Controller`` at state s for reference
+    (x1d, x1d_dot, _): ``_law`` on the floats of s, its tail wrapped as
+    Diagnostics."""
+    u, *diag = controller._law(params.I_l, params.k, params.mgl, s.x1, s.x2,
+                               s.x3, s.x4, ref[0], ref[1], math.cos(s.x1))
+    return u, Diagnostics(*diag)
 
 
 def disturbance_sample(model: DisturbanceModel, step_index: int) -> tuple[float, float]:
@@ -91,3 +121,26 @@ def noise_variance(model) -> float:
     """Observation-noise variance of a fitted ``GpModel``, in standardized
     cost units: signal variance times the noise-to-signal ratio."""
     return float(np.exp(model.theta[-2] + model.theta[-1]))
+
+
+def dense_oracle(model, X: np.ndarray, y: np.ndarray, Xq: np.ndarray):
+    """Posterior of a fitted ``GpModel`` recomputed by plain dense linear
+    algebra (np.linalg.solve, no Cholesky, no caching) from the fitted
+    hyperparameters."""
+    ls = model.length_scales
+    sf2 = model.signal_variance
+    ratio = noise_variance(model) / sf2
+
+    def corr(A, B):
+        D2 = (A[:, None, :] - B[None, :, :]) ** 2
+        return np.exp(-0.5 * np.sum(D2 / ls ** 2, axis=-1))
+
+    Xn = model.domain.normalize(X)
+    Un = model.domain.normalize(Xq)
+    ys = (y - model.y_mean) / model.y_std
+    K = sf2 * (corr(Xn, Xn) + ratio * np.eye(len(ys)))
+    ks = sf2 * corr(Un, Xn)
+    Kinv = np.linalg.solve(K, np.eye(len(ys)))
+    mean = model.y_mean + model.y_std * (ks @ Kinv @ ys)
+    var = np.maximum(sf2 - np.einsum("ij,jk,ik->i", ks, Kinv, ks), 0.0)
+    return mean, model.y_std * np.sqrt(var)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexjoint.analysis import (CharPoly, StabilityBounds, Verdict,
-                                check_flr_conditions, check_gain_conditions,
-                                closed_loop_charpoly, eigenvalues,
-                                error_jacobian, state_matrix, worst_case_gains)
+from flexjoint.analysis import (StabilityBounds, check_flr_conditions,
+                                check_gain_conditions, closed_loop_charpoly,
+                                eigenvalues, error_jacobian, polynomial_roots,
+                                state_matrix, worst_case_gains)
 from flexjoint.control import GainSet
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import PlantParams
-from oracles import block_eigenvalues
+from oracles import block_eigenvalues, torque
 
 pos = st.floats(0.05, 50.0, allow_nan=False)
 gain = st.floats(0.0, 200.0, allow_nan=False)
@@ -58,13 +58,6 @@ def test_dense_solver_matches_block_formula(kp1, kd1, kp2, kd2, I_l, I_m, k, mu)
 # ---------------------------------------------------------------------------
 # characteristic polynomial
 
-def test_charpoly_validation():
-    with pytest.raises(ValueError):
-        CharPoly((2.0, 0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        CharPoly((1.0, 0.0, 0.0))
-
-
 def test_overflowing_gains_name_themselves(params):
     """Finite gains whose sums or products overflow raise a ValueError that
     names the gains before any solver sees an inf."""
@@ -77,14 +70,15 @@ def test_overflowing_gains_name_themselves(params):
 
 
 def test_charpoly_matches_jacobian_spectrum(params, gains):
-    roots = closed_loop_charpoly(params, gains).roots()
+    roots = polynomial_roots(closed_loop_charpoly(params, gains))
     ev = eigenvalues(error_jacobian(params, gains))
     np.testing.assert_allclose(roots, ev, rtol=1e-6)
 
 
 def test_charpoly_outer_loop_open_factorization(params):
     # kp1 = kd1 = 0 leaves a double pole at the origin: s^2 * (inner loop)
-    c = closed_loop_charpoly(params, GainSet(0.0, 0.0, 144.5, 8.636)).coeffs
+    c = closed_loop_charpoly(params, GainSet(0.0, 0.0, 144.5, 8.636))
+    assert len(c) == 5 and c[0] == 1.0   # monic, degree 4
     assert c[3] == 0.0 and c[4] == 0.0
     assert c[1] == pytest.approx(8.736 / 0.3, rel=1e-12)
     assert c[2] == pytest.approx(244.5 / 0.3, rel=1e-12)
@@ -93,7 +87,8 @@ def test_charpoly_outer_loop_open_factorization(params):
 def test_charpoly_undamped_spectrum():
     # no gains, no friction: coupled springs, purely oscillatory
     p = PlantParams(mu=1e-300)  # friction must be > 0; take it negligible
-    roots = closed_loop_charpoly(p, GainSet(0.0, 0.0, 0.0, 0.0)).roots()
+    roots = polynomial_roots(closed_loop_charpoly(p, GainSet(0.0, 0.0, 0.0,
+                                                             0.0)))
     assert np.max(np.abs(roots.real)) < 1e-6
 
 
@@ -120,7 +115,7 @@ def test_state_matrix_agrees_with_finite_differences(gains):
 
     def f(x):
         s = State(*x)
-        u, _ = ctrl.torque(p, s, (0.0, 0.0, 0.0))
+        u, _ = torque(ctrl, p, s, (0.0, 0.0, 0.0))
         return derivatives(p, s, u)
 
     eps = 1e-7
@@ -143,36 +138,33 @@ def test_bounds_validation():
 
 
 def test_gain_conditions_pass_for_reference_gains(params, gains):
-    v = check_gain_conditions(gains, params, StabilityBounds())
-    assert v == Verdict(stable=True, violated=())
+    assert check_gain_conditions(gains, params, StabilityBounds()) == ()
 
 
 def test_gain_conditions_strict(params, gains):
     # each inequality is strict: sitting exactly on a bound fails it
     v = check_gain_conditions(gains, params, StabilityBounds(L12=10.18))
-    assert not v.stable
-    assert v.violated == ("kd1 > L12",)
+    assert v == ("kd1 > L12",)
 
 
 def test_gain_conditions_zero_gains(params):
     v = check_gain_conditions(GainSet(0.0, 0.0, 0.0, 0.0), params, StabilityBounds())
-    assert "kd1 > L12" in v.violated and "kp1 > L11" in v.violated
+    assert "kd1 > L12" in v and "kp1 > L11" in v
 
 
 def test_flr_conditions_pass_for_reference_bounds(params, gains, bounds):
-    assert check_flr_conditions(gains, bounds, params, StabilityBounds()).stable
+    assert check_flr_conditions(gains, bounds, params, StabilityBounds()) == ()
 
 
 def test_flr_conditions_catch_destabilizing_lower_bound(params, gains):
     bad = FlrBounds(dkp1=(-60.0, 0.0))  # drives kp1 negative in the worst case
     v = check_flr_conditions(gains, bad, params, StabilityBounds())
-    assert not v.stable
-    assert v.violated == ("kp1 + dkp1_lo > L11",)
+    assert v == ("kp1 + dkp1_lo > L11",)
 
 
 def test_flr_conditions_tighter_than_nominal(params, gains, bounds):
     # a disturbance slope the nominal gains tolerate but the worst-case
     # regulator output does not
     L = StabilityBounds(L12=8.0)
-    assert check_gain_conditions(gains, params, L).stable
-    assert not check_flr_conditions(gains, bounds, params, L).stable
+    assert check_gain_conditions(gains, params, L) == ()
+    assert check_flr_conditions(gains, bounds, params, L) != ()

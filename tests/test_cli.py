@@ -1,14 +1,17 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from flexjoint.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
                            METRIC_COLUMNS, TRAJ_COLUMNS, main)
+from flexjoint.control import (Controller, ControllerKind, GainSet, Reference,
+                               simulate)
 from flexjoint.gainsio import save_gains
-from flexjoint.control import GainSet
 from flexjoint.metrics import FAILED_COST
+from flexjoint.plant import DisturbanceModel, PlantParams, SimConfig
 from oracles import read_csv
 
 
@@ -47,6 +50,26 @@ def test_simulate_zero_horizon_degenerate(tmp_path, capsys):
     header, data = read_csv(out + "_trajectory.csv")
     assert data.shape == (1, len(TRAJ_COLUMNS))
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_zero_horizon_records_an_infinite_torque(tmp_path, capsys):
+    """A zero horizon integrates nothing, so even a torque of inf is
+    recorded as the one row at rest instead of raised as a divergence."""
+    huge = GainSet(1e308, 1e308, 1e308, 1e308)
+    traj = simulate(PlantParams(), SimConfig(horizon=0.0),
+                    Controller(ControllerKind.CASCADED_PD, huge),
+                    Reference("square"), DisturbanceModel())
+    assert len(traj) == 1 and traj.u[0] == math.inf
+    gfile = tmp_path / "huge.txt"
+    save_gains(gfile, huge)
+    out = str(tmp_path / "zi")
+    assert run(["simulate", "--out", out, "--horizon", "0",
+                "--gains", str(gfile)]) == EXIT_USAGE
+    header, data = read_csv(out + "_trajectory.csv")
+    assert data.shape == (1, len(TRAJ_COLUMNS))
+    assert data[0, header.index("u")] == math.inf
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: degenerate metrics")
 
 
 def test_simulate_divergence_exit_code(tmp_path):
@@ -98,7 +121,18 @@ def test_nonfinite_input_file_is_one_line_usage_error(tmp_path, capsys,
     out = str(tmp_path / "nf")
     assert run(["simulate", "--out", out, flag, str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: line 1")
+    assert err == [f"error: {path}: line 1: non-finite number 'nan'"]
+
+
+def test_rejected_plant_file_is_one_line_usage_error(tmp_path, capsys):
+    """A plant file that parses but holds a value PlantParams rejects: one
+    error line that names the file."""
+    path = tmp_path / "plant.txt"
+    path.write_text("I_m = -1\n")
+    out = str(tmp_path / "rp")
+    assert run(["simulate", "--out", out, "--plant", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: I_m must be strictly positive, got -1.0"]
 
 
 @pytest.mark.parametrize("flags", [

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from flexjoint import control, plant
 from flexjoint.cli import TUNED_FLR_BOUNDS
 from flexjoint.control import (DIVERGENCE_LIMIT, TRAJ_COLUMNS, Controller,
-                               ControllerKind, Diagnostics, DivergedTrajectory,
+                               ControllerKind, DivergedTrajectory,
                                GainSet, Reference, simulate)
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import (DISTURBANCE_TABLES, DRAW_BLOCK, DisturbanceModel,
                              PlantError, PlantParams, SimConfig, State)
-from oracles import disturbance_sample, euler_step
+from oracles import Diagnostics, disturbance_sample, euler_step, torque
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -41,8 +41,8 @@ def motor_reference(params, x1, u_pd1):
 
 def _single_pd(kp, kd, e, de):
     """The single-PD torque on link error e and error rate de."""
-    u, _ = Controller(ControllerKind.SINGLE_PD, single_gains=(kp, kd)).torque(
-        PlantParams(), State(0.0, 0.0, 0.0, 0.0), (e, de, 0.0))
+    u, _ = torque(Controller(ControllerKind.SINGLE_PD, single_gains=(kp, kd)),
+                  PlantParams(), State(0.0, 0.0, 0.0, 0.0), (e, de, 0.0))
     return u
 
 
@@ -57,8 +57,8 @@ def test_pd_linear(kp, kd, e, de, a):
 
 def test_motor_reference_at_rest(params, gains):
     # frozen from 40-digit decimal arithmetic: mgl/k
-    _, d = Controller(ControllerKind.CASCADED_PD, gains).torque(
-        params, State(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    _, d = torque(Controller(ControllerKind.CASCADED_PD, gains),
+                  params, State(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert d.u_pd1 == 0.0
     assert d.x3d == motor_reference(params, 0.0, 0.0)
     assert d.x3d == pytest.approx(0.05000352, rel=1e-12)
@@ -88,7 +88,7 @@ def test_gain_set_validation():
 
 
 def _torque(kind, params, gains, s, ref, bounds=FlrBounds()):
-    return Controller(kind, gains, bounds).torque(params, s, ref)
+    return torque(Controller(kind, gains, bounds), params, s, ref)
 
 
 def test_cascaded_torque_frozen(params, gains):
@@ -143,9 +143,9 @@ def test_fuzzy_loops_can_be_disabled(params, gains, bounds):
 
 
 def test_single_pd_torque_is_plain_pd():
-    u, d = Controller(ControllerKind.SINGLE_PD, single_gains=(117.0, 29.99)
-                      ).torque(PlantParams(), State(0.2, 0.1, 0.0, 0.0),
-                               (1.0, 0.0, 0.0))
+    u, d = torque(Controller(ControllerKind.SINGLE_PD,
+                             single_gains=(117.0, 29.99)),
+                  PlantParams(), State(0.2, 0.1, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert u == pytest.approx(117.0 * 0.8 + 29.99 * (-0.1), rel=1e-12)
     assert math.isnan(d.x3d) and math.isnan(d.e3)
 
@@ -155,12 +155,13 @@ def test_controller_dispatch(params, gains, bounds):
     ref = (1.0, 0.0, 0.0)
     for kind in ControllerKind:
         c = Controller(kind=kind, gains=gains, flr_bounds=bounds)
-        u, d = c.torque(params, s, ref)
+        u, d = torque(c, params, s, ref)
         assert math.isfinite(u)
 
 
 def test_diagnostics_tail_is_the_trajectory_tail():
-    # simulate splices diag[2:] into a row after (t, x1..x4, x1d, x3d, u)
+    # simulate writes the law's outputs from e1 on into a row after
+    # (t, x1..x4, x1d, x3d, u), in Diagnostics order
     assert Diagnostics._fields[2:] == TRAJ_COLUMNS[8:]
 
 
@@ -274,10 +275,10 @@ def test_single_pd_diverges(params, sim):
 def _euler_reference(params, sim, ctrl, ref, dist):
     """simulate() rebuilt from euler_step and disturbance_sample: the rows
     and the final state, or the DivergedTrajectory it raises."""
-    def torque(t):
+    def record(t):
         """Append the row at time t; return its torque."""
         r = ref(t)
-        u, d = ctrl.torque(params, s, r)
+        u, d = torque(ctrl, params, s, r)
         rows.append((t, s.x1, s.x2, s.x3, s.x4, r[0], d.x3d, u, d.e1, d.e2,
                      d.e3, d.e4, d.kp1_eff, d.kd1_eff, d.kp2_eff, d.kd2_eff))
         return u
@@ -286,7 +287,7 @@ def _euler_reference(params, sim, ctrl, ref, dist):
     rows, sim_step = [], 0
     for n in range(sim.n_control_steps):
         t = n * sim.control_dt
-        u = torque(t)
+        u = record(t)
         if not math.isfinite(u):
             raise DivergedTrajectory(sim_step, t, s)
         for _ in range(sim.substeps):
@@ -300,7 +301,7 @@ def _euler_reference(params, sim, ctrl, ref, dist):
             if max(abs(s.x1), abs(s.x2), abs(s.x3), abs(s.x4)) > DIVERGENCE_LIMIT:
                 raise DivergedTrajectory(sim_step, sim_step * sim.sim_dt, s)
     if not rows:
-        torque(0.0)
+        record(0.0)
     return np.array(rows, dtype=float), s
 
 
@@ -424,13 +425,13 @@ def test_draws_grow_exactly_across_block_edges(params, gains, draws, fresh_memo,
 
 def test_simulate_builds_no_per_step_objects(params, sim, gains, bounds,
                                              monkeypatch):
-    """A run builds one State, the final one, and no Diagnostics."""
+    """A run builds one State, the final one."""
     made = collections.Counter()
-    for cls in (State, Diagnostics):
-        def counting(*args, cls=cls):
-            made[cls.__name__] += 1
-            return cls(*args)
-        monkeypatch.setattr(control, cls.__name__, counting)
+
+    def counting(*args):
+        made["State"] += 1
+        return State(*args)
+    monkeypatch.setattr(control, "State", counting)
     for kind in (ControllerKind.CASCADED_PD, ControllerKind.FUZZY_CASCADED):
         made.clear()
         traj = simulate(params, sim, Controller(kind, gains, bounds),

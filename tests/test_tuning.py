@@ -21,7 +21,7 @@ from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               pd_gain_domain, smbo, suggest, tracking_cost,
                               ucb)
-from oracles import noise_variance, read_csv
+from oracles import dense_oracle, noise_variance, read_csv
 
 UNIT = Domain(names=("x",), lo=(0.0,), hi=(1.0,))
 
@@ -124,29 +124,6 @@ def test_gp_regression_quality_held_out():
     assert rms < 0.1
 
 
-def _dense_oracle(model: GpModel, X: np.ndarray, y: np.ndarray,
-                  Xq: np.ndarray):
-    """Posterior recomputed by plain dense linear algebra (np.linalg.solve,
-    no Cholesky, no caching) from the fitted hyperparameters."""
-    ls = model.length_scales
-    sf2 = model.signal_variance
-    ratio = noise_variance(model) / sf2
-
-    def corr(A, B):
-        D2 = (A[:, None, :] - B[None, :, :]) ** 2
-        return np.exp(-0.5 * np.sum(D2 / ls ** 2, axis=-1))
-
-    Xn = model.domain.normalize(X)
-    Un = model.domain.normalize(Xq)
-    ys = (y - model.y_mean) / model.y_std
-    K = sf2 * (corr(Xn, Xn) + ratio * np.eye(len(ys)))
-    ks = sf2 * corr(Un, Xn)
-    Kinv = np.linalg.solve(K, np.eye(len(ys)))
-    mean = model.y_mean + model.y_std * (ks @ Kinv @ ys)
-    var = np.maximum(sf2 - np.einsum("ij,jk,ik->i", ks, Kinv, ks), 0.0)
-    return mean, model.y_std * np.sqrt(var)
-
-
 @pytest.mark.parametrize("seed,n,d", [(0, 12, 1), (1, 30, 2), (2, 50, 4)])
 def test_gp_matches_dense_oracle(seed, n, d):
     rng = np.random.default_rng(seed)
@@ -157,7 +134,7 @@ def test_gp_matches_dense_oracle(seed, n, d):
     model = gp_fit(X, y, dom, 0)
     Xq = rng.uniform(0, 1, size=(25, d))
     mean, std = gp_predict(model, Xq)
-    mean_o, std_o = _dense_oracle(model, X, y, Xq)
+    mean_o, std_o = dense_oracle(model, X, y, Xq)
     np.testing.assert_allclose(mean, mean_o, rtol=1e-6, atol=1e-6 * model.y_std)
     np.testing.assert_allclose(std, std_o, rtol=1e-6, atol=1e-6 * model.y_std)
 

@@ -72,8 +72,12 @@ def load_gains(path) -> LoadedGains:
             repaired.append(name)
             lo, hi = hi, lo
         pairs[name] = (lo, hi)
-    gains = GainSet(values["kp1"], values["kd1"], values["kp2"], values["kd2"])
-    bounds = FlrBounds(**pairs)
+    try:
+        gains = GainSet(values["kp1"], values["kd1"], values["kp2"],
+                        values["kd2"])
+        bounds = FlrBounds(**pairs)
+    except ValueError as exc:
+        raise GainsFileError(f"{path}: {exc}") from None
     return LoadedGains(gains=gains, bounds=bounds, repaired_pairs=tuple(repaired))
 
 

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
-from scipy.stats import qmc
 
 from .control import Controller, ControllerKind, GainSet, Reference, simulate
 from .fuzzy import FlrBounds
@@ -38,6 +37,79 @@ LOCAL_SEARCHES = 8
 
 class GpFitError(RuntimeError):
     """Covariance stayed singular through the whole jitter escalation."""
+
+
+# Joe & Kuo's (2008) primitive polynomials, degree bits included, and
+# initial direction numbers for the first SOBOL_MAX_DIM Sobol dimensions;
+# the first dimension is the van der Corput sequence
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+                (1, 3, 5, 13), (1, 1, 5, 5, 17))
+SOBOL_MAX_DIM = len(_SOBOL_POLY)
+_SOBOL_BITS = 30
+_MSB_FIRST = np.left_shift(1, np.arange(_SOBOL_BITS - 1, -1, -1))
+
+
+def _direction_numbers() -> np.ndarray:
+    """(SOBOL_MAX_DIM, 30) direction numbers v[d, j], bit 29 - j leading."""
+    rows = []
+    for p, vinit in zip(_SOBOL_POLY, _SOBOL_VINIT):
+        m = p.bit_length() - 1
+        v = list(vinit) or [1] * _SOBOL_BITS
+        for j in range(len(v), _SOBOL_BITS):
+            new = v[j - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    return np.array(rows) * _MSB_FIRST
+
+
+_SOBOL_V = _direction_numbers()
+
+
+def _check_sobol_dim(d: int) -> None:
+    if d > SOBOL_MAX_DIM:
+        raise ValueError(f"Sobol draws have direction numbers for at most "
+                         f"{SOBOL_MAX_DIM} dimensions, got {d}")
+
+
+def sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of a d-dimensional Sobol sequence with
+    Matousek's linear matrix scramble and a digital shift, bit for bit
+    scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(n): 30-bit
+    integers from default_rng(seed), which draws the shift's bits (least
+    significant first), then lower-triangular 0/1 scramble matrices with
+    unit diagonals.  Bit 29 - p of a scrambled direction number is the
+    parity of row p (most significant first) AND the number; points follow
+    in Gray-code order from the shift."""
+    _check_sobol_dim(d)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32)
+    shift = bits @ _MSB_FIRST[::-1]
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS),
+                               dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    v_bits = (_SOBOL_V[:d, :, None] & _MSB_FIRST) > 0  # (d, j, bit), MSB first
+    sv = ((v_bits @ ltm.transpose(0, 2, 1)) & 1) @ _MSB_FIRST  # (d, j)
+    # point i > 0 flips the direction number at the lowest zero bit of i - 1
+    i = np.arange(1, n)
+    flips = sv[:, np.bitwise_count((i & -i) - 1)].T
+    quasi = np.bitwise_xor.accumulate(np.vstack([shift, flips])[:n], axis=0)
+    return quasi * 2.0 ** -_SOBOL_BITS
+
+
+def latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
+    """n points of a d-dimensional Latin hypercube with one point at a
+    uniform place in each of the n strata of every axis, bit for bit
+    scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)."""
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - samples) / n
 
 
 @dataclass(frozen=True)
@@ -298,10 +370,12 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation (original cost units) of the
     latent function at one point or a batch of points (GPML Alg. 2.1), from
     the model's cached state, solving with LAPACK dpotrs directly after
-    cho_solve's finiteness check.  Every row of a batch has the bits of a
+    cho_solve's finiteness check.  Under the SkylakeX OpenBLAS kernel with
+    numpy's AVX-512 dispatch, every row of a batch has the bits of a
     one-point call: the mean is a per-row dot (one ddot, where a (m, n) @
     alpha gemv rounds rows apart), and the kernel, the dpotrs columns and
-    the variance reduction are per row already.  A NaN or infinite query
+    the variance reduction are per row already; other kernels can round a
+    multi-column dpotrs apart from one column.  A NaN or infinite query
     raises ValueError."""
     X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
     sf2 = model.signal_variance
@@ -396,13 +470,15 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     the best LOCAL_SEARCHES candidates on the UCB at the clipped point.  The
     searches run in lockstep: each round evaluates the pending query of
     every live search in one batched gp_predict, whose rows have the bits
-    of one-point calls.  Tests hold the local search to scipy's
-    Nelder-Mead bit for bit.  Ties fall to the first best candidate of the
-    seeded scan."""
+    of one-point calls under the SkylakeX OpenBLAS kernel with numpy's
+    AVX-512 dispatch.  Tests hold the local search to scipy's Nelder-Mead
+    bit for bit.  Candidates with tied scores are ranked by the reversed
+    np.argsort of the scan, so the best is whichever tie the default sort
+    puts last, and that order can differ between numpy's dispatch levels;
+    among the local searches, a tie keeps the earlier candidate."""
     domain = model.domain
-    sob = qmc.Sobol(domain.dim, scramble=True, seed=int(rng.integers(2 ** 63)))
-    U = sob.random(SOBOL_CANDIDATES)
-    cand = domain.denormalize(U)
+    cand = domain.denormalize(
+        sobol(domain.dim, SOBOL_CANDIDATES, int(rng.integers(2 ** 63))))
     mean, std = gp_predict(model, cand)
     scores = ucb(mean, std, h)
     order = np.argsort(scores)[::-1]
@@ -440,11 +516,12 @@ def smbo(cost, domain: Domain,
     bad parameter set, and propagates.  Returns (X, y), episode i's
     parameters X[i] and score y[i]; identical seeds reproduce them.
     """
+    _check_sobol_dim(domain.dim)
     rng = np.random.default_rng((config.seed, 0x5B0))
-    lhs = qmc.LatinHypercube(domain.dim, seed=int(rng.integers(2 ** 63)))
     X = np.empty((config.T, domain.dim))
     y = np.empty(config.T)
-    X[:config.n_init] = domain.denormalize(lhs.random(config.n_init))
+    X[:config.n_init] = domain.denormalize(latin_hypercube(
+        domain.dim, config.n_init, int(rng.integers(2 ** 63))))
     for n in range(config.T):
         if n >= max(config.n_init, 2):
             model = gp_fit(X[:n], y[:n], domain, config.seed)

@@ -135,6 +135,18 @@ def test_rejected_plant_file_is_one_line_usage_error(tmp_path, capsys):
     assert err == [f"error: {path}: I_m must be strictly positive, got -1.0"]
 
 
+def test_rejected_gains_file_is_one_line_usage_error(tmp_path, capsys):
+    """A gains file that parses but holds a gain GainSet rejects: one error
+    line that names the file."""
+    path = tmp_path / "neg.txt"
+    path.write_text("kp1 = -1\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n")
+    out = str(tmp_path / "rg")
+    assert run(["simulate", "--out", out, "--gains", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: kp1 must be finite and >= 0, got -1.0"]
+    assert not list(tmp_path.glob("rg*"))
+
+
 @pytest.mark.parametrize("flags", [
     ["--horizon", "inf"],
     ["--sim-dt", "nan"],
@@ -304,7 +316,7 @@ def test_overflowing_regulator_width_is_one_line_usage_error(tmp_path, capsys,
     assert run([command, "--out", out, "--gains", str(gfile)]) == EXIT_USAGE
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: dkp1 bounds")
+    assert len(err) == 1 and err[0].startswith(f"error: {gfile}: dkp1 bounds")
     assert "overflow" in err[0] and captured.out == ""
 
 

@@ -7,18 +7,34 @@ from pathlib import Path
 import flexjoint
 
 
-def test_simulation_layers_do_not_import_scipy():
-    """Only tuning needs scipy; the layers below it and the command line
-    import without it."""
+def _scipy_modules_after(imports: str) -> str:
+    """The sorted scipy* entries of sys.modules after a fresh interpreter
+    runs `import <imports>`, as printed."""
     code = ("import sys\n"
-            "import flexjoint.plant, flexjoint.fuzzy, flexjoint.control, "
-            "flexjoint.metrics, flexjoint.gainsio, flexjoint.cli\n"
+            f"import {imports}\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(flexjoint.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_simulation_layers_do_not_import_scipy():
+    """Only tuning needs scipy, and of it only scipy.linalg and
+    scipy.optimize; the layers below it and the command line import
+    without it."""
+    assert _scipy_modules_after(
+        "flexjoint.plant, flexjoint.fuzzy, flexjoint.control, "
+        "flexjoint.metrics, flexjoint.gainsio, flexjoint.cli") == "[]"
+
+
+def test_tuning_does_not_import_scipy_stats():
+    """tuning draws its Sobol and Latin-hypercube points in numpy, so
+    importing it loads no scipy.stats module."""
+    modules = ast.literal_eval(_scipy_modules_after("flexjoint.tuning"))
+    assert "scipy.linalg" in modules and "scipy.optimize" in modules
+    assert not [m for m in modules if m.startswith("scipy.stats")]
 
 
 # Definitions that src/ keeps though no command reaches them, with the reason.

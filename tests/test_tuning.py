@@ -14,13 +14,13 @@ from flexjoint.cli import main
 from flexjoint.control import TRAJ_COLUMNS, GainSet, Trajectory
 from flexjoint.plant import PlantParams
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
-                              FAILED_COST, Domain, GpModel,
+                              FAILED_COST, SOBOL_MAX_DIM, Domain, GpModel,
                               TunerConfig, _lbfgsb,
                               _neg_lml_and_grad, _nelder_mead, _pair_corr,
                               _pairs, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
-                              pd_gain_domain, smbo, suggest, tracking_cost,
-                              ucb)
+                              latin_hypercube, pd_gain_domain, smbo, sobol,
+                              suggest, tracking_cost, ucb)
 from oracles import dense_oracle, noise_variance, read_csv
 
 UNIT = Domain(names=("x",), lo=(0.0,), hi=(1.0,))
@@ -459,6 +459,48 @@ def test_lbfgsb_passes_through_the_non_pd_branch():
 def test_ucb_definition():
     assert ucb(1.0, 2.0, 2.576) == pytest.approx(1.0 + 2.576 * 2.0)
     assert ucb(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 2.0)[0] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# quasi-random draws
+
+@given(seed=st.integers(0, 2 ** 63 - 1), d=st.integers(1, SOBOL_MAX_DIM),
+       n=st.sampled_from([1, 2, 2048]))
+@settings(max_examples=200, deadline=None)
+def test_sobol_matches_scipy_bitwise(seed, d, n):
+    ours = sobol(d, n, seed)
+    theirs = qmc.Sobol(d, scramble=True, seed=seed).random(n)
+    assert ours.shape == theirs.shape == (n, d)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 63 - 1), d=st.integers(1, SOBOL_MAX_DIM),
+       n=st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_latin_hypercube_matches_scipy_bitwise(seed, d, n):
+    ours = latin_hypercube(d, n, seed)
+    theirs = qmc.LatinHypercube(d, seed=seed).random(n)
+    assert ours.shape == theirs.shape == (n, d)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def test_too_many_sobol_dimensions_is_one_line_error():
+    """A box wider than the direction-number table: suggest and smbo raise
+    one line, smbo before it evaluates any cost."""
+    d = SOBOL_MAX_DIM + 1
+    message = (f"Sobol draws have direction numbers for at most "
+               f"{SOBOL_MAX_DIM} dimensions, got {d}")
+    model, _, _ = _random_model(0, d, 5)
+    with pytest.raises(ValueError) as exc:
+        suggest(model, np.random.default_rng(0), h=2.576)
+    assert str(exc.value) == message
+
+    def cost(x):
+        raise AssertionError("smbo evaluated a cost")
+
+    with pytest.raises(ValueError) as exc:
+        smbo(cost, model.domain, _cfg(T=6, n_init=5))
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,12 @@ class WorstCaseGains(NamedTuple):
     kd2: float
 
 
-def _require_finite(values, what: str, gains) -> None:
-    """Finite gains can still overflow the sums and products formed from
-    them; name the gains instead of handing inf to the solvers."""
+def _require_finite(values, what: str, *inputs) -> None:
+    """Finite gains and plant values can still overflow the sums and
+    products formed from them; name the inputs instead of handing inf to
+    the solvers."""
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} overflows for {gains}")
+        raise ValueError(f"{what} overflows for {' and '.join(map(str, inputs))}")
 
 
 def worst_case_gains(base: GainSet, flr: FlrBounds) -> WorstCaseGains:
@@ -76,7 +77,7 @@ def error_jacobian(params: PlantParams,
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, -(p.k + g.kp2) / p.I_m, -(p.mu + g.kd2) / p.I_m],
     ])
-    _require_finite(A.flat, "the error Jacobian", g)
+    _require_finite(A.flat, "the error Jacobian", g, p)
     return A
 
 
@@ -109,7 +110,7 @@ def closed_loop_charpoly(params: PlantParams, gains: GainSet) -> tuple:
     b1 = (p.mu + g.kd2) / p.I_m
     b0 = (p.k + g.kp2) / p.I_m
     coeffs = (1.0, a1 + b1, a0 + b0 + a1 * b1, a1 * b0 + a0 * b1, a0 * b0)
-    _require_finite(coeffs, "the characteristic polynomial", g)
+    _require_finite(coeffs, "the characteristic polynomial", g, p)
     return coeffs
 
 

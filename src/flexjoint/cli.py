@@ -27,7 +27,7 @@ from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
 from .control import SINGLE_PD_GAINS  # noqa: F401  (re-exported for perfbench)
 from .fuzzy import FlrBounds
 from .gainsio import LoadedGains, load_gains, load_plant, save_gains
-from .metrics import FAILED_COST, MetricsError, compute_metrics
+from .metrics import COST_STEPS, FAILED_COST, compute_metrics
 from .plant import DisturbanceModel, PlantParams, SimConfig
 
 # Bundled tuning results (BO over the square-wave task); the regulator
@@ -175,15 +175,9 @@ def cmd_simulate(args) -> int:
                 flr_bounds=asdict(loaded.bounds), reference=args.reference,
                 disturbance=asdict(dist), seed=args.seed)
     write_meta(args.out, meta)
-    try:
-        traj = simulate(params, sim, ctrl, ref, dist)
-    except DivergedTrajectory as exc:
-        raise CliError(str(exc), EXIT_DIVERGED) from None
+    traj = simulate(params, sim, ctrl, ref, dist)
     write_csv(f"{args.out}_trajectory.csv", TRAJ_COLUMNS, traj.data.tolist())
-    try:
-        m = compute_metrics(traj, ref)
-    except MetricsError as exc:
-        raise CliError(f"degenerate metrics: {exc}", EXIT_USAGE) from None
+    m = compute_metrics(traj, ref)
     write_csv(f"{args.out}_metrics.csv", METRIC_COLUMNS, [astuple(m)])
     print(f"cost={m.cost!r} overshoot_pct={m.overshoot_pct!r} "
           f"settling_time={m.settling_time!r} "
@@ -198,6 +192,10 @@ def cmd_tune(args) -> int:
 
     params = _resolve_plant(args)
     sim = _sim_config(args)
+    if sim.n_control_steps < COST_STEPS:
+        raise CliError(f"--horizon {sim.horizon} / --control-dt {sim.control_dt} "
+                       f"give {sim.n_control_steps} control steps, need "
+                       f"{COST_STEPS} for the tuning cost window")
     ref = Reference(kind="square")
     dist = _disturbance(args, args.disturbance)
     if args.tuner_seed < 0:
@@ -338,6 +336,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except DivergedTrajectory as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

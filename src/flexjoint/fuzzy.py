@@ -40,10 +40,6 @@ _KP_INDEX = np.array([[TERMS.index(t) for t in row] for row in KP_RULES])
 _KD_INDEX = np.array([[TERMS.index(t) for t in row] for row in KD_RULES])
 
 
-class FuzzyConfigError(ValueError):
-    """Malformed scale or rule base."""
-
-
 @dataclass(frozen=True)
 class LinguisticScale:
     """Five-term partition of [lo, hi] with evenly spaced peaks.
@@ -61,7 +57,7 @@ class LinguisticScale:
     def __post_init__(self):
         peaks = np.linspace(self.lo, self.hi, 5)
         if not (np.diff(peaks) > 0.0).all():
-            raise FuzzyConfigError(f"need distinct peaks in [{self.lo}, {self.hi}]")
+            raise ValueError(f"need distinct peaks in [{self.lo}, {self.hi}]")
         object.__setattr__(self, "peaks", tuple(peaks.tolist()))
 
     def terms(self, x: float) -> tuple[int, float, float]:
@@ -85,8 +81,8 @@ RATE_SCALE = LinguisticScale(-5.0, 5.0)
 
 def _check_bounds(name: str, lo: float, hi: float) -> None:
     if not (lo <= hi and math.isfinite(hi - lo)):
-        raise FuzzyConfigError(f"{name} bounds ({lo}, {hi}) must be ordered and "
-                               f"finite, and the width hi - lo must not overflow")
+        raise ValueError(f"{name} bounds ({lo}, {hi}) must be ordered and "
+                         f"finite, and the width hi - lo must not overflow")
 
 
 # np.sum over a contiguous 25-cell table adds cell p to running sum p % 8,

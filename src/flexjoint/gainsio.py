@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .control import GainSet
 from .fuzzy import FlrBounds
-from .plant import PlantError, PlantParams
+from .plant import PlantParams
 
 GAIN_KEYS = ("kp1", "kd1", "kp2", "kd2")
 BOUND_KEYS = ("dkp1_lo", "dkp1_hi", "dkd1_lo", "dkd1_hi",
@@ -16,15 +16,11 @@ BOUND_KEYS = ("dkp1_lo", "dkp1_hi", "dkd1_lo", "dkd1_hi",
 PLANT_KEYS = ("m", "g", "l", "I_l", "I_m", "k", "mu")
 
 
-class GainsFileError(ValueError):
-    """A gains or plant file that does not parse; the message names it."""
-
-
 def _parse_kv(path, allowed) -> dict[str, float]:
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise GainsFileError(f"{path}: not UTF-8 text ({exc})") from None
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -32,19 +28,19 @@ def _parse_kv(path, allowed) -> dict[str, float]:
             continue
         where = f"{path}: line {lineno}"
         if "=" not in line:
-            raise GainsFileError(f"{where}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in allowed:
-            raise GainsFileError(f"{where}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise GainsFileError(f"{where}: duplicate key {key!r}")
+            raise ValueError(f"{where}: duplicate key {key!r}")
         try:
             values[key] = float(val.strip())
         except ValueError:
-            raise GainsFileError(f"{where}: invalid number {val.strip()!r}") from None
+            raise ValueError(f"{where}: invalid number {val.strip()!r}") from None
         if not math.isfinite(values[key]):
-            raise GainsFileError(f"{where}: non-finite number {val.strip()!r}")
+            raise ValueError(f"{where}: non-finite number {val.strip()!r}")
     return values
 
 
@@ -62,7 +58,7 @@ def load_gains(path) -> LoadedGains:
     values = _parse_kv(path, set(GAIN_KEYS) | set(BOUND_KEYS))
     for key in GAIN_KEYS:
         if key not in values:
-            raise GainsFileError(f"{path}: missing required key {key!r}")
+            raise ValueError(f"{path}: missing required key {key!r}")
     pairs = {}
     repaired = []
     for name in ("dkp1", "dkd1", "dkp2", "dkd2"):
@@ -77,7 +73,7 @@ def load_gains(path) -> LoadedGains:
                         values["kd2"])
         bounds = FlrBounds(**pairs)
     except ValueError as exc:
-        raise GainsFileError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     return LoadedGains(gains=gains, bounds=bounds, repaired_pairs=tuple(repaired))
 
 
@@ -97,5 +93,5 @@ def load_plant(path) -> PlantParams:
     values = _parse_kv(path, set(PLANT_KEYS))
     try:
         return PlantParams(**values)
-    except PlantError as exc:
-        raise PlantError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -16,10 +16,6 @@ COST_STEPS = 200  # control steps in the cost window, 10 s at the default rate
 FAILED_COST = -1.0e4
 
 
-class MetricsError(ValueError):
-    """Trajectory too short or otherwise unusable for metrics."""
-
-
 @dataclass(frozen=True)
 class Metrics:
     """cost: negative absolute-error sum over the first 200 control steps;
@@ -70,7 +66,8 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> Metrics:
     COST_STEPS control steps (the full square-wave protocol yields 200);
     shorter runs are scored over what they have."""
     if len(traj) < 2:
-        raise MetricsError("trajectory has no simulated control steps")
+        raise ValueError(
+            "degenerate metrics: trajectory has no simulated control steps")
     t, e1, x1 = traj.t, traj.e1, traj.x1
     cost = tracking_cost(traj, n_steps=min(COST_STEPS, len(traj)))
     if ref.kind in ("square", "constant"):

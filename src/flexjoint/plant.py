@@ -21,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class PlantError(ValueError):
-    """Invalid plant parameters or non-finite inputs."""
-
-
 @dataclass(frozen=True)
 class PlantParams:
     """Physical constants of the manipulator.
@@ -43,11 +39,11 @@ class PlantParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.g) and self.g >= 0):
-            raise PlantError(f"g must be finite and >= 0, got {self.g}")
+            raise ValueError(f"g must be finite and >= 0, got {self.g}")
         for name in ("m", "l", "I_l", "I_m", "k", "mu"):
             v = getattr(self, name)
             if not (v > 0) or not math.isfinite(v):
-                raise PlantError(f"{name} must be strictly positive, got {v}")
+                raise ValueError(f"{name} must be strictly positive, got {v}")
 
     @property
     def mgl(self) -> float:
@@ -64,7 +60,7 @@ class State:
     def __post_init__(self):
         for v in (self.x1, self.x2, self.x3, self.x4):
             if not math.isfinite(v):
-                raise PlantError(f"non-finite state component: {v}")
+                raise ValueError(f"non-finite state component: {v}")
 
 
 @dataclass(frozen=True)
@@ -89,14 +85,14 @@ class DisturbanceModel:
 
     def __post_init__(self):
         if self.kind not in ("off", "uniform"):
-            raise PlantError(f"unknown disturbance kind: {self.kind!r}")
+            raise ValueError(f"unknown disturbance kind: {self.kind!r}")
         if self.hold not in ("per-sim-step", "per-control-step"):
-            raise PlantError(f"unknown disturbance hold: {self.hold!r}")
+            raise ValueError(f"unknown disturbance hold: {self.hold!r}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
                 or self.seed < 0):
-            raise PlantError(f"disturbance seed must be an int >= 0, got {self.seed!r}")
+            raise ValueError(f"disturbance seed must be an int >= 0, got {self.seed!r}")
         if not (self.amplitude >= 0 and math.isfinite(2 * self.amplitude)):
-            raise PlantError(
+            raise ValueError(
                 f"disturbance amplitude must be finite and >= 0, got {self.amplitude}")
 
 
@@ -117,17 +113,17 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.sim_dt < math.inf and 0 < self.control_dt < math.inf
                 and 0 <= self.horizon < math.inf):
-            raise PlantError("sim_dt, control_dt must be finite and > 0 and "
+            raise ValueError("sim_dt, control_dt must be finite and > 0 and "
                              "horizon finite and >= 0")
         # on floats, before the step counts are rounded to integers
         if max(self.horizon, self.control_dt) / self.sim_dt > MAX_SUBSTEPS:
-            raise PlantError(f"horizon and control_dt must each be at most "
+            raise ValueError(f"horizon and control_dt must each be at most "
                              f"{MAX_SUBSTEPS} sim steps")
         if abs(self.substeps * self.sim_dt - self.control_dt) > 1e-9 * self.control_dt:
-            raise PlantError("control_dt must be an integer multiple of sim_dt")
+            raise ValueError("control_dt must be an integer multiple of sim_dt")
         n = round(self.horizon / self.control_dt)
         if abs(n * self.control_dt - self.horizon) > 1e-9 * max(self.control_dt, 1.0):
-            raise PlantError("horizon must be an integer multiple of control_dt")
+            raise ValueError("horizon must be an integer multiple of control_dt")
 
     @property
     def substeps(self) -> int:

@@ -35,10 +35,6 @@ SOBOL_CANDIDATES = 2048
 LOCAL_SEARCHES = 8
 
 
-class GpFitError(RuntimeError):
-    """Covariance stayed singular through the whole jitter escalation."""
-
-
 # Joe & Kuo's (2008) primitive polynomials, degree bits included, and
 # initial direction numbers for the first SOBOL_MAX_DIM Sobol dimensions;
 # the first dimension is the van der Corput sequence
@@ -361,7 +357,7 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
         if info == 0:
             break
     else:
-        raise GpFitError("training covariance singular after jitter escalation")
+        raise RuntimeError("training covariance singular after jitter escalation")
     return GpModel(domain=domain, Xn=Xn, theta=theta, y_mean=y_mean,
                    y_std=y_std, alpha=dpotrs(c, ys, lower=1)[0], chol=c)
 

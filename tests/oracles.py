@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from flexjoint.plant import DisturbanceModel, PlantError, PlantParams, State
+from flexjoint.plant import DisturbanceModel, PlantParams, State
 
 
 def as_array(s: State) -> np.ndarray:
@@ -34,7 +34,7 @@ def derivatives(params: PlantParams, s: State, u: float,
                 d1: float = 0.0, d2: float = 0.0) -> np.ndarray:
     """Right-hand side of the state-space model (see ``flexjoint.plant``)."""
     if not all(math.isfinite(v) for v in (u, d1, d2)):
-        raise PlantError("non-finite input to derivatives")
+        raise ValueError("non-finite input to derivatives")
     p = params
     dx2 = -p.mgl / p.I_l * math.cos(s.x1) - p.k / p.I_l * (s.x1 - s.x3) + d1
     dx4 = p.k / p.I_m * (s.x1 - s.x3) - p.mu / p.I_m * s.x4 + u / p.I_m + d2
@@ -45,7 +45,7 @@ def euler_step(params: PlantParams, s: State, u: float,
                d1: float, d2: float, dt: float) -> State:
     """One forward-Euler step: s' = s + dt * f(s, u, d)."""
     if dt < 0:
-        raise PlantError(f"dt must be >= 0, got {dt}")
+        raise ValueError(f"dt must be >= 0, got {dt}")
     ds = derivatives(params, s, u, d1, d2)
     return from_array(as_array(s) + dt * ds)
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from flexjoint.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
-                           METRIC_COLUMNS, TRAJ_COLUMNS, main)
+                           METRIC_COLUMNS, TRAJ_COLUMNS, build_parser, main)
 from flexjoint.control import (Controller, ControllerKind, GainSet, Reference,
                                simulate)
 from flexjoint.gainsio import save_gains
@@ -303,6 +304,23 @@ def test_analyze_overflowing_gains_is_one_line_usage_error(tmp_path, capsys,
     assert "overflows for GainSet(kp1=" in err[0]
 
 
+@pytest.mark.parametrize("value", ["I_m = 5e-324", "I_l = 5e-324",
+                                   "k = 1e308", "mu = 1e308"])
+def test_analyze_overflowing_plant_names_the_plant(tmp_path, capsys, value):
+    """A finite plant value that overflows the error Jacobian: the one
+    error line names the plant value, not only the (bundled) gains."""
+    pfile = tmp_path / "plant.txt"
+    pfile.write_text(value + "\n")
+    out = str(tmp_path / "op")
+    assert run(["analyze", "--out", out, "--plant", str(pfile)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    key, number = value.split(" = ")
+    assert len(err) == 1 and err[0].startswith(
+        "error: the error Jacobian overflows for GainSet(kp1=52.19")
+    assert "PlantParams(m=1.2756" in err[0]
+    assert f"{key}={float(number)!r}" in err[0]
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 def test_overflowing_regulator_width_is_one_line_usage_error(tmp_path, capsys,
                                                              command):
@@ -391,10 +409,18 @@ def test_tune_pd_quick(tmp_path):
 
 
 def test_tune_too_short_horizon_is_usage_error(tmp_path, capsys):
-    out = str(tmp_path / "ts")
-    assert run(["tune", "--stage", "pd", "--out", out, "--horizon", "5",
-                "--episodes", "3", "--n-init", "2"]) == EXIT_USAGE
-    assert "need 200" in capsys.readouterr().err
+    """A grid of fewer control steps than the tuning cost reads, from a
+    short --horizon or a coarse --control-dt, is a usage error before
+    anything is written, where it used to fail mid-run: after an episode,
+    or as 'all episodes failed' once every episode diverged."""
+    for flags in (["--horizon", "5"], ["--control-dt", "0.1"]):
+        out = str(tmp_path / "ts")
+        assert run(["tune", "--stage", "pd", "--out", out, "--episodes", "3",
+                    "--n-init", "2"] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --horizon ")
+        assert "--control-dt" in err[0] and "100 control steps, need 200" in err[0]
+        assert not list(tmp_path.iterdir())
 
 
 def test_tune_flr_requires_gains(tmp_path, capsys):
@@ -449,6 +475,55 @@ def test_tune_single_episode_returns_the_sample(tmp_path):
     lines = (tmp_path / "t4_gains.txt").read_text().splitlines()
     vals = [float(l.split("=")[1]) for l in lines]
     np.testing.assert_allclose(vals, data[0, 1:5])
+
+
+def _numeric_options():
+    """(command, option, position) of each float and int value that
+    build_parser() reads, one per position of a multi-value option."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.type in (float, int):
+                for i in range(action.nargs or 1):
+                    yield command, action.option_strings[-1], i
+
+
+NUMERIC_OPTIONS = list(_numeric_options())
+BAD_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1")
+
+
+@pytest.mark.parametrize("command,option,position", NUMERIC_OPTIONS,
+                         ids=[f"{c} {o}" + (f" {i}" if o == "--L" else "")
+                              for c, o, i in NUMERIC_OPTIONS])
+def test_bad_flag_values_end_in_a_documented_exit(tmp_path, capsys, command,
+                                                  option, position):
+    """Each of BAD_VALUES in each numeric flag: an exit code from the
+    documented set, and at most one error line (exactly one for exit 1 or
+    2), never an exception out of main."""
+    base = []
+    if command == "tune":
+        gfile = tmp_path / "gains.txt"
+        save_gains(gfile, GainSet())
+        stage = (["--stage", "flr", "--gains", str(gfile)]
+                 if option == "--flr-half-width" else ["--stage", "pd"])
+        base = stage + ["--episodes", "1", "--n-init", "1"]
+    for n, value in enumerate(BAD_VALUES):
+        if option == "--L":
+            # argparse reads a bare -1e308 or -inf as an option name; float()
+            # ignores the leading space that stops it
+            values = ["0"] * 4
+            values[position] = " " + value
+            flag = ["--L"] + values
+        else:
+            flag = [f"{option}={value}"]
+        argv = [command] + base + flag + ["--out", str(tmp_path / f"o{n}")]
+        code = run(argv)
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_UNSTABLE), argv
+        assert "Traceback" not in err, argv
+        assert len(errors) == (code in (EXIT_USAGE, EXIT_DIVERGED)), (argv, err)
 
 
 # sha256 of the artifacts, recorded before the trajectory became a column

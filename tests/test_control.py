@@ -13,7 +13,7 @@ from flexjoint.control import (DIVERGENCE_LIMIT, TRAJ_COLUMNS, Controller,
                                GainSet, Reference, simulate)
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import (DISTURBANCE_TABLES, DRAW_BLOCK, DisturbanceModel,
-                             PlantError, PlantParams, SimConfig, State)
+                             PlantParams, SimConfig, State)
 from oracles import Diagnostics, disturbance_sample, euler_step, torque
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -296,7 +296,7 @@ def _euler_reference(params, sim, ctrl, ref, dist):
             sim_step += 1
             try:
                 s = euler_step(params, s, u, d1, d2, sim.sim_dt)
-            except PlantError:   # a non-finite state; s is the last finite one
+            except ValueError:   # a non-finite state; s is the last finite one
                 raise DivergedTrajectory(sim_step, sim_step * sim.sim_dt, s)
             if max(abs(s.x1), abs(s.x2), abs(s.x3), abs(s.x4)) > DIVERGENCE_LIMIT:
                 raise DivergedTrajectory(sim_step, sim_step * sim.sim_dt, s)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -89,3 +90,32 @@ def test_src_defines_only_what_src_uses():
                 unused.append(f"{module}.{qualname}")
     unused = sorted(set(unused) - UNREFERENCED_ON_PURPOSE)
     assert not unused, f"defined in src/ but used only outside it: {unused}"
+
+
+def _caught_names(tree: ast.AST):
+    """The class names that the except clauses in tree catch, without any
+    module prefix."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            yield from (ast.unparse(t).rsplit(".", 1)[-1] for t in types)
+
+
+def test_every_exception_class_is_caught_by_name():
+    """An exception class in src/ earns its place only if some except
+    clause in src/ tells it apart; anything else is a plain ValueError or
+    RuntimeError with a message, and main maps those to exit codes."""
+    src = Path(flexjoint.__file__).resolve().parent
+    paths = sorted(src.glob("*.py"))
+    modules = [importlib.import_module(f"flexjoint.{path.stem}")
+               for path in paths if path.stem != "__init__"]
+    exceptions = {name for module in modules
+                  for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__}
+    caught = {name for path in paths
+              for name in _caught_names(ast.parse(path.read_text()))}
+    assert exceptions >= {"CliError", "DivergedTrajectory"}
+    uncaught = sorted(exceptions - caught)
+    assert not uncaught, f"exception classes no except clause in src/ names: {uncaught}"

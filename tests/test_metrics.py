@@ -5,8 +5,8 @@ import pytest
 
 from flexjoint.control import (TRAJ_COLUMNS, Controller, ControllerKind,
                                Reference, Trajectory, simulate)
-from flexjoint.metrics import (Metrics, MetricsError, compute_metrics,
-                               settling_time, step_overshoot)
+from flexjoint.metrics import (Metrics, compute_metrics, settling_time,
+                               step_overshoot)
 from flexjoint.plant import DisturbanceModel, State
 
 
@@ -67,7 +67,8 @@ def test_compute_metrics_sine_has_no_step_metrics(params, sim, gains):
 def test_compute_metrics_rejects_tiny_trajectory():
     traj = Trajectory(np.zeros((1, len(TRAJ_COLUMNS))),
                       final_state=State(0, 0, 0, 0))
-    with pytest.raises(MetricsError):
+    with pytest.raises(ValueError, match="degenerate metrics: trajectory has "
+                       "no simulated control steps"):
         compute_metrics(traj, Reference("square"))
 
 

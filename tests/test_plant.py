@@ -10,8 +10,7 @@ from scipy.integrate import solve_ivp
 
 from flexjoint import plant
 from flexjoint.plant import (DRAW_BLOCK, MAX_SUBSTEPS, DisturbanceModel,
-                             PlantError, PlantParams, SimConfig, State,
-                             disturbance_draws)
+                             PlantParams, SimConfig, State, disturbance_draws)
 from oracles import (as_array, derivatives, disturbance_sample, euler_step,
                      from_array, mechanical_energy)
 
@@ -32,7 +31,7 @@ def test_default_params_gravity_torque_constant(params):
     ("g", float("nan")), ("g", float("inf")),
 ])
 def test_invalid_params_rejected(field, value):
-    with pytest.raises(PlantError):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
         PlantParams(**{field: value})
 
 
@@ -42,7 +41,7 @@ def test_zero_gravity_allowed():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_nonfinite_state_rejected(bad):
-    with pytest.raises(PlantError):
+    with pytest.raises(ValueError, match="non-finite state component"):
         State(0.0, bad, 0.0, 0.0)
 
 
@@ -69,7 +68,7 @@ def test_derivatives_spring_coupling(params):
 
 
 def test_derivatives_rejects_nonfinite_input(params):
-    with pytest.raises(PlantError):
+    with pytest.raises(ValueError, match="non-finite input to derivatives"):
         derivatives(params, State(0.0, 0.0, 0.0, 0.0), float("nan"))
 
 
@@ -98,7 +97,7 @@ def test_euler_zero_dt_is_identity(params):
 
 
 def test_euler_negative_dt_rejected(params):
-    with pytest.raises(PlantError):
+    with pytest.raises(ValueError, match="dt must be >= 0"):
         euler_step(params, State(0, 0, 0, 0), 0.0, 0.0, 0.0, -0.001)
 
 
@@ -257,7 +256,7 @@ def test_disturbance_draws_off_are_zero():
     dict(kind="uniform", seed=np.int64(3)),
 ])
 def test_disturbance_model_validation(kwargs):
-    with pytest.raises(PlantError):
+    with pytest.raises(ValueError, match="disturbance (kind|hold|seed|amplitude)"):
         DisturbanceModel(**kwargs)
 
 
@@ -280,7 +279,7 @@ def test_sim_config_counts(sim):
     dict(sim_dt=5e-324, horizon=0.0),  # control_dt / sim_dt overflows
 ])
 def test_sim_config_validation(kwargs):
-    with pytest.raises(PlantError):
+    with pytest.raises(ValueError, match="(sim_dt|control_dt|horizon).* must "):
         SimConfig(**kwargs)
 
 

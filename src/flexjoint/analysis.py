@@ -91,6 +91,26 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     return _sorted(np.linalg.eigvals(np.asarray(A, dtype=float)))
 
 
+def error_eigenvalues(params: PlantParams,
+                      gains: GainSet | WorstCaseGains) -> np.ndarray:
+    """Sorted eigenvalues of error_jacobian(params, gains), checked against
+    its determinant kp1*(k + kp2)/I_m: the Jacobian is block
+    upper-triangular, so that is the product of its eigenvalues.  An
+    ill-scaled plant (I_m = 1e-300, say) loses the motor block's slow
+    eigenvalue to rounding beside a huge one, and a product more than 1e-3
+    off, relatively, raises ValueError naming the plant and the gains.  A
+    zero determinant passes only with an exactly zero eigenvalue."""
+    z = eigenvalues(error_jacobian(params, gains))
+    det = gains.kp1 * ((params.k + gains.kp2) / params.I_m)
+    _require_finite((det,), "the error Jacobian's determinant", gains, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.prod(z)
+    if not abs(prod - det) <= 1e-3 * abs(det):
+        raise ValueError(f"the error Jacobian is too ill-scaled to resolve its "
+                         f"eigenvalues for {gains} and {params}")
+    return z
+
+
 def polynomial_roots(coeffs) -> np.ndarray:
     """Roots, sorted by (real, imag), of coefficients highest power first."""
     return _sorted(np.roots(coeffs))

@@ -255,7 +255,7 @@ def cmd_analyze(args) -> int:
     rows = []
     all_ok = True
     for worst_case, spectrum, condition, g, violated in sections:
-        eig = analysis.eigenvalues(analysis.error_jacobian(params, g))
+        eig = analysis.error_eigenvalues(params, g)
         lines.append(f"{spectrum} eigenvalues: {_spectrum(eig)}")
         if not worst_case:
             roots = analysis.polynomial_roots(

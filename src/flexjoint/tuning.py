@@ -181,8 +181,10 @@ class GpModel:
     theta = (log length scales per dim, log signal variance,
     log noise-to-signal ratio); chol is the lower Cholesky factor of the
     training covariance (including any jitter used to factor it).
-    Construction checks the factor as cho_solve would and caches
-    ls2 = length_scales**2 and signal_variance for gp_predict.
+    Construction checks the factor as cho_solve would and caches, for
+    gp_predict, the (d, n) transposed training inputs XnT, the squared
+    length scales ls2 shaped (d, 1, 1) to divide its (d, m, n) planes, and
+    signal_variance.
     """
 
     domain: Domain
@@ -196,7 +198,8 @@ class GpModel:
     def __post_init__(self):
         if np.asarray_chkfinite(self.chol).shape != (len(self.Xn),) * 2:
             raise ValueError("Cholesky factor must be n x n for n points")
-        object.__setattr__(self, "ls2", self.length_scales ** 2)
+        object.__setattr__(self, "XnT", np.ascontiguousarray(self.Xn.T))
+        object.__setattr__(self, "ls2", (self.length_scales ** 2)[:, None, None])
         object.__setattr__(self, "signal_variance", float(np.exp(self.theta[-2])))
 
     @property
@@ -209,16 +212,46 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] - B[None, :, :]) ** 2
 
 
-def _corr(D2: np.ndarray, ls2: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * (D2 / ls2).sum(axis=-1))
+def _sum_planes(D: np.ndarray) -> np.ndarray:
+    """The sum of the d planes D[0], ..., D[d - 1] of a scratch array, in
+    the order numpy's add.reduce adds a contiguous last axis of length d,
+    so the result has the bits of A.sum(axis=-1) for the C-ordered A with
+    A[..., k] == D[k]: one by one below 8 terms; from 8 to 128, eight
+    running sums r0..r7 over the terms k = j mod 8 of the leading multiple
+    of 8, added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one
+    by one; above 128, the sums of two halves split at a multiple of 8.
+    Each step is one elementwise IEEE add, so summing plane by plane keeps
+    every bit while forming no (..., d) array.  From 8 planes the running
+    sums overwrite D's leading planes."""
+    d = len(D)
+    if d == 1:
+        return D[0]
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        s = _sum_planes(D[:half])
+        s += _sum_planes(D[half:])
+        return s
+    if d < 8:
+        s, rest = D[0] + D[1], range(2, d)
+    else:
+        r = D[:8]
+        for i in range(8, d - d % 8, 8):
+            r += D[i:i + 8]
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        s, rest = r[0] + r[4], range(d - d % 8, d)
+    for k in rest:
+        s += D[k]
+    return s
 
 
 class _Pairs(NamedTuple):
     """Per-fit constants of the likelihood over n training points: the
     identity, the squared differences of the n(n-1)/2 pairs i < j plus a
-    zero row for the diagonal, the (n, n) indices of those rows that
-    spread them into the symmetric matrix, and the squared differences as
-    d contiguous (n, n) slices."""
+    zero column for the diagonal as d contiguous planes (d, n(n-1)/2 + 1),
+    the (n, n) indices of those columns that spread them into the
+    symmetric matrix, and the squared differences as d contiguous (n, n)
+    slices."""
 
     eye: np.ndarray
     P2: np.ndarray
@@ -231,16 +264,20 @@ def _pairs(D2: np.ndarray) -> _Pairs:
     iu, ju = np.triu_indices(n, 1)
     spread = np.full((n, n), len(iu))
     spread[iu, ju] = spread[ju, iu] = np.arange(len(iu))
-    P2 = np.vstack([D2[iu, ju], np.zeros((1, d))])
-    return _Pairs(np.eye(n), P2, spread,
-                  np.ascontiguousarray(D2.transpose(2, 0, 1)))
+    D2s = np.ascontiguousarray(D2.transpose(2, 0, 1))
+    P2 = np.hstack([D2s[:, iu, ju], np.zeros((d, 1))])
+    return _Pairs(np.eye(n), P2, spread, D2s)
 
 
 def _pair_corr(pairs: _Pairs, ls2: np.ndarray) -> np.ndarray:
-    """_corr(D2, ls2) bit for bit from the pairs i < j: the diagonal of D2
-    is zero, as is the last row of P2, and (a-b)**2 == (b-a)**2 makes the
-    matrix exactly symmetric."""
-    return np.exp(-0.5 * (pairs.P2 / ls2).sum(axis=-1)).take(pairs.spread)
+    """exp(-0.5 * (D2 / ls2).sum(axis=-1)) over the full (n, n, d) squared
+    differences D2, bit for bit, from the pairs i < j: the planes of
+    P2 / ls2 are added by _sum_planes in the order of that sum, the
+    diagonal of D2 is zero, as is the last column of P2, and
+    (a-b)**2 == (b-a)**2 makes the matrix exactly symmetric."""
+    s = _sum_planes(pairs.P2 / ls2[:, None])
+    s *= -0.5
+    return np.exp(s, out=s).take(pairs.spread)
 
 
 def _neg_lml_and_grad(theta: np.ndarray, ys: np.ndarray,
@@ -366,8 +403,13 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation (original cost units) of the
     latent function at one point or a batch of points (GPML Alg. 2.1), from
     the model's cached state, solving with LAPACK dpotrs directly after
-    cho_solve's finiteness check.  Under the SkylakeX OpenBLAS kernel with
-    numpy's AVX-512 dispatch, every row of a batch has the bits of a
+    cho_solve's finiteness check.  The kernel is built one plane per
+    dimension: the query-training differences form one (d, m, n) scratch
+    array, squared and divided by the squared length scales in place, whose
+    planes _sum_planes adds in the order np.sum gives over the last axis of
+    the (m, n, d) array it replaces, so no (m, n, d) array is formed and
+    the kernel keeps that array's bits.  Under the SkylakeX OpenBLAS kernel
+    with numpy's AVX-512 dispatch, every row of a batch has the bits of a
     one-point call: the mean is a per-row dot (one ddot, where a (m, n) @
     alpha gemv rounds rows apart), and the kernel, the dpotrs columns and
     the variance reduction are per row already; other kernels can round a
@@ -378,8 +420,14 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     # off a zero-width dimension the normalized offset or its square
     # overflows to inf: zero correlation, the intended limit
     with np.errstate(over="ignore"):
-        Un = model.domain.normalize(X)
-        ks = sf2 * _corr(_sq_dists(Un, model.Xn), model.ls2)  # (m, n)
+        D = model.domain.normalize(X).T[:, :, None] - model.XnT[:, None, :]
+        np.square(D, out=D)
+        D /= model.ls2
+    ks = _sum_planes(D)  # (m, n)
+    del D  # free the d planes before the solve forms its own
+    ks *= -0.5
+    np.exp(ks, out=ks)
+    ks *= sf2
     mean_s = np.vecdot(ks, model.alpha)
     v = dpotrs(model.chol, np.asarray_chkfinite(ks.T), lower=1)[0]  # K^-1 k*
     var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)

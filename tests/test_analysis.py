@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from flexjoint.analysis import (StabilityBounds, check_flr_conditions,
                                 check_gain_conditions, closed_loop_charpoly,
-                                eigenvalues, error_jacobian, polynomial_roots,
-                                state_matrix, worst_case_gains)
+                                eigenvalues, error_eigenvalues, error_jacobian,
+                                polynomial_roots, state_matrix,
+                                worst_case_gains)
 from flexjoint.control import GainSet
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import PlantParams
@@ -53,6 +54,22 @@ def test_dense_solver_matches_block_formula(kp1, kd1, kp2, kd2, I_l, I_m, k, mu)
     oracle = min(permutations(block_eigenvalues(A)),
                  key=lambda q: np.abs(ev - np.array(q)).max())
     np.testing.assert_allclose(ev, oracle, rtol=1e-7, atol=1e-7)
+
+
+def test_error_eigenvalues_reject_a_lost_eigenvalue(gains):
+    """The spectrum's product must be the Jacobian's determinant
+    kp1*(k + kp2)/I_m: at I_m = 1e-12 it is off by about 1e-5 and passes;
+    at I_m = 1e-300 an eigenvalue rounds to 0 and the ValueError names the
+    plant and the gains; zero gains give a true zero eigenvalue."""
+    z = error_eigenvalues(PlantParams(I_m=1e-12), gains)
+    det = gains.kp1 * (100.0 + gains.kp2) / 1e-12
+    assert abs(np.prod(z) - det) <= 1e-4 * det
+    np.testing.assert_array_equal(
+        z, eigenvalues(error_jacobian(PlantParams(I_m=1e-12), gains)))
+    with pytest.raises(ValueError, match=r"ill-scaled .*kp1=52\.19.*I_m=1e-300"):
+        error_eigenvalues(PlantParams(I_m=1e-300), gains)
+    zero = error_eigenvalues(PlantParams(), GainSet(0.0, 0.0, 0.0, 0.0))
+    assert (zero == 0).sum() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,34 @@ def test_analyze_overflowing_plant_names_the_plant(tmp_path, capsys, value):
     assert f"{key}={float(number)!r}" in err[0]
 
 
+def test_analyze_ill_scaled_plant_is_one_line_usage_error(tmp_path, capsys):
+    """I_m = 1e-300 loses the motor block's slow eigenvalue (about -28) to
+    rounding beside one near -8.7e300; the spectrum printed as 0 used to
+    make a stability failure beside two "stable" verdicts."""
+    pfile = tmp_path / "plant.txt"
+    pfile.write_text("I_m = 1e-300\n")
+    out = str(tmp_path / "ill")
+    assert run(["analyze", "--out", out, "--plant", str(pfile)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: the error Jacobian is too ill-scaled to resolve its "
+        "eigenvalues for GainSet(kp1=52.19")
+    assert "I_m=1e-300" in err[0] and captured.out == ""
+    assert not (tmp_path / "ill_analysis.csv").exists()
+
+
+def test_analyze_zero_worst_case_gain_is_unstable(tmp_path, capsys):
+    """kp1 + dkp1_lo = 0 exactly: a true zero eigenvalue, reported as a
+    stability failure (exit 3), not as a lost one."""
+    gfile = tmp_path / "zero_lo.txt"
+    gfile.write_text("kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n"
+                     "dkp1_lo = -52.19\ndkp1_hi = 0\n")
+    out = str(tmp_path / "zlo")
+    assert run(["analyze", "--out", out, "--gains", str(gfile)]) == EXIT_UNSTABLE
+    assert "0.0000+0.0000j" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 def test_overflowing_regulator_width_is_one_line_usage_error(tmp_path, capsys,
                                                              command):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve, cholesky
@@ -17,7 +18,7 @@ from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, SOBOL_MAX_DIM, Domain, GpModel,
                               TunerConfig, _lbfgsb,
                               _neg_lml_and_grad, _nelder_mead, _pair_corr,
-                              _pairs, flr_bound_domain,
+                              _pairs, _sum_planes, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
                               suggest, tracking_cost, ucb)
@@ -238,8 +239,14 @@ def _random_model(seed: int, d: int, n: int):
     return model, ys, rng
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+# _sum_planes adds one by one below 8 dimensions and in eight running sums
+# from 8: the examples sit on both sides of that switch
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16),
        n=st.integers(2, 40), m=st.integers(1, 6))
+@example(seed=0, d=7, n=4, m=3)
+@example(seed=0, d=8, n=4, m=3)
+@example(seed=0, d=9, n=4, m=3)
+@example(seed=0, d=16, n=4, m=3)
 @settings(max_examples=150, deadline=None)
 def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
     model, ys, rng = _random_model(seed, d, n)
@@ -265,8 +272,12 @@ def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
         _bytes(*_ref_neg_lml_and_grad(theta, model.Xn, ys, D2))
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16),
        n=st.integers(1, 150))
+@example(seed=0, d=7, n=40)
+@example(seed=0, d=8, n=40)
+@example(seed=0, d=9, n=40)
+@example(seed=0, d=16, n=150)
 @settings(max_examples=100, deadline=None)
 def test_pair_corr_matches_full_corr_bitwise(seed, d, n):
     """The likelihood's correlations from the upper triangle equal the
@@ -278,6 +289,34 @@ def test_pair_corr_matches_full_corr_bitwise(seed, d, n):
     ls = np.exp(rng.uniform(*_LEN_BOUNDS, d))
     assert _pair_corr(_pairs(D2), ls ** 2).tobytes() == \
         _ref_corr(D2, ls).tobytes()
+
+
+def test_sum_planes_follows_numpy_sum_order():
+    """_sum_planes over d planes has the bits of np.sum over a contiguous
+    last axis of length d, on values that span 12 orders of magnitude:
+    one by one below 8, eight running sums to 128, halving above."""
+    rng = np.random.default_rng(0)
+    for d in list(range(1, 41)) + [128, 129, 136, 300]:
+        A = rng.random((3, 5, d)) * np.exp(rng.uniform(-14.0, 14.0, (3, 5, d)))
+        D = np.ascontiguousarray(np.moveaxis(A, -1, 0))
+        assert _sum_planes(D).tobytes() == A.sum(axis=-1).tobytes(), d
+
+
+def test_ucb_scan_forms_no_query_training_dimension_array():
+    """A 2048-point scan against 149 training points in 4-D builds its
+    kernel one (2048, 149) plane per dimension: the traced peak of
+    gp_predict stays within 6 such float64 planes, where forming the
+    (2048, 149, 4) squared differences and their scaled copy takes 9."""
+    model, _, rng = _random_model(0, 4, 149)
+    Q = model.domain.denormalize(rng.random((2048, 4)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gp_predict(model, Q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2048 * 149 * 8
 
 
 def test_gp_predict_off_a_zero_width_dimension_is_the_prior():

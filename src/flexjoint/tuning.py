@@ -250,13 +250,14 @@ class _Pairs(NamedTuple):
     identity, the squared differences of the n(n-1)/2 pairs i < j plus a
     zero column for the diagonal as d contiguous planes (d, n(n-1)/2 + 1),
     the (n, n) indices of those columns that spread them into the
-    symmetric matrix, and the squared differences as d contiguous (n, n)
-    slices."""
+    symmetric matrix, and the gradient's (d + 1, n, n) planes Z: the
+    squared differences in each dimension, then ones, so that
+    dK/dtheta_k = K * Z[k] / s_k with s the squared length scales and 1."""
 
     eye: np.ndarray
     P2: np.ndarray
     spread: np.ndarray
-    D2s: np.ndarray
+    Z: np.ndarray
 
 
 def _pairs(D2: np.ndarray) -> _Pairs:
@@ -264,61 +265,115 @@ def _pairs(D2: np.ndarray) -> _Pairs:
     iu, ju = np.triu_indices(n, 1)
     spread = np.full((n, n), len(iu))
     spread[iu, ju] = spread[ju, iu] = np.arange(len(iu))
-    D2s = np.ascontiguousarray(D2.transpose(2, 0, 1))
-    P2 = np.hstack([D2s[:, iu, ju], np.zeros((d, 1))])
-    return _Pairs(np.eye(n), P2, spread, D2s)
+    Z = np.ones((d + 1, n, n))  # C-ordered: each plane is one contiguous row
+    Z[:d] = D2.transpose(2, 0, 1)
+    P2 = np.hstack([Z[:d, iu, ju], np.zeros((d, 1))])
+    return _Pairs(np.eye(n), P2, spread, Z)
 
 
-def _pair_corr(pairs: _Pairs, ls2: np.ndarray) -> np.ndarray:
-    """exp(-0.5 * (D2 / ls2).sum(axis=-1)) over the full (n, n, d) squared
-    differences D2, bit for bit, from the pairs i < j: the planes of
-    P2 / ls2 are added by _sum_planes in the order of that sum, the
-    diagonal of D2 is zero, as is the last column of P2, and
-    (a-b)**2 == (b-a)**2 makes the matrix exactly symmetric."""
-    s = _sum_planes(pairs.P2 / ls2[:, None])
+def _pair_cov(pairs: _Pairs, e: np.ndarray) -> np.ndarray:
+    """The covariances sf2 * (C + ratio * I) of the pairs i < j, then of
+    the diagonal, for each row e = exp(theta) of an (S, d + 2) array, as
+    (S, n(n-1)/2 + 1) columns that pairs.spread takes into (n, n)
+    matrices, with the bits of that expression over the full correlations
+    C = exp(-0.5 * (D2 / ls ** 2).sum(axis=-1)): the (d, S, m) planes of
+    P2 / ls ** 2 are added by _sum_planes in the order of that sum,
+    (a-b)**2 == (b-a)**2 makes each matrix exactly symmetric, C's diagonal
+    is exactly 1, so the last column is sf2 * (1 + ratio), and off it
+    ratio * 0 adds nothing."""
+    d = len(pairs.P2)
+    s = _sum_planes(pairs.P2[:, None] / (e[:, :d] ** 2).T[:, :, None])
     s *= -0.5
-    return np.exp(s, out=s).take(pairs.spread)
+    np.exp(s, out=s)
+    s *= e[:, d, None]
+    s[:, -1] = e[:, d] * (1.0 + e[:, d + 1])
+    return s
 
 
-def _neg_lml_and_grad(theta: np.ndarray, ys: np.ndarray,
-                      pairs: _Pairs) -> tuple[float, np.ndarray]:
-    d, n = len(pairs.D2s), len(ys)
-    ls = np.exp(theta[:d])
-    sf2 = np.exp(theta[d])
-    ratio = np.exp(theta[d + 1])
-    C = _pair_corr(pairs, ls ** 2)
-    eye = pairs.eye
-    K = sf2 * (C + ratio * eye)
-    L, info = dpotrf(np.asarray_chkfinite(K + 1e-12 * sf2 * eye), lower=1)
-    if info > 0:  # not positive definite
-        return 1e12, np.zeros_like(theta)
-    alpha = dpotrs(L, ys, lower=1)[0]
-    lml = (-0.5 * ys @ alpha - np.log(L.diagonal()).sum()
-           - 0.5 * n * math.log(2.0 * math.pi))
-    Kinv = dpotrs(L, eye, lower=1)[0]
-    W = np.outer(alpha, alpha) - Kinv  # d(lml)/dK = W/2
-    grad = np.empty_like(theta)
-    sC = sf2 * C
-    for k, D2k in enumerate(pairs.D2s):
-        # a scalar ls[k] ** 2: the array power's element can round apart
-        grad[k] = 0.5 * (W * (sC * (D2k / ls[k] ** 2))).sum()
-    grad[d] = 0.5 * (W * K).sum()               # dK/dlog sf2 = K
-    grad[d + 1] = 0.5 * W.trace() * sf2 * ratio  # dK/dlog ratio
-    return -lml, -grad
+# Bytes of stacked (rows, d + 1, n, n) gradient terms per batch of
+# _neg_lml_and_grad.  Batching saves per-call overhead that large n
+# dwarfs, and large stacks fall out of cache: at d = 4, the time per row
+# against one row at a time was 0.44x for 8 rows at n = 16 (80 KiB),
+# 0.55x at n = 23 and 0.77x for 4 rows at n = 40 (250 KiB), but 1.14x for
+# 8 rows there (500 KiB), and 0.92x-1.0x at n = 64-149 (Xeon, 2 MiB L2,
+# one BLAS thread).  So a fit at large n runs one row at a time.
+_LML_BATCH_BYTES = 1 << 18
+
+
+def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
+                      pairs: _Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Negative log marginal likelihood of the standardized targets ys and
+    its gradient in theta, at each row of thetas (S, d + 2), as
+    (values (S,), gradients (S, d + 2)).  Rows go in batches of at most
+    _LML_BATCH_BYTES of gradient terms, and every row keeps the bits of a
+    batch of one: exp(theta), the correlations, K and the gradient terms
+    are elementwise over the batch, each row's sums run over one
+    contiguous n * n row in numpy's pairwise order, the gradient in the
+    length scales divides by the scalar power ls[k] ** 2 (the array
+    power's element can round apart), and dpotrf and dpotrs factor and
+    solve one row at a time, in place.  A row whose covariance is not
+    positive definite gives 1e12 and a zero gradient; a non-finite
+    covariance raises ValueError."""
+    S, p = thetas.shape
+    d, n = p - 2, len(ys)
+    rows = max(1, _LML_BATCH_BYTES // (8 * (d + 1) * n * n))
+    if S > rows:
+        parts = [_neg_lml_and_grad(thetas[i:i + rows], ys, pairs)
+                 for i in range(0, S, rows)]
+        return (np.concatenate([v for v, _ in parts]),
+                np.concatenate([g for _, g in parts]))
+    e = np.exp(thetas)
+    cov = _pair_cov(pairs, e)
+    K = cov.take(pairs.spread, axis=1)
+    cov[:, -1] += 1e-12 * e[:, d]
+    # K + 1e-12 * sf2 * I, factored in place
+    Kj = np.asarray_chkfinite(cov).take(pairs.spread, axis=1)
+    alpha = np.array([ys] * S)  # solved in place
+    Kinv = np.array([pairs.eye] * S)  # solved in place, transposed
+    values = np.empty(S)
+    singular = []
+    hys, c = -0.5 * ys, 0.5 * n * math.log(2.0 * math.pi)
+    for i in range(S):
+        # Kj[i] is symmetric, so its transpose is the Fortran array that
+        # dpotrf would copy it to; likewise Kinv[i]'s, as the identity
+        L, info = dpotrf(Kj[i].T, lower=1, overwrite_a=1)
+        if info > 0:  # not positive definite
+            values[i] = 1e12
+            singular.append(i)
+            continue
+        dpotrs(L, alpha[i], lower=1, overwrite_b=1)
+        dpotrs(L, Kinv[i].T, lower=1, overwrite_b=1)
+        values[i] = -(hys @ alpha[i] - np.log(L.diagonal()).sum() - c)
+    W = alpha[:, :, None] * alpha[:, None, :]  # d(lml)/dK = W/2
+    W -= Kinv.transpose(0, 2, 1)
+    s = [[v ** 2 for v in row] + [1.0] for row in e[:, :d].tolist()]
+    G = pairs.Z / np.array(s)[:, :, None, None]
+    G *= K[:, None]
+    G *= W[:, None]
+    grads = np.empty((S, p))
+    # -(0.5 * x) == -0.5 * x: rounding to nearest is symmetric in sign
+    np.multiply(G.reshape(S, d + 1, n * n).sum(axis=2), -0.5,
+                out=grads[:, :d + 1])
+    # dK/dlog ratio = sf2 * ratio * I
+    grads[:, d + 1] = (-0.5 * W.reshape(S, n * n)[:, ::n + 1].sum(axis=1)
+                       * e[:, d] * e[:, d + 1])
+    if singular:
+        grads[singular] = 0.0
+    return values, grads
 
 
 _LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 
 
-def _lbfgsb(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            args: tuple = ()) -> tuple[np.ndarray, float]:
-    """Minimize fun(x, *args) -> (value, gradient) over the finite box
-    [lo, hi] from x0 as scipy.optimize.minimize(fun, x0, args, jac=True,
-    method="L-BFGS-B", bounds=...) does at its default options, without
-    its per-call wrappers: x0 clipped to the box, then scipy's
-    reverse-communication loop over setulb (m = 10, ftol 2.22e-9,
-    gtol 1e-5, maxls 20, maxiter and maxfun 15000), which evaluates fun
-    only where x changed.  Returns (x, the last value fun gave)."""
+def _lbfgsb_run(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """One minimization over the finite box [lo, hi] from x0, as
+    scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=...) runs it at its default options, written as a generator:
+    it yields each x at which it needs the value and gradient, as a list
+    of floats, is sent them as (f, g), and returns (x, the last f it was
+    sent).  x0 is clipped to the box, then scipy's reverse-communication
+    loop over setulb (m = 10, ftol 2.22e-9, gtol 1e-5, maxls 20, maxiter
+    and maxfun 15000) asks again only where x changed."""
     n = len(x0)
     x = np.clip(x0, lo, hi)
     nbd = np.full(n, 2, np.int32)  # both bounds finite
@@ -328,15 +383,16 @@ def _lbfgsb(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
                            np.zeros(29))
     f, g = np.array(0.0), np.zeros(n)
-    x_seen, nfev, nit = None, 0, 0
+    seen, nfev, nit = None, 0, 0
     while True:
-        g = g.astype(np.float64)  # setulb may write g; keep fun's result
+        g = g.astype(np.float64)  # setulb may write g; keep the one sent
         setulb(10, x, lo, hi, nbd, f, g, _LBFGSB_FACTR, 1e-5, wa, iwa, task,
                lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # f and g wanted at x
-            if x_seen is None or not np.array_equal(x, x_seen):
-                x_seen = x.copy()
-                f_seen, g_seen = fun(x.copy(), *args)
+            point = x.tolist()
+            if point != seen:  # as np.array_equal: -0.0 == 0.0, nan != nan
+                seen = point
+                f_seen, g_seen = yield point
                 nfev += 1
             f, g = f_seen, g_seen
         elif task[0] == 1:  # a new iterate
@@ -349,13 +405,40 @@ def _lbfgsb(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             return x, f
 
 
+def _lbfgsb_lockstep(fun, starts, lo: np.ndarray, hi: np.ndarray,
+                     args: tuple = ()) -> list[tuple[np.ndarray, float]]:
+    """Run _lbfgsb_run from every start in lockstep.  Each round, one call
+    fun(xs, *args) -> (values, gradients) evaluates the pending x of every
+    live run, as the rows of xs in start order, and each run then steps
+    until it asks for a new x or stops.  The runs share nothing but fun,
+    so each gives the x and value scipy's L-BFGS-B gives on fun's row
+    function when fun's rows do not depend on the batch.  Returns each
+    start's (x, f), in start order."""
+    runs = [_lbfgsb_run(x0, lo, hi) for x0 in starts]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        values, grads = fun(np.array(list(pending.values())), *args)
+        for i, f, g in zip(list(pending), values, grads):
+            try:
+                pending[i] = runs[i].send((f, g))
+            except StopIteration as done:
+                del pending[i]
+                results[i] = done.value
+    return results
+
+
 def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
     """Fit kernel hyperparameters to the finite rows X (at least 2) and
     costs y by maximizing the log marginal likelihood with FIT_STARTS
-    L-BFGS-B starts (analytic gradients, random ones seeded by seed and the
-    row count) on _lbfgsb, which repeats scipy.optimize.minimize's L-BFGS-B
-    bit for bit over the likelihood's per-fit constants, then cache the
-    training factorization.  Singular covariances go through a fixed jitter
+    L-BFGS-B starts (analytic gradients; the first at unit length scales,
+    the rest random, seeded by seed and the row count), then cache the
+    training factorization.  The starts run in lockstep on
+    _lbfgsb_lockstep, each bit for bit scipy.optimize.minimize's L-BFGS-B:
+    every round evaluates the pending theta of all live starts with one
+    batched _neg_lml_and_grad, so a fit makes as many likelihood calls as
+    its longest start needs.  The winner is the first start with the
+    lowest value.  Singular covariances go through a fixed jitter
     escalation before failing."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -381,14 +464,13 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
     for _ in range(FIT_STARTS - 1):
         starts.append(np.array([rng.uniform(a, b) for a, b in bounds]))
     best_x, best_fun = None, None
-    for x0 in starts:
-        x, fun = _lbfgsb(_neg_lml_and_grad, x0, lo, hi, (ys, pairs))
+    for x, fun in _lbfgsb_lockstep(_neg_lml_and_grad, starts, lo, hi,
+                                   (ys, pairs)):
         if best_x is None or fun < best_fun:
             best_x, best_fun = x, fun
     theta = np.clip(best_x, lo, hi)
     sf2 = float(np.exp(theta[d]))
-    ratio = float(np.exp(theta[d + 1]))
-    K = sf2 * (_pair_corr(pairs, np.exp(theta[:d]) ** 2) + ratio * pairs.eye)
+    K = _pair_cov(pairs, np.exp(theta)[None])[0].take(pairs.spread)
     for jitter in _JITTERS:
         c, info = dpotrf(K + jitter * sf2 * pairs.eye, lower=1, clean=0)
         if info == 0:
@@ -556,9 +638,10 @@ def smbo(cost, domain: Domain,
     episodes so far, UCB maximization and cost evaluation until T episodes
     are recorded.  A cost evaluation that raises RuntimeError
     (DivergedTrajectory, say) or returns a non-finite value scores
-    FAILED_COST and the loop continues; any other exception is a bug, not a
-    bad parameter set, and propagates.  Returns (X, y), episode i's
-    parameters X[i] and score y[i]; identical seeds reproduce them.
+    FAILED_COST and the loop continues; any other exception, including the
+    RuntimeError subclasses NotImplementedError and RecursionError, is a
+    bug, not a bad parameter set, and propagates.  Returns (X, y), episode
+    i's parameters X[i] and score y[i]; identical seeds reproduce them.
     """
     _check_sobol_dim(domain.dim)
     rng = np.random.default_rng((config.seed, 0x5B0))
@@ -574,6 +657,8 @@ def smbo(cost, domain: Domain,
             X[n] = domain.denormalize(rng.random((1, domain.dim)))[0]
         try:
             v = float(cost(X[n].copy()))
+        except (NotImplementedError, RecursionError):
+            raise  # RuntimeErrors that are bugs, not bad parameters
         except RuntimeError:
             v = FAILED_COST
         y[n] = v if math.isfinite(v) else FAILED_COST
@@ -598,7 +683,7 @@ def flr_bound_domain(half_width: float = 20.0) -> Domain:
 
 
 def flr_bounds_from_vector(x) -> FlrBounds:
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).tolist()  # plain floats for simulate
     return FlrBounds.ordered((x[0], x[1]), (x[2], x[3]),
                              (x[4], x[5]), (x[6], x[7]))
 
@@ -608,7 +693,9 @@ def make_pd_cost(params: PlantParams, sim: SimConfig, ref: Reference,
     """Square-wave tracking cost of a plain cascaded PD with gains x."""
 
     def cost(x) -> float:
-        gains = GainSet(*np.maximum(x, 0.0))
+        # plain floats: simulate on numpy scalars runs at half the speed
+        # and warns where a float overflows quietly to inf
+        gains = GainSet(*np.maximum(x, 0.0).tolist())
         ctrl = Controller(kind=ControllerKind.CASCADED_PD, gains=gains)
         traj = simulate(params, sim, ctrl, ref, dist)
         return tracking_cost(traj)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from flexjoint.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
                            METRIC_COLUMNS, TRAJ_COLUMNS, build_parser, main)
 from flexjoint.control import (Controller, ControllerKind, GainSet, Reference,
                                simulate)
-from flexjoint.gainsio import save_gains
+from flexjoint.gainsio import BOUND_KEYS, GAIN_KEYS, PLANT_KEYS, save_gains
 from flexjoint.metrics import FAILED_COST
 from flexjoint.plant import DisturbanceModel, PlantParams, SimConfig
 from oracles import read_csv
@@ -552,6 +553,60 @@ def test_bad_flag_values_end_in_a_documented_exit(tmp_path, capsys, command,
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_UNSTABLE), argv
         assert "Traceback" not in err, argv
         assert len(errors) == (code in (EXIT_USAGE, EXIT_DIVERGED)), (argv, err)
+
+
+FILE_KEYS = ([("plant", key) for key in PLANT_KEYS]
+             + [("gains", key) for key in GAIN_KEYS + BOUND_KEYS])
+
+
+def _file_text(kind: str, key: str, value: str) -> str:
+    """A plant or gains file with the default values and key set to value."""
+    if kind == "plant":
+        values = asdict(PlantParams())
+    else:
+        values = dict(asdict(GainSet()), dkp1_lo=-1.0, dkp1_hi=1.0,
+                      dkd1_lo=-1.0, dkd1_hi=1.0, dkp2_lo=-1.0, dkp2_hi=1.0,
+                      dkd2_lo=-1.0, dkd2_hi=1.0)
+    values[key] = value
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@pytest.mark.parametrize("kind,key", FILE_KEYS,
+                         ids=[f"{kind} {key}" for kind, key in FILE_KEYS])
+def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
+    """Each of BAD_VALUES as one key of a plant or gains file, in simulate
+    and ablate over a 0.5-s horizon, analyze, and, for plant keys, a
+    3-episode tune: an exit code from the documented set, never an
+    exception out of main (warnings fail the suite), exactly one error
+    line on exit 1 or 2 and none otherwise, and a usage error that names
+    the file, or the values for analyze's overflow checks."""
+    commands = [["simulate", "--horizon", "0.5"], ["ablate", "--horizon", "0.5"],
+                ["analyze"]]
+    if kind == "plant":
+        commands.append(["tune", "--stage", "pd", "--episodes", "3",
+                         "--n-init", "2"])
+    for n, value in enumerate(BAD_VALUES):
+        path = tmp_path / f"{kind}{n}.txt"
+        path.write_text(_file_text(kind, key, value))
+        for command in commands:
+            argv = command + [f"--{kind}", str(path),
+                              "--out", str(tmp_path / f"o{n}")]
+            code = run(argv)
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED,
+                            EXIT_UNSTABLE), argv
+            assert "Traceback" not in err, argv
+            assert len(errors) == (code in (EXIT_USAGE, EXIT_DIVERGED)), \
+                (argv, err)
+            if code != EXIT_USAGE:
+                continue
+            if errors[0].startswith("error: the error Jacobian"):
+                # analyze's checks on what it forms from both files name
+                # the gains and plant values, as the tests above pin
+                assert "PlantParams(m=" in errors[0], (argv, err)
+            else:
+                assert errors[0].startswith(f"error: {path}: "), (argv, err)
 
 
 # sha256 of the artifacts, recorded before the trajectory became a column

@@ -10,14 +10,15 @@ from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.stats import qmc
 
+from flexjoint import tuning
 from flexjoint.analysis import state_matrix
 from flexjoint.cli import main
 from flexjoint.control import TRAJ_COLUMNS, GainSet, Trajectory
 from flexjoint.plant import PlantParams
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
-                              FAILED_COST, SOBOL_MAX_DIM, Domain, GpModel,
-                              TunerConfig, _lbfgsb,
-                              _neg_lml_and_grad, _nelder_mead, _pair_corr,
+                              FAILED_COST, FIT_STARTS, SOBOL_MAX_DIM, Domain,
+                              GpModel, TunerConfig, _lbfgsb_lockstep,
+                              _neg_lml_and_grad, _nelder_mead, _pair_cov,
                               _pairs, _sum_planes, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
@@ -239,16 +240,30 @@ def _random_model(seed: int, d: int, n: int):
     return model, ys, rng
 
 
+def _random_thetas(rng, k: int, d: int) -> np.ndarray:
+    """k hyperparameter rows inside their bounds, the last repeating the
+    first when k > 1."""
+    thetas = np.column_stack([rng.uniform(*_LEN_BOUNDS, (k, d)),
+                              rng.uniform(*_SIG_BOUNDS, k),
+                              rng.uniform(*_NOISE_RATIO_BOUNDS, k)])
+    thetas[-1] = thetas[0]
+    return thetas
+
+
 # _sum_planes adds one by one below 8 dimensions and in eight running sums
-# from 8: the examples sit on both sides of that switch
+# from 8: the examples sit on both sides of that switch; the likelihood
+# splits k = 8 rows into batches of 4 at d = 4, n = 40 and of 1 at d = 16,
+# n = 40
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16),
-       n=st.integers(2, 40), m=st.integers(1, 6))
-@example(seed=0, d=7, n=4, m=3)
-@example(seed=0, d=8, n=4, m=3)
-@example(seed=0, d=9, n=4, m=3)
-@example(seed=0, d=16, n=4, m=3)
+       n=st.integers(2, 40), m=st.integers(1, 6), k=st.integers(1, 8))
+@example(seed=0, d=7, n=4, m=3, k=8)
+@example(seed=0, d=8, n=4, m=3, k=8)
+@example(seed=0, d=9, n=4, m=3, k=8)
+@example(seed=0, d=16, n=4, m=3, k=8)
+@example(seed=1, d=4, n=40, m=6, k=8)
+@example(seed=2, d=16, n=40, m=6, k=8)
 @settings(max_examples=150, deadline=None)
-def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
+def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m, k):
     model, ys, rng = _random_model(seed, d, n)
     dom = model.domain
     # queries inside the box and up to half a width outside it
@@ -265,11 +280,13 @@ def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
         (np.atleast_2d(U) * np.maximum(hi - lo, 1e-300) + lo).tobytes()
     assert dom.clip(Q[0]).tobytes() == np.clip(Q[0], dom.lo, dom.hi).tobytes()
     D2 = _ref_sq_dists(model.Xn, model.Xn)
-    theta = np.concatenate([rng.uniform(*_LEN_BOUNDS, d),
-                            [rng.uniform(*_SIG_BOUNDS)],
-                            [rng.uniform(*_NOISE_RATIO_BOUNDS)]])
-    assert _bytes(*_neg_lml_and_grad(theta, ys, _pairs(D2))) == \
-        _bytes(*_ref_neg_lml_and_grad(theta, model.Xn, ys, D2))
+    # every row of a batch of k has the reference's bits
+    thetas = _random_thetas(rng, k, d)
+    values, grads = _neg_lml_and_grad(thetas, ys, _pairs(D2))
+    assert values.shape == (len(thetas),) and grads.shape == thetas.shape
+    for theta, value, grad in zip(thetas, values, grads):
+        assert _bytes(value, grad) == \
+            _bytes(*_ref_neg_lml_and_grad(theta, model.Xn, ys, D2))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16),
@@ -280,15 +297,25 @@ def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m):
 @example(seed=0, d=16, n=150)
 @settings(max_examples=100, deadline=None)
 def test_pair_corr_matches_full_corr_bitwise(seed, d, n):
-    """The likelihood's correlations from the upper triangle equal the
-    full (n, n, d) computation bit for bit, from n = 1 to 150 points."""
+    """The likelihood's correlations and covariances from the upper
+    triangle equal the full (n, n, d) computation bit for bit, from n = 1
+    to 150 points, for every row of a batch of 1 to 4 hyperparameters:
+    at unit signal variance and zero noise the covariance is the
+    correlation, and otherwise sf2 * (C + ratio * I)."""
     rng = np.random.default_rng(seed)
     Xn = rng.random((n, d))
     Xn[rng.random(n) < 0.1] = Xn[0]  # repeated points
     D2 = _ref_sq_dists(Xn, Xn)
-    ls = np.exp(rng.uniform(*_LEN_BOUNDS, d))
-    assert _pair_corr(_pairs(D2), ls ** 2).tobytes() == \
-        _ref_corr(D2, ls).tobytes()
+    pairs = _pairs(D2)
+    e = np.exp(_random_thetas(rng, int(rng.integers(1, 5)), d))
+    K = _pair_cov(pairs, e).take(pairs.spread, axis=1)
+    unit = np.column_stack([e[:, :d], np.ones(len(e)), np.zeros(len(e))])
+    C = _pair_cov(pairs, unit).take(pairs.spread, axis=1)
+    for row, Ki, Ci in zip(e, K, C):
+        ls, sf2, ratio = row[:d], row[d], row[d + 1]
+        assert Ci.tobytes() == _ref_corr(D2, ls).tobytes()
+        assert Ki.tobytes() == \
+            (sf2 * (_ref_corr(D2, ls) + ratio * np.eye(n))).tobytes()
 
 
 def test_sum_planes_follows_numpy_sum_order():
@@ -344,16 +371,27 @@ def test_surrogate_rejects_nonfinite_and_non_pd_input():
     with pytest.raises(ValueError):
         gp_predict(model, np.array([np.inf, model.domain.lo[1]]))
     D2 = _ref_sq_dists(model.Xn, model.Xn)
-    with pytest.raises(ValueError):
-        _neg_lml_and_grad(np.full(4, np.nan), ys, _pairs(D2))
+    good = _random_thetas(np.random.default_rng(1), 1, 2)[0]
+    for bad_row in (0, 1):  # a NaN row fails its whole batch
+        thetas = np.array([good, good])
+        thetas[bad_row] = np.nan
+        with pytest.raises(ValueError):
+            _neg_lml_and_grad(thetas, ys, _pairs(D2))
     # correlations 0.99 / 0.99 / 0 around a chain of three points: not PSD
     c = -2.0 * math.log(0.99)
     D2 = np.array([[0.0, c, 100.0], [c, 0.0, c], [100.0, c, 0.0]])[:, :, None]
     theta = np.array([0.0, 0.0, _NOISE_RATIO_BOUNDS[0]])
+    pd_theta = np.array([-3.0, 0.0, _NOISE_RATIO_BOUNDS[0]])  # short scale
     ys = np.array([1.0, -1.0, 0.5])
-    value, grad = _neg_lml_and_grad(theta, ys, _pairs(D2))
-    assert value == 1e12 and grad.tobytes() == np.zeros(3).tobytes()
+    values, grads = _neg_lml_and_grad(np.array([pd_theta, theta, pd_theta]),
+                                      ys, _pairs(D2))
+    # the non-PD row alone takes the 1e12 branch, with a +0.0 gradient
+    assert values[1] == 1e12 and grads[1].tobytes() == np.zeros(3).tobytes()
     assert _ref_neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)[0] == 1e12
+    for i in (0, 2):
+        assert _bytes(values[i], grads[i]) == _bytes(
+            *_ref_neg_lml_and_grad(pd_theta, np.zeros((3, 1)), ys, D2))
+        assert values[i] != 1e12
 
 
 def _drive(search, f):
@@ -438,13 +476,39 @@ def _chain_pairs(D2: np.ndarray) -> np.ndarray:
     return D2
 
 
+def _row_fun(theta, ys, pairs):
+    """The likelihood at one theta, as a batch of one: the function
+    scipy.optimize.minimize is given as the reference."""
+    values, grads = _neg_lml_and_grad(theta[None], ys, pairs)
+    return values[0], grads[0]
+
+
+def _fit_box(d: int) -> tuple[list, np.ndarray, np.ndarray]:
+    bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
+    return (bounds, np.array([b[0] for b in bounds]),
+            np.array([b[1] for b in bounds]))
+
+
+def _assert_lockstep_matches_scipy(starts, ys, pairs, fun=_neg_lml_and_grad):
+    bounds, lo, hi = _fit_box(len(starts[0]) - 2)
+    results = _lbfgsb_lockstep(fun, starts, lo, hi, (ys, pairs))
+    assert len(results) == len(starts)
+    for x0, (x, value) in zip(starts, results):
+        res = optimize.minimize(_row_fun, x0, args=(ys, pairs), jac=True,
+                                method="L-BFGS-B", bounds=bounds)
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(value).tobytes() == np.float64(res.fun).tobytes()
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
-       n=st.integers(2, 40), chain=st.booleans())
+       n=st.integers(2, 40), chain=st.booleans(), k=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
-def test_lbfgsb_matches_scipy_bitwise(seed, d, n, chain):
-    """_lbfgsb returns scipy.optimize.minimize's L-BFGS-B x and value bit
-    for bit on the likelihood, from gp_fit's fixed start, a random start,
-    a corner of the box and a start outside it (which both clip).  With
+def test_lbfgsb_matches_scipy_bitwise(seed, d, n, chain, k):
+    """One _lbfgsb_lockstep call over k = 1 to 8 starts returns, for each
+    start, scipy.optimize.minimize's L-BFGS-B x and value bit for bit on
+    the likelihood: from gp_fit's fixed start, a random start, a corner of
+    the box, a start outside it (which clips), and more random starts and
+    repeats, whose runs end after different numbers of rounds.  With
     `chain` the covariance is not positive definite near unit length
     scales, so runs start in or pass through the 1e12 branch."""
     rng = np.random.default_rng(seed)
@@ -454,45 +518,79 @@ def test_lbfgsb_matches_scipy_bitwise(seed, d, n, chain):
     if chain and n >= 3:
         D2 = _chain_pairs(D2)
     ys = rng.standard_normal(n)
-    bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    _, lo, hi = _fit_box(d)
     starts = [np.concatenate([np.zeros(d), [0.0], [math.log(1e-4)]]),
               rng.uniform(lo, hi), np.where(rng.random(d + 2) < 0.5, lo, hi),
               rng.uniform(lo - 3.0, hi + 3.0)]
-    pairs = _pairs(D2)
-    for x0 in starts:
-        x, fun = _lbfgsb(_neg_lml_and_grad, x0, lo, hi, (ys, pairs))
-        res = optimize.minimize(_neg_lml_and_grad, x0, args=(ys, pairs),
-                                jac=True, method="L-BFGS-B", bounds=bounds)
-        assert x.tobytes() == res.x.tobytes()
-        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    while len(starts) < k:
+        starts.append(rng.uniform(lo, hi) if rng.random() < 0.75
+                      else starts[int(rng.integers(len(starts)))])
+    _assert_lockstep_matches_scipy(starts[:k], ys, _pairs(D2))
 
 
 def test_lbfgsb_passes_through_the_non_pd_branch():
     """A run that starts where the covariance is positive definite, steps
-    into the 1e12 branch and backs out of it matches scipy bit for bit."""
+    into the 1e12 branch and backs out of it matches scipy bit for bit,
+    alone and in lockstep with 1 to 7 other starts."""
     rng = np.random.default_rng(11)
     Xn = rng.random((6, 2))
     pairs = _pairs(_chain_pairs(_ref_sq_dists(Xn, Xn)))
     ys = rng.standard_normal(6)
-    bounds = [_LEN_BOUNDS] * 2 + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    _, lo, hi = _fit_box(2)
+    x0 = np.array([-3.36, 2.04, -1.95, -13.42])
     values = []
 
-    def fun(theta, *args):
-        value, grad = _neg_lml_and_grad(theta, *args)
-        values.append(value)
-        return value, grad
+    def fun(thetas, *args):
+        v, g = _neg_lml_and_grad(thetas, *args)
+        values.extend(v)
+        return v, g
 
-    x0 = np.array([-3.36, 2.04, -1.95, -13.42])
-    x, value = _lbfgsb(fun, x0, lo, hi, (ys, pairs))
+    _assert_lockstep_matches_scipy([x0], ys, pairs, fun)
     assert values[0] != 1e12 and 1e12 in values
-    res = optimize.minimize(_neg_lml_and_grad, x0, args=(ys, pairs),
-                            jac=True, method="L-BFGS-B", bounds=bounds)
-    assert x.tobytes() == res.x.tobytes()
-    assert np.float64(value).tobytes() == np.float64(res.fun).tobytes()
+    for k in range(2, 9):
+        others = [rng.uniform(lo, hi) for _ in range(k - 1)]
+        _assert_lockstep_matches_scipy([x0] + others, ys, pairs)
+
+
+def test_gp_fit_runs_its_starts_in_lockstep(monkeypatch):
+    """At n = 16, gp_fit makes as many batched likelihood calls as its
+    longest start needs alone, not the sum over its FIT_STARTS starts,
+    and evaluates each start's points once: the rows of its calls add up
+    to the calls of the starts run one at a time."""
+    rng = np.random.default_rng(4)
+    dom = pd_gain_domain()
+    X = dom.denormalize(rng.random((16, 4)))
+    y = np.sin(X @ rng.standard_normal(4) / 50.0)
+    starts_seen, rows = [], []
+    lockstep = tuning._lbfgsb_lockstep
+    likelihood = tuning._neg_lml_and_grad
+
+    def spy_lockstep(fun, starts, *args):
+        starts_seen.append([s.copy() for s in starts])
+        return lockstep(fun, starts, *args)
+
+    def counting(thetas, *args):
+        rows.append(len(thetas))
+        return likelihood(thetas, *args)
+
+    monkeypatch.setattr(tuning, "_lbfgsb_lockstep", spy_lockstep)
+    monkeypatch.setattr(tuning, "_neg_lml_and_grad", counting)
+    gp_fit(X, y, dom, 0)
+    (starts,) = starts_seen
+    assert len(starts) == FIT_STARTS
+    fit_rows = rows[:]
+    _, lo, hi = _fit_box(4)
+    Xn = dom.normalize(X)
+    ys = (y - y.mean()) / y.std()
+    alone = []
+    for x0 in starts:
+        rows.clear()
+        lockstep(counting, [x0], lo, hi, (ys, _pairs(_ref_sq_dists(Xn, Xn))))
+        assert set(rows) == {1}
+        alone.append(len(rows))
+    assert len(fit_rows) == max(alone) < sum(alone)
+    assert sum(fit_rows) == sum(alone)
+    assert fit_rows[0] == FIT_STARTS and fit_rows[-1] == 1
 
 
 def test_ucb_definition():
@@ -652,6 +750,25 @@ def test_smbo_propagates_programming_errors():
 
     with pytest.raises(TypeError):
         smbo(cost, UNIT, _cfg(T=6, n_init=5))
+
+
+@pytest.mark.parametrize("error", [NotImplementedError, RecursionError])
+def test_smbo_propagates_runtime_errors_that_are_bugs(error):
+    """NotImplementedError and RecursionError subclass RuntimeError, but a
+    cost that raises them has a bug: smbo does not score them FAILED_COST,
+    on the first episode or after the surrogate has been fitted."""
+    for failing in (0, 3):
+        calls = []
+
+        def cost(v):
+            calls.append(v)
+            if len(calls) > failing:
+                raise error("a bug in the cost")
+            return float(v[0])
+
+        with pytest.raises(error):
+            smbo(cost, UNIT, _cfg(T=6, n_init=2))
+        assert len(calls) == failing + 1
 
 
 def test_smbo_penalizes_nonfinite_cost():

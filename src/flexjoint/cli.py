@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
 from .control import SINGLE_PD_GAINS  # noqa: F401  (re-exported for perfbench)
 from .fuzzy import FlrBounds
 from .gainsio import LoadedGains, load_gains, load_plant, save_gains
-from .metrics import COST_STEPS, FAILED_COST, compute_metrics
+from .metrics import COST_STEPS, FAILED_COST, Metrics, compute_metrics
 from .plant import DisturbanceModel, PlantParams, SimConfig
 
 # Bundled tuning results (BO over the square-wave task); the regulator
@@ -42,8 +42,7 @@ DEFAULT_TUNER_SEED = 0
 
 RNG_DESCRIPTION = "numpy PCG64 (default_rng) keyed by (seed, step_index)"
 
-METRIC_COLUMNS = ("cost", "overshoot_pct", "settling_time",
-                  "steady_state_error", "rms_error")
+METRIC_COLUMNS = tuple(f.name for f in fields(Metrics))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -245,27 +244,32 @@ def cmd_analyze(args) -> int:
     loaded = _resolve_gains(args)
     gains, bounds = loaded.gains, loaded.bounds
     L = analysis.StabilityBounds(*args.L)
-    sections = [(0.0, "error-dynamics", "gain-condition", gains,
-                 analysis.check_gain_conditions(gains, params, L))]
-    if args.with_flr or bounds != FlrBounds():
-        sections.append((1.0, "worst-case regulator", "worst-case condition",
-                         analysis.worst_case_gains(gains, bounds),
-                         analysis.check_flr_conditions(gains, bounds, params, L)))
-    lines = [f"gains: kp1={gains.kp1} kd1={gains.kd1} kp2={gains.kp2} kd2={gains.kd2}"]
-    rows = []
-    all_ok = True
-    for worst_case, spectrum, condition, g, violated in sections:
-        eig = analysis.error_eigenvalues(params, g)
-        lines.append(f"{spectrum} eigenvalues: {_spectrum(eig)}")
-        if not worst_case:
-            roots = analysis.polynomial_roots(
-                analysis.closed_loop_charpoly(params, gains))
-            lines.append(f"characteristic polynomial roots: {_spectrum(roots)}")
-        lines.append(f"{condition} verdict: "
-                     + ("violated: " + ", ".join(violated) if violated
-                        else "stable"))
-        rows += [(worst_case, i, z.real, z.imag) for i, z in enumerate(eig)]
-        all_ok = all_ok and not violated and all(z.real < 0 for z in eig)
+    try:
+        sections = [(0.0, "error-dynamics", "gain-condition", gains,
+                     analysis.check_gain_conditions(gains, params, L))]
+        if args.with_flr or bounds != FlrBounds():
+            sections.append((1.0, "worst-case regulator", "worst-case condition",
+                             analysis.worst_case_gains(gains, bounds),
+                             analysis.check_flr_conditions(gains, bounds, params, L)))
+        lines = [f"gains: kp1={gains.kp1} kd1={gains.kd1} kp2={gains.kp2} kd2={gains.kd2}"]
+        rows = []
+        all_ok = True
+        for worst_case, spectrum, condition, g, violated in sections:
+            eig = analysis.error_eigenvalues(params, g)
+            lines.append(f"{spectrum} eigenvalues: {_spectrum(eig)}")
+            if not worst_case:
+                roots = analysis.polynomial_roots(
+                    analysis.closed_loop_charpoly(params, gains))
+                lines.append(f"characteristic polynomial roots: {_spectrum(roots)}")
+            lines.append(f"{condition} verdict: "
+                         + ("violated: " + ", ".join(violated) if violated
+                            else "stable"))
+            rows += [(worst_case, i, z.real, z.imag) for i, z in enumerate(eig)]
+            all_ok = all_ok and not violated and all(z.real < 0 for z in eig)
+    except ValueError as exc:  # name the files the values came from
+        bundled = "the bundled defaults"
+        raise CliError(f"{exc} (gains from {args.gains or bundled}, "
+                       f"plant from {args.plant or bundled})") from None
 
     print("\n".join(lines))
     write_meta(args.out, dict(command="analyze", plant=asdict(params),

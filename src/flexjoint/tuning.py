@@ -207,11 +207,6 @@ class GpModel:
         return np.exp(self.theta[:-2])
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # (n, m, d) per-dimension squared differences
-    return (A[:, None, :] - B[None, :, :]) ** 2
-
-
 def _sum_planes(D: np.ndarray) -> np.ndarray:
     """The sum of the d planes D[0], ..., D[d - 1] of a scratch array, in
     the order numpy's add.reduce adds a contiguous last axis of length d,
@@ -405,27 +400,35 @@ def _lbfgsb_run(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
             return x, f
 
 
-def _lbfgsb_lockstep(fun, starts, lo: np.ndarray, hi: np.ndarray,
-                     args: tuple = ()) -> list[tuple[np.ndarray, float]]:
-    """Run _lbfgsb_run from every start in lockstep.  Each round, one call
-    fun(xs, *args) -> (values, gradients) evaluates the pending x of every
-    live run, as the rows of xs in start order, and each run then steps
-    until it asks for a new x or stops.  The runs share nothing but fun,
-    so each gives the x and value scipy's L-BFGS-B gives on fun's row
-    function when fun's rows do not depend on the batch.  Returns each
-    start's (x, f), in start order."""
-    runs = [_lbfgsb_run(x0, lo, hi) for x0 in starts]
+def _lockstep(runs, fun) -> list:
+    """Drive the generators runs, each of which yields the point it needs
+    next and is sent its reply, until all return.  Each round makes one
+    call fun(xs), whose rows are the pending points of all live runs in
+    run order and which returns one reply per row; each run is sent its
+    own row's reply, so there are as many calls as the longest run has
+    points.  The runs share nothing but fun, so each gets the replies it
+    would get alone when fun's rows do not depend on the batch.  Returns
+    each run's return value, in run order."""
     pending = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while pending:
-        values, grads = fun(np.array(list(pending.values())), *args)
-        for i, f, g in zip(list(pending), values, grads):
+        replies = fun(np.array(list(pending.values())))
+        for i, reply in zip(list(pending), replies):
             try:
-                pending[i] = runs[i].send((f, g))
+                pending[i] = runs[i].send(reply)
             except StopIteration as done:
                 del pending[i]
                 results[i] = done.value
     return results
+
+
+def _lbfgsb_lockstep(fun, starts, lo: np.ndarray, hi: np.ndarray,
+                     args: tuple = ()) -> list[tuple[np.ndarray, float]]:
+    """_lbfgsb_run from every start on _lockstep, where one call
+    fun(xs, *args) -> (values, gradients) evaluates each round's rows.
+    Returns each start's (x, f), in start order."""
+    return _lockstep([_lbfgsb_run(x0, lo, hi) for x0 in starts],
+                     lambda xs: zip(*fun(xs, *args)))
 
 
 def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
@@ -433,13 +436,11 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
     costs y by maximizing the log marginal likelihood with FIT_STARTS
     L-BFGS-B starts (analytic gradients; the first at unit length scales,
     the rest random, seeded by seed and the row count), then cache the
-    training factorization.  The starts run in lockstep on
-    _lbfgsb_lockstep, each bit for bit scipy.optimize.minimize's L-BFGS-B:
-    every round evaluates the pending theta of all live starts with one
-    batched _neg_lml_and_grad, so a fit makes as many likelihood calls as
-    its longest start needs.  The winner is the first start with the
-    lowest value.  Singular covariances go through a fixed jitter
-    escalation before failing."""
+    training factorization.  The starts run on _lockstep through
+    _lbfgsb_lockstep, each bit for bit scipy.optimize.minimize's L-BFGS-B,
+    with one batched _neg_lml_and_grad per round.  The winner is the first
+    start with the lowest value.  Singular covariances go through a fixed
+    jitter escalation before failing."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
@@ -455,7 +456,7 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
         y_std = 1.0
     ys = (y - y_mean) / y_std
     d = Xn.shape[1]
-    pairs = _pairs(_sq_dists(Xn, Xn))
+    pairs = _pairs((Xn[:, None, :] - Xn[None, :, :]) ** 2)
     bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -594,14 +595,14 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     """Maximize the UCB over the model's box: a scan of SOBOL_CANDIDATES
     scrambled Sobol points (one batched gp_predict), then _nelder_mead from
     the best LOCAL_SEARCHES candidates on the UCB at the clipped point.  The
-    searches run in lockstep: each round evaluates the pending query of
-    every live search in one batched gp_predict, whose rows have the bits
-    of one-point calls under the SkylakeX OpenBLAS kernel with numpy's
-    AVX-512 dispatch.  Tests hold the local search to scipy's Nelder-Mead
-    bit for bit.  Candidates with tied scores are ranked by the reversed
-    np.argsort of the scan, so the best is whichever tie the default sort
-    puts last, and that order can differ between numpy's dispatch levels;
-    among the local searches, a tie keeps the earlier candidate."""
+    searches run on _lockstep with one batched gp_predict per round, whose
+    rows have the bits of one-point calls under the SkylakeX OpenBLAS
+    kernel with numpy's AVX-512 dispatch.  Tests hold the local search to
+    scipy's Nelder-Mead bit for bit.  Candidates with tied scores are
+    ranked by the reversed np.argsort of the scan, so the best is whichever
+    tie the default sort puts last, and that order can differ between
+    numpy's dispatch levels; among the local searches, a tie keeps the
+    earlier candidate."""
     domain = model.domain
     cand = domain.denormalize(
         sobol(domain.dim, SOBOL_CANDIDATES, int(rng.integers(2 ** 63))))
@@ -611,18 +612,9 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     best_x = cand[order[0]]
     best_score = scores[order[0]]
 
-    searches = [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]]
-    queries = {i: next(s) for i, s in enumerate(searches)}  # live searches
-    results = [None] * len(searches)
-    while queries:
-        pending = domain.clip(np.array(list(queries.values())))
-        values = -ucb(*gp_predict(model, pending), h)
-        for i, value in zip(list(queries), values.tolist()):
-            try:
-                queries[i] = searches[i].send(value)
-            except StopIteration as done:
-                del queries[i]
-                results[i] = done.value
+    results = _lockstep(
+        [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]],
+        lambda xs: (-ucb(*gp_predict(model, domain.clip(xs)), h)).tolist())
     for x, fun in results:  # in candidate order
         if -fun > best_score:
             best_score = -fun

@@ -579,7 +579,7 @@ def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
     3-episode tune: an exit code from the documented set, never an
     exception out of main (warnings fail the suite), exactly one error
     line on exit 1 or 2 and none otherwise, and a usage error that names
-    the file, or the values for analyze's overflow checks."""
+    the file, after the values for analyze's overflow checks."""
     commands = [["simulate", "--horizon", "0.5"], ["ablate", "--horizon", "0.5"],
                 ["analyze"]]
     if kind == "plant":
@@ -603,8 +603,10 @@ def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
                 continue
             if errors[0].startswith("error: the error Jacobian"):
                 # analyze's checks on what it forms from both files name
-                # the gains and plant values, as the tests above pin
+                # the gains and plant values, as the tests above pin, and
+                # end with where each came from
                 assert "PlantParams(m=" in errors[0], (argv, err)
+                assert str(path) in errors[0], (argv, err)
             else:
                 assert errors[0].startswith(f"error: {path}: "), (argv, err)
 

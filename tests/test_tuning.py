@@ -16,9 +16,11 @@ from flexjoint.cli import main
 from flexjoint.control import TRAJ_COLUMNS, GainSet, Trajectory
 from flexjoint.plant import PlantParams
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
-                              FAILED_COST, FIT_STARTS, SOBOL_MAX_DIM, Domain,
+                              FAILED_COST, FIT_STARTS, LOCAL_SEARCHES,
+                              SOBOL_CANDIDATES, SOBOL_MAX_DIM, Domain,
                               GpModel, TunerConfig, _lbfgsb_lockstep,
-                              _neg_lml_and_grad, _nelder_mead, _pair_cov,
+                              _lockstep, _neg_lml_and_grad, _nelder_mead,
+                              _pair_cov,
                               _pairs, _sum_planes, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
@@ -591,6 +593,79 @@ def test_gp_fit_runs_its_starts_in_lockstep(monkeypatch):
     assert len(fit_rows) == max(alone) < sum(alone)
     assert sum(fit_rows) == sum(alone)
     assert fit_rows[0] == FIT_STARTS and fit_rows[-1] == 1
+
+
+def test_lockstep_sends_each_run_its_own_row():
+    """_lockstep over runs that end after different numbers of rounds:
+    one fun call per round, as many as the longest run's, whose rows are
+    the pending points of the live runs in run order; each run gets the
+    reply to its own row, and the results come back in run order."""
+    rounds = [3, 1, 5, 2, 5, 4]
+
+    def run(k):
+        replies = []
+        for r in range(rounds[k]):
+            replies.append((yield [float(k), float(r)]))
+        return k, replies
+
+    calls = []
+
+    def fun(xs):
+        calls.append(xs.tolist())
+        return [f"reply {k:g}.{r:g}" for k, r in xs]
+
+    results = _lockstep([run(k) for k in range(len(rounds))], fun)
+    assert len(calls) == max(rounds)
+    for r, rows in enumerate(calls):
+        assert rows == [[float(k), float(r)] for k, n in enumerate(rounds)
+                        if n > r]
+    assert results == [(k, [f"reply {k}.{r}" for r in range(n)])
+                       for k, n in enumerate(rounds)]
+
+
+def test_suggest_runs_its_searches_in_lockstep(monkeypatch):
+    """After its scan, suggest makes as many gp_predict calls as its
+    longest local search needs alone, not the sum over its LOCAL_SEARCHES
+    searches, and evaluates each search's queries once: the rows of those
+    calls add up to the searches' queries run one at a time.  Its point
+    is, bit for bit, the best of those searches, each run alone with
+    _drive on a one-point negated UCB."""
+    rng = np.random.default_rng(4)
+    dom = pd_gain_domain()
+    X = dom.denormalize(rng.random((16, 4)))
+    model = gp_fit(X, np.sin(X @ rng.standard_normal(4) / 50.0), dom, 0)
+    h = 2.576
+    predict = tuning.gp_predict
+    rows = []
+
+    def counting(model, x):
+        rows.append(len(np.atleast_2d(x)))
+        return predict(model, x)
+
+    monkeypatch.setattr(tuning, "gp_predict", counting)
+    x = suggest(model, np.random.default_rng(9), h)
+    monkeypatch.undo()
+    assert rows[0] == SOBOL_CANDIDATES
+    search_rows = rows[1:]
+
+    seed = int(np.random.default_rng(9).integers(2 ** 63))
+    cand = dom.denormalize(sobol(dom.dim, SOBOL_CANDIDATES, seed))
+    scores = ucb(*gp_predict(model, cand), h)
+    order = np.argsort(scores)[::-1]
+    queries, results = [], []
+    for i in order[:LOCAL_SEARCHES]:
+        queries.append(0)
+
+        def neg_ucb(point):
+            queries[-1] += 1
+            return -ucb(*gp_predict(model, dom.clip(np.array(point))), h)
+
+        results.append(_drive(_nelder_mead(cand[i]), neg_ucb))
+    assert len(search_rows) == max(queries) < sum(queries)
+    assert sum(search_rows) == sum(queries)
+    best_x, best_fun = min(results, key=lambda r: r[1])  # first of ties
+    assert -best_fun > scores[order[0]]
+    assert x.tobytes() == dom.clip(best_x).tobytes()
 
 
 def test_ucb_definition():

@@ -10,18 +10,57 @@ different widths (e.g. kp in [0, 150] against kd in [0, 30]).
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize._lbfgsb import setulb
 
 from .control import Controller, ControllerKind, GainSet, Reference, simulate
 from .fuzzy import FlrBounds
 from .metrics import FAILED_COST, tracking_cost
 from .plant import DisturbanceModel, PlantParams, SimConfig
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module `name`, loaded from its file in the scipy
+    install without running the inits of scipy.linalg and scipy.optimize,
+    which load some 320 scipy modules and numpy.f2py, numpy.testing and
+    numpy.ma on the way to the three functions the tuner calls.  The module
+    goes into sys.modules, and an entry already there is reused, so tuning
+    and scipy share one module object whichever is imported first.  As for
+    any module imported before its package, a package init that runs later
+    finds it there but does not bind it as the package's attribute:
+    `from scipy.optimize._lbfgsb import setulb` reaches it, but after
+    `import scipy.optimize` the attribute `scipy.optimize._lbfgsb` stays
+    unset."""
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None and scipy.submodule_search_locations:
+        package = name.rpartition(".")[0].split(".")[1:]
+        finder = FileFinder(os.path.join(scipy.submodule_search_locations[0], *package),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        raise ImportError(f"tuning needs the compiled module {name} of "
+                          f"scipy>=1.15,<1.18, and it was not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+# LAPACK's Cholesky factor and solve, and the C L-BFGS-B step: the objects
+# that scipy.linalg.lapack and scipy.optimize._lbfgsb export
+_flapack = _scipy_extension("scipy.linalg._flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+setulb = _scipy_extension("scipy.optimize._lbfgsb").setulb
 
 # log-space hyperparameter boxes (normalized inputs, standardized outputs)
 _LEN_BOUNDS = (math.log(1e-2), math.log(1e2))

@@ -11,6 +11,7 @@ from flexjoint.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
                            METRIC_COLUMNS, TRAJ_COLUMNS, build_parser, main)
 from flexjoint.control import (Controller, ControllerKind, GainSet, Reference,
                                simulate)
+from flexjoint.fuzzy import FlrBounds
 from flexjoint.gainsio import BOUND_KEYS, GAIN_KEYS, PLANT_KEYS, save_gains
 from flexjoint.metrics import FAILED_COST
 from flexjoint.plant import DisturbanceModel, PlantParams, SimConfig
@@ -571,6 +572,28 @@ def _file_text(kind: str, key: str, value: str) -> str:
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
+def _constructor_rejects(kind: str, key: str, value: str) -> bool:
+    """Whether the constructor that a file's key reaches raises ValueError
+    for value, with the other values of _file_text: PlantParams for a
+    plant key, GainSet for a gain, FlrBounds for a bound, whose pair the
+    gains loader stores as (min, max) when it is reversed."""
+    v = float(value)
+    try:
+        if kind == "plant":
+            PlantParams(**{key: v})
+        elif key in GAIN_KEYS:
+            GainSet(**{key: v})
+        else:
+            name, side = key.rsplit("_", 1)
+            lo, hi = (v, 1.0) if side == "lo" else (-1.0, v)
+            if lo > hi:
+                lo, hi = hi, lo
+            FlrBounds(**{name: (lo, hi)})
+    except ValueError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("kind,key", FILE_KEYS,
                          ids=[f"{kind} {key}" for kind, key in FILE_KEYS])
 def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
@@ -579,7 +602,11 @@ def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
     3-episode tune: an exit code from the documented set, never an
     exception out of main (warnings fail the suite), exactly one error
     line on exit 1 or 2 and none otherwise, and a usage error that names
-    the file, after the values for analyze's overflow checks."""
+    the file, after the values for analyze's overflow checks.  A usage
+    error that blames the file comes only for a value its constructor
+    rejects: a value the constructor accepts is simulated, analyzed or
+    tuned, and may end in exit 2 or 3, or in analyze's checks, never in a
+    file error."""
     commands = [["simulate", "--horizon", "0.5"], ["ablate", "--horizon", "0.5"],
                 ["analyze"]]
     if kind == "plant":
@@ -609,6 +636,7 @@ def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
                 assert str(path) in errors[0], (argv, err)
             else:
                 assert errors[0].startswith(f"error: {path}: "), (argv, err)
+                assert _constructor_rejects(kind, key, value), (argv, err)
 
 
 # sha256 of the artifacts, recorded before the trajectory became a column

@@ -5,15 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import flexjoint
 
 
-def _scipy_modules_after(imports: str) -> str:
-    """The sorted scipy* entries of sys.modules after a fresh interpreter
-    runs `import <imports>`, as printed."""
-    code = ("import sys\n"
-            f"import {imports}\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def _fresh(code: str) -> str:
+    """What a fresh interpreter running code with src/ on its path prints,
+    stripped."""
     src = str(Path(flexjoint.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
@@ -21,21 +20,106 @@ def _scipy_modules_after(imports: str) -> str:
     return proc.stdout.strip()
 
 
+PRINT_LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                "print(sorted(m for m in ('numpy.f2py', 'numpy.testing', 'numpy.ma')\n"
+                "             if m in sys.modules))\n")
+
+
+def _loaded_after(code: str) -> tuple[list[str], list[str]]:
+    """The sorted scipy* entries of sys.modules, and which of numpy.f2py,
+    numpy.testing and numpy.ma are loaded, after a fresh interpreter runs
+    code."""
+    scipy, numpy = _fresh("import sys\n" + code + "\n" + PRINT_LOADED).splitlines()[-2:]
+    return ast.literal_eval(scipy), ast.literal_eval(numpy)
+
+
+# the compiled modules whose dpotrf, dpotrs and setulb the tuner calls
+TUNING_SCIPY = ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"]
+
+
 def test_simulation_layers_do_not_import_scipy():
-    """Only tuning needs scipy, and of it only scipy.linalg and
-    scipy.optimize; the layers below it and the command line import
-    without it."""
-    assert _scipy_modules_after(
-        "flexjoint.plant, flexjoint.fuzzy, flexjoint.control, "
-        "flexjoint.metrics, flexjoint.gainsio, flexjoint.cli") == "[]"
+    """Only tuning needs scipy; the layers below it and the command line
+    import without it."""
+    assert _loaded_after(
+        "import flexjoint.plant, flexjoint.fuzzy, flexjoint.control, "
+        "flexjoint.metrics, flexjoint.gainsio, flexjoint.cli")[0] == []
 
 
 def test_tuning_does_not_import_scipy_stats():
-    """tuning draws its Sobol and Latin-hypercube points in numpy, so
-    importing it loads no scipy.stats module."""
-    modules = ast.literal_eval(_scipy_modules_after("flexjoint.tuning"))
-    assert "scipy.linalg" in modules and "scipy.optimize" in modules
-    assert not [m for m in modules if m.startswith("scipy.stats")]
+    """Of scipy, importing tuning loads only the two compiled modules whose
+    functions it calls, with none of the scipy.linalg and scipy.optimize
+    package inits and none of the numpy.f2py, numpy.testing and numpy.ma
+    that those drag in; it draws its Sobol and Latin-hypercube points in
+    numpy, so no scipy.stats module either."""
+    assert _loaded_after("import flexjoint.tuning") == (TUNING_SCIPY, [])
+
+
+def test_a_tune_loads_no_more_scipy_than_importing_tuning(tmp_path):
+    """A whole tune, run through main, loads the same two scipy modules and
+    no numpy.f2py: an import of scipy anywhere on the tune path would show
+    here."""
+    argv = ["tune", "--stage", "pd", "--episodes", "3", "--n-init", "2",
+            "--out", str(tmp_path / "t")]
+    assert _loaded_after("import flexjoint.cli\n"
+                         f"assert flexjoint.cli.main({argv!r}) == 0") \
+        == (TUNING_SCIPY, [])
+
+
+SAME_BINDINGS = (
+    "from scipy.linalg import lapack\n"
+    "from scipy.linalg._flapack import dpotrf, dpotrs\n"
+    "from scipy.optimize._lbfgsb import setulb\n"
+    "print(tuning.dpotrf is lapack.dpotrf is dpotrf,\n"
+    "      tuning.dpotrs is lapack.dpotrs is dpotrs, tuning.setulb is setulb)\n")
+
+
+def test_tuning_binds_scipys_own_kernels_imported_first():
+    """tuning imported before scipy: scipy's later package inits reuse the
+    modules tuning loaded, so both hold the same function objects, and
+    scipy's Cholesky solve and L-BFGS-B still work."""
+    out = _fresh("from flexjoint import tuning\n" + SAME_BINDINGS +
+                 "import numpy as np\n"
+                 "from scipy.linalg import cho_factor, cho_solve\n"
+                 "from scipy.optimize import minimize\n"
+                 "a = np.array([[4.0, 1.0], [1.0, 3.0]])\n"
+                 "print(np.allclose(a @ cho_solve(cho_factor(a), [1.0, 2.0]),"
+                 " [1.0, 2.0]))\n"
+                 "r = minimize(lambda x: (x @ x, 2 * x), [1.0, 2.0], jac=True,"
+                 " method='L-BFGS-B')\n"
+                 "print(r.success and np.allclose(r.x, 0.0))\n")
+    assert out.splitlines() == ["True True True", "True", "True"]
+
+
+def test_tuning_binds_scipys_own_kernels_imported_last():
+    """scipy imported before tuning: tuning reuses scipy's modules."""
+    out = _fresh("import scipy.linalg, scipy.optimize\n"
+                 "from flexjoint import tuning\n" + SAME_BINDINGS)
+    assert out == "True True True"
+
+
+@pytest.mark.parametrize("name", ["scipy.linalg._no_such", "scipy.no_such._flapack",
+                                  "scipy.linalg.tests"])
+def test_a_missing_scipy_kernel_is_a_one_line_import_error(name):
+    """A compiled module that is not in the scipy install, or a name that
+    is a directory, is an ImportError naming the module and the scipy pin,
+    and sys.modules gains nothing."""
+    from flexjoint.tuning import _scipy_extension
+    before = set(sys.modules)
+    with pytest.raises(ImportError) as info:
+        _scipy_extension(name)
+    message = str(info.value)
+    assert name in message and "scipy>=1.15,<1.18" in message
+    assert "\n" not in message
+    assert set(sys.modules) == before
+
+
+def test_a_missing_scipy_is_a_one_line_import_error(monkeypatch):
+    """Without scipy on the path the loader names the module and the pin
+    instead of failing on a missing spec."""
+    from flexjoint import tuning
+    monkeypatch.setattr(tuning.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._lapack_x .*scipy>=1\.15,<1\.18"):
+        tuning._scipy_extension("scipy.linalg._lapack_x")
 
 
 # Definitions that src/ keeps though no command reaches them, with the reason.

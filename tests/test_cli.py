@@ -639,8 +639,9 @@ def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
                 assert _constructor_rejects(kind, key, value), (argv, err)
 
 
-# sha256 of the artifacts, recorded before the trajectory became a column
-# array; a refactor of the simulation core must leave every byte in place.
+# sha256 of the artifacts, each recorded before a refactor of the
+# simulation core that had to keep it; such a refactor must leave every
+# byte in place.
 # The two longer tunes fit the GP at n = 10..15 in 4-D and at n = 10, 11 in
 # 8-D, so a change to the surrogate's rounding shows in their histories.
 # GAINS stands for the first-stage gains file the test writes, GAINS_FLR
@@ -655,6 +656,16 @@ FROZEN_ARTIFACTS = (
      ["simulate", "--controller", "pd1-fuzzy2"],
      {"_trajectory.csv": "9294308176ac7452ddf317495439f62111c203e84a6e8e0f5f394685362fe6f9",
       "_metrics.csv": "dcf63593bbce5fd0b8fec69d22ef2d5e0521ed0194ac9ca7890c97e26639716a"}),
+    ("simulate --controller cascaded",
+     ["simulate", "--controller", "cascaded", "--disturbance", "uniform",
+      "--seed", "3"],
+     {"_trajectory.csv": "a4fb09e0615877ac1e461caf236963680ea840ebf7551daeadc84bd35db65959",
+      "_metrics.csv": "a9596525b71093fb3561d75b362314cb5bce1879f74c5aaa1456c881321d2543"}),
+    ("simulate --controller fuzzy1-pd2 --hold per-control-step",
+     ["simulate", "--controller", "fuzzy1-pd2", "--disturbance", "uniform",
+      "--hold", "per-control-step", "--seed", "3"],
+     {"_trajectory.csv": "78118cbd633f311565a719c270a71b613ec412aea92ae5c0ce16d50fa48205e7",
+      "_metrics.csv": "9c3e73701052f28887b0b633236ba162028bcf42fa20f812fa4aaf0e74e84e87"}),
     ("ablate --seed 10",
      ["ablate", "--seed", "10"],
      {"_ablation.csv": "dc1181b45f77cfb3158efd3efb52c125375c5f91c05c99c26acc8d0366ef8fd1"}),

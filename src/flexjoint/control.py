@@ -187,7 +187,10 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     read from the ``disturbance_draws`` memo one control period at a time;
     the memo grows only as a sub-step's index reaches its end.  Each
     sub-step is one forward-Euler step of the equations in ``plant``'s
-    docstring, term by term, with each coefficient computed once.  Raises
+    docstring, term by term, with each coefficient computed once, in
+    straight-line float code: a counter numbers the sub-steps, and each
+    velocity's derivative is written into its update, its operations in
+    the equation's order.  Raises
     DivergedTrajectory before integrating a non-finite torque, and as soon
     as any state component is NaN or its magnitude exceeds 1e6.
     """
@@ -199,6 +202,7 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     dt = sim.sim_dt
     sub = sim.substeps
     lim = DIVERGENCE_LIMIT
+    nlim = -lim
     law = controller._law
     cos = math.cos
     off = dist.kind == "off"
@@ -232,18 +236,18 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
                 ds = (disturbance_draws(dist, i + 1)[i]
                       for i in range(base, base + sub))
         u_m = u / I_m
-        for j, (d1, d2) in enumerate(ds, base + 1):
+        j = base
+        for d1, d2 in ds:
+            j += 1
             # the equations term by term; then s + dt * f, no fused multiply-add
             q = x1 - x3
-            dx2 = a_grav * c - k_l * q + d1
-            dx4 = k_m * q - mu_m * x4 + u_m + d2
             y1 = x1 + dt * x2
-            y2 = x2 + dt * dx2
+            y2 = x2 + dt * (a_grav * c - k_l * q + d1)
             y3 = x3 + dt * x4
-            y4 = x4 + dt * dx4
+            y4 = x4 + dt * (k_m * q - mu_m * x4 + u_m + d2)
             # chained comparisons are false for NaN, as abs(y) <= lim is
-            if not (-lim <= y1 <= lim and -lim <= y2 <= lim
-                    and -lim <= y3 <= lim and -lim <= y4 <= lim):
+            if not (nlim <= y1 <= lim and nlim <= y2 <= lim
+                    and nlim <= y3 <= lim and nlim <= y4 <= lim):
                 if all(map(math.isfinite, (y1, y2, y3, y4))):
                     raise DivergedTrajectory(j, j * dt, State(y1, y2, y3, y4))
                 raise DivergedTrajectory(j, j * dt, State(x1, x2, x3, x4),

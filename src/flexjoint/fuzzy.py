@@ -60,19 +60,6 @@ class LinguisticScale:
             raise ValueError(f"need distinct peaks in [{self.lo}, {self.hi}]")
         object.__setattr__(self, "peaks", tuple(peaks.tolist()))
 
-    def terms(self, x: float) -> tuple[int, float, float]:
-        """(i, g_i, g_i+1) for x clamped to [lo, hi] and peaks i, i + 1 at
-        a <= x < b (or x = b = hi): (b - x)/(b - a) and (x - a)/(b - a), or
-        1.0 and 0.0 at x = a.  Other terms grade 0; a NaN x grades NaN."""
-        x = min(max(x, self.lo), self.hi)
-        if x != x:
-            return 0, math.nan, math.nan
-        i = bisect_right(self.peaks, x, 0, 4) - 1
-        a, b = self.peaks[i], self.peaks[i + 1]
-        if x == a:
-            return i, 1.0, 0.0
-        return i, (b - x) / (b - a), (x - a) / (b - a)
-
 
 # Input domains: angular error in rad, angular-velocity error in rad/s.
 ERROR_SCALE = LinguisticScale(-np.pi, np.pi)
@@ -88,12 +75,10 @@ def _check_bounds(name: str, lo: float, hi: float) -> None:
 # np.sum over a contiguous 25-cell table adds cell p to running sum p % 8,
 # then adds ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) + cell 24.
 # The zero cells outside the 2x2 block (a, b / c, d) at origin 4i + j can
-# change only the sign of a zero: the block is summed in one of these orders.
-_ORDERS = (lambda a, b, c, d: (a + b) + (c + d),
-           lambda a, b, c, d: ((a + b) + d) + c,
-           lambda a, b, c, d: ((c + d) + a) + b,
-           lambda a, b, c, d: ((a + b) + c) + d)
-_BLOCK_SUM = tuple(_ORDERS[k] for k in (0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 2, 0, 0, 3))
+# change only the sign of a zero: the block is summed in the order that
+# _ORDER[4i + j] codes, 0: (a + b) + (c + d), 1: ((a + b) + d) + c,
+# 2: ((c + d) + a) + b, 3: ((a + b) + c) + d.
+_ORDER = (0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 2, 0, 0, 3)
 
 
 @dataclass(frozen=True)
@@ -139,19 +124,63 @@ class FlrBounds:
         return FlrBounds(fix(dkp1), fix(dkd1), fix(dkp2), fix(dkd2))
 
 
+_E_LO, _E_HI, _E_PEAKS = ERROR_SCALE.lo, ERROR_SCALE.hi, ERROR_SCALE.peaks
+_D_LO, _D_HI, _D_PEAKS = RATE_SCALE.lo, RATE_SCALE.hi, RATE_SCALE.peaks
+_NAN_PAIR = (math.nan, math.nan)
+
+
 def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
     """Sugeno output (dkp, dkd): firing-strength-weighted singleton average,
     np.sum(w / w.sum() * consequents) for the outer product w of the grades,
     bit for bit: over the block that can fire, in np.sum's order, and 0.0
-    for a zero sum, as np.sum starts from 0.0."""
-    i, e0, e1 = ERROR_SCALE.terms(e)
-    j, d0, d1 = RATE_SCALE.terms(de)
+    for a zero sum, as np.sum starts from 0.0.
+
+    Each input is clamped to its scale; with peaks a <= x < b (or
+    x = b = hi) around it, terms i and i + 1 grade (b - x)/(b - a) and
+    (x - a)/(b - a), or 1.0 and 0.0 at x = a, and the others 0.  A NaN
+    input grades NaN, and every sum over NaN grades is this NaN."""
+    e = _E_LO if e < _E_LO else _E_HI if e > _E_HI else e
+    de = _D_LO if de < _D_LO else _D_HI if de > _D_HI else de
+    if e != e or de != de:
+        return _NAN_PAIR
+    i = bisect_right(_E_PEAKS, e, 0, 4) - 1
+    a = _E_PEAKS[i]
+    if e == a:
+        e0, e1 = 1.0, 0.0
+    else:
+        b = _E_PEAKS[i + 1]
+        e0, e1 = (b - e) / (b - a), (e - a) / (b - a)
+    j = bisect_right(_D_PEAKS, de, 0, 4) - 1
+    a = _D_PEAKS[j]
+    if de == a:
+        d0, d1 = 1.0, 0.0
+    else:
+        b = _D_PEAKS[j + 1]
+        d0, d1 = (b - de) / (b - a), (de - a) / (b - a)
     o = 4 * i + j
-    add = _BLOCK_SUM[o]
+    order = _ORDER[o]
     w00, w01, w10, w11 = e0 * d0, e0 * d1, e1 * d0, e1 * d1
-    s = add(w00, w01, w10, w11)
+    if order == 0:
+        s = (w00 + w01) + (w10 + w11)
+    elif order == 1:
+        s = ((w00 + w01) + w11) + w10
+    elif order == 2:
+        s = ((w10 + w11) + w00) + w01
+    else:
+        s = ((w00 + w01) + w10) + w11
     w00, w01, w10, w11 = w00 / s, w01 / s, w10 / s, w11 / s
     p00, p01, p10, p11 = rb._kp[o]
+    p00, p01, p10, p11 = w00 * p00, w01 * p01, w10 * p10, w11 * p11
     q00, q01, q10, q11 = rb._kd[o]
-    return (add(w00 * p00, w01 * p01, w10 * p10, w11 * p11) or 0.0,
-            add(w00 * q00, w01 * q01, w10 * q10, w11 * q11) or 0.0)
+    q00, q01, q10, q11 = w00 * q00, w01 * q01, w10 * q10, w11 * q11
+    if order == 0:
+        return ((p00 + p01) + (p10 + p11) or 0.0,
+                (q00 + q01) + (q10 + q11) or 0.0)
+    if order == 1:
+        return (((p00 + p01) + p11) + p10 or 0.0,
+                ((q00 + q01) + q11) + q10 or 0.0)
+    if order == 2:
+        return (((p10 + p11) + p00) + p01 or 0.0,
+                ((q10 + q11) + q00) + q01 or 0.0)
+    return (((p00 + p01) + p10) + p11 or 0.0,
+            ((q00 + q01) + q10) + q11 or 0.0)

@@ -5,15 +5,16 @@ computes on plain floats, in bulk or in closed form: the model's
 right-hand side and one forward-Euler step on a ``State`` (``simulate``
 must match their loop bit for bit), the control law's torque and
 ``Diagnostics`` at a ``State``, one disturbance draw (the memo
-``disturbance_draws`` must match it bit for bit), the mechanical energy,
-the spectrum of the error Jacobian from its two 2x2 blocks, a CSV reader
-for the command line's artifacts, a fitted GP's noise variance and its
-posterior by dense linear algebra.
-"""
+``disturbance_draws`` must match it bit for bit), the grades of a
+linguistic scale's two terms around an input (``infer`` inlines them),
+the mechanical energy, the spectrum of the error Jacobian from its two
+2x2 blocks, a CSV reader for the command line's artifacts, a fitted GP's
+noise variance and its posterior by dense linear algebra."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from pathlib import Path
 from typing import NamedTuple
 
@@ -85,6 +86,21 @@ def disturbance_sample(model: DisturbanceModel, step_index: int) -> tuple[float,
     rng = np.random.default_rng((model.seed, step_index))
     d = rng.uniform(-model.amplitude, model.amplitude, size=2)
     return float(d[0]), float(d[1])
+
+
+def terms(scale, x: float) -> tuple[int, float, float]:
+    """(i, g_i, g_i+1) for x clamped to [scale.lo, scale.hi] and peaks
+    i, i + 1 at a <= x < b (or x = b = hi): (b - x)/(b - a) and
+    (x - a)/(b - a), or 1.0 and 0.0 at x = a.  Other terms grade 0; a NaN x
+    grades NaN."""
+    x = min(max(x, scale.lo), scale.hi)
+    if x != x:
+        return 0, math.nan, math.nan
+    i = bisect_right(scale.peaks, x, 0, 4) - 1
+    a, b = scale.peaks[i], scale.peaks[i + 1]
+    if x == a:
+        return i, 1.0, 0.0
+    return i, (b - x) / (b - a), (x - a) / (b - a)
 
 
 def mechanical_energy(params: PlantParams, s: State) -> float:

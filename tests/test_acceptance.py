@@ -28,7 +28,8 @@ from flexjoint.plant import DisturbanceModel, PlantParams, SimConfig, State
 from flexjoint.tuning import (Domain, TunerConfig, gp_fit, gp_predict,
                               make_pd_cost, pd_gain_domain, smbo,
                               tracking_cost)
-from oracles import dense_oracle, euler_step, mechanical_energy, torque
+from oracles import (dense_oracle, euler_step, mechanical_energy, terms,
+                     torque)
 
 PARAMS = PlantParams()
 GAINS = GainSet()
@@ -237,9 +238,9 @@ def _partition_and_boundedness() -> bool:
     for _ in range(500):
         e, de = rng.uniform(-10, 10), rng.uniform(-20, 20)
         # the grades of the two terms that can fire; the others are 0.0
-        if abs(sum(ERROR_SCALE.terms(e)[1:]) - 1.0) > 1e-9:
+        if abs(sum(terms(ERROR_SCALE, e)[1:]) - 1.0) > 1e-9:
             return False
-        if abs(sum(RATE_SCALE.terms(de)[1:]) - 1.0) > 1e-9:
+        if abs(sum(terms(RATE_SCALE, de)[1:]) - 1.0) > 1e-9:
             return False
         dkp, dkd = infer(rb, e, de)
         if not (-11.61 - 1e-9 <= dkp <= 15.27 + 1e-9):

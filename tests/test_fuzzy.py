@@ -3,12 +3,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flexjoint.fuzzy import (_BLOCK_SUM, _KD_INDEX, _KP_INDEX, ERROR_SCALE,
+from flexjoint.fuzzy import (_KD_INDEX, _KP_INDEX, _ORDER, ERROR_SCALE,
                              KD_RULES, KP_RULES, RATE_SCALE, TERMS, FlrBounds,
                              LinguisticScale, RuleBase, infer)
+from oracles import terms
 
 IDX = {t: i for i, t in enumerate(TERMS)}
 
@@ -17,9 +18,9 @@ IDX = {t: i for i, t in enumerate(TERMS)}
 # membership functions
 
 def grades(scale, x):
-    """Memberships of x in the five terms of scale: scale.terms(x) spread
+    """Memberships of x in the five terms of scale: terms(scale, x) spread
     over five cells, 0.0 elsewhere (NaN everywhere for a NaN x)."""
-    i, gi, gj = scale.terms(x)
+    i, gi, gj = terms(scale, x)
     g = np.zeros(5) if gi == gi else np.full(5, gi)
     g[i:i + 2] = gi, gj
     return g
@@ -261,6 +262,43 @@ _BOUNDS = st.one_of(
                      (-8e307, 8e307)]))
 
 
+def _examples(cases):
+    """Apply hypothesis.example to a test once per argument tuple."""
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
+
+
+_TUNED = ((-11.61, 15.27), (-3.228, 0.1))
+_MIDPOINTS = [tuple((a + b) / 2.0 for a, b in zip(s.peaks, s.peaks[1:]))
+              for s in (ERROR_SCALE, RATE_SCALE)]
+# Every pair of peaks, which reaches all 16 block origins and so every sum
+# order, and every pair of midpoints, where all four rules of a block fire;
+# inputs beyond both clamps; signed zeros; NaN in either input; and six
+# cases among which, for each sum order, adding the weights, the dkp
+# products or the dkd products in any other of the four orders changes the
+# bits of the output.
+INFER_EXAMPLES = (
+    [((-82.0, 38.0), (-0.48, 4.0), 0.87, -1.7),
+     ((-38.0, 94.0), (-1.4, 1.7), 2.2, 3.4),
+     ((-56.0, 4.8), (-2.5, 7.1), 0.89, -4.4),
+     ((-38.0, 47.0), (-1.5, 1.9), 1.9, 0.91),
+     ((-88.0, 16.0), (-1.8, 2.3), 1.4, 1.1),
+     ((-15.0, 96.0), (-1.7, 2.0), -0.77, -0.42)]
+    + [_TUNED + (e, de) for e in ERROR_SCALE.peaks for de in RATE_SCALE.peaks]
+    + [_TUNED + (e, de) for e in _MIDPOINTS[0] for de in _MIDPOINTS[1]]
+    + [_TUNED + (e, de) for e in (-10.0, -math.inf, 10.0, math.inf)
+       for de in (-20.0, 20.0, -math.inf, math.inf)]
+    + [bounds + (e, de) for bounds in (_TUNED, ((-1.0, -0.0), (-0.0, 0.0)))
+       for e in (0.0, -0.0) for de in (0.0, -0.0)]
+    + [_TUNED + pair for pair in ((math.nan, 0.3), (0.3, math.nan),
+                                  (-math.nan, -1.0), (1.0, -math.nan),
+                                  (math.nan, math.nan))])
+
+
+@_examples(INFER_EXAMPLES)
 @given(kp=_BOUNDS, kd=_BOUNDS, e=_inputs(ERROR_SCALE), de=_inputs(RATE_SCALE))
 @settings(max_examples=1000, deadline=None)
 def test_infer_matches_dense_formula_bitwise(kp, kd, e, de):
@@ -271,11 +309,19 @@ def test_infer_matches_dense_formula_bitwise(kp, kd, e, de):
     assert _bits(infer(rb, e, de)) == _bits(dense_infer(rb, e, de))
 
 
+# The block sums that _ORDER codes, for a block (a, b / c, d).
+_SUMS = (lambda a, b, c, d: (a + b) + (c + d),
+         lambda a, b, c, d: ((a + b) + d) + c,
+         lambda a, b, c, d: ((c + d) + a) + b,
+         lambda a, b, c, d: ((a + b) + c) + d)
+
+
 def test_block_sum_follows_numpy_order():
-    """_BLOCK_SUM[4i + j] adds the 2x2 block at (i, j) of an otherwise zero
-    5x5 table with the bits of np.sum over the whole table."""
+    """The sum that _ORDER[4i + j] codes adds the 2x2 block at (i, j) of an
+    otherwise zero 5x5 table with the bits of np.sum over the whole table."""
     rng = np.random.default_rng(5)
-    for origin, add in enumerate(_BLOCK_SUM):
+    for origin, code in enumerate(_ORDER):
+        add = _SUMS[code]
         i, j = divmod(origin, 4)
         for _ in range(500):
             table = np.zeros((5, 5))

@@ -187,8 +187,12 @@ def cmd_simulate(args) -> int:
 def cmd_tune(args) -> int:
     # Only tune needs scipy: tuning loads its two compiled kernels, not the
     # scipy.linalg and scipy.optimize packages; the other commands skip it.
-    from .tuning import (TunerConfig, flr_bound_domain, flr_bounds_from_vector,
-                         make_flr_cost, make_pd_cost, pd_gain_domain, smbo)
+    try:
+        from .tuning import (TunerConfig, flr_bound_domain,
+                             flr_bounds_from_vector, make_flr_cost,
+                             make_pd_cost, pd_gain_domain, smbo)
+    except ImportError as exc:
+        raise CliError(str(exc)) from None
 
     params = _resolve_plant(args)
     sim = _sim_config(args)

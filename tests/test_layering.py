@@ -10,12 +10,17 @@ import pytest
 import flexjoint
 
 
+def _python(code: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter's run of code with src/ on its path."""
+    src = str(Path(flexjoint.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
 def _fresh(code: str) -> str:
     """What a fresh interpreter running code with src/ on its path prints,
     stripped."""
-    src = str(Path(flexjoint.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -120,6 +125,23 @@ def test_a_missing_scipy_is_a_one_line_import_error(monkeypatch):
     monkeypatch.setattr(tuning.importlib.util, "find_spec", lambda name: None)
     with pytest.raises(ImportError, match=r"scipy\.linalg\._lapack_x .*scipy>=1\.15,<1\.18"):
         tuning._scipy_extension("scipy.linalg._lapack_x")
+
+
+def test_tune_without_scipy_is_a_one_line_error(tmp_path):
+    """With scipy unimportable, tune exits 1 with one error line that names
+    the missing module and the scipy pin, writes nothing and prints no
+    traceback."""
+    argv = ["tune", "--stage", "pd", "--episodes", "2", "--n-init", "1",
+            "--out", str(tmp_path / "t")]
+    proc = _python("import sys\nsys.modules['scipy'] = None\n"
+                   "from flexjoint.cli import main\n"
+                   f"sys.exit(main({argv!r}))")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert "scipy.linalg._flapack" in line and "scipy>=1.15,<1.18" in line
+    assert list(tmp_path.iterdir()) == []
 
 
 # Definitions that src/ keeps though no command reaches them, with the reason.

@@ -15,6 +15,7 @@ from flexjoint.fuzzy import FlrBounds
 from flexjoint.gainsio import BOUND_KEYS, GAIN_KEYS, PLANT_KEYS, save_gains
 from flexjoint.metrics import FAILED_COST
 from flexjoint.plant import DisturbanceModel, PlantParams, SimConfig
+from flexjoint.tuning import TunerConfig
 from oracles import read_csv
 
 
@@ -523,6 +524,33 @@ NUMERIC_OPTIONS = list(_numeric_options())
 BAD_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1")
 
 
+# The constructor that each flag's value reaches, with the other values the
+# flag test passes (tune's one episode from one initial sample).  --L and
+# --flr-half-width reach the analysis checks and the tuning domain instead.
+FLAG_CONSTRUCTORS = {
+    "--sim-dt": lambda v: SimConfig(sim_dt=float(v)),
+    "--control-dt": lambda v: SimConfig(control_dt=float(v)),
+    "--horizon": lambda v: SimConfig(horizon=float(v)),
+    "--amplitude": lambda v: DisturbanceModel(amplitude=float(v)),
+    "--seed": lambda v: DisturbanceModel(seed=int(v)),
+    "--reference-value": lambda v: Reference(value=float(v)),
+    "--episodes": lambda v: TunerConfig(T=int(v), n_init=1),
+    "--n-init": lambda v: TunerConfig(T=1, n_init=int(v)),
+    "--ucb-h": lambda v: TunerConfig(T=1, n_init=1, h=float(v)),
+    "--tuner-seed": lambda v: TunerConfig(T=1, n_init=1, seed=int(v)),
+}
+
+
+def _flag_rejection(option: str, value: str) -> str | None:
+    """The message of the ValueError that the constructor option reaches
+    raises for value, or None if it accepts value."""
+    try:
+        FLAG_CONSTRUCTORS[option](value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("command,option,position", NUMERIC_OPTIONS,
                          ids=[f"{c} {o}" + (f" {i}" if o == "--L" else "")
                               for c, o, i in NUMERIC_OPTIONS])
@@ -530,7 +558,12 @@ def test_bad_flag_values_end_in_a_documented_exit(tmp_path, capsys, command,
                                                   option, position):
     """Each of BAD_VALUES in each numeric flag: an exit code from the
     documented set, and at most one error line (exactly one for exit 1 or
-    2), never an exception out of main."""
+    2), never an exception out of main.  An exit 1 for a value that parses
+    comes, for a flag in FLAG_CONSTRUCTORS, from a value its constructor
+    rejects, with the constructor's message or that of the command line's
+    own check of the flag; a value the constructor accepts ends in exit 1
+    only in a later check: tune's cost window or the metrics of a horizon
+    without control steps."""
     base = []
     if command == "tune":
         gfile = tmp_path / "gains.txt"
@@ -554,6 +587,16 @@ def test_bad_flag_values_end_in_a_documented_exit(tmp_path, capsys, command,
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_UNSTABLE), argv
         assert "Traceback" not in err, argv
         assert len(errors) == (code in (EXIT_USAGE, EXIT_DIVERGED)), (argv, err)
+        if (code != EXIT_USAGE or option not in FLAG_CONSTRUCTORS
+                or f"error: argument {option}: invalid" in errors[0]):
+            continue
+        rejection = _flag_rejection(option, value)
+        if rejection is not None:
+            assert errors[0] in (f"error: {rejection}",
+                                 f"error: {option} must be >= 0, got {value}"), (argv, err)
+        else:
+            assert errors[0].startswith(("error: --horizon ",
+                                         "error: degenerate metrics: ")), (argv, err)
 
 
 FILE_KEYS = ([("plant", key) for key in PLANT_KEYS]

@@ -126,7 +126,6 @@ class FlrBounds:
 
 _E_LO, _E_HI, _E_PEAKS = ERROR_SCALE.lo, ERROR_SCALE.hi, ERROR_SCALE.peaks
 _D_LO, _D_HI, _D_PEAKS = RATE_SCALE.lo, RATE_SCALE.hi, RATE_SCALE.peaks
-_NAN_PAIR = (math.nan, math.nan)
 
 
 def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
@@ -142,7 +141,7 @@ def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
     e = _E_LO if e < _E_LO else _E_HI if e > _E_HI else e
     de = _D_LO if de < _D_LO else _D_HI if de > _D_HI else de
     if e != e or de != de:
-        return _NAN_PAIR
+        return math.nan, math.nan
     i = bisect_right(_E_PEAKS, e, 0, 4) - 1
     a = _E_PEAKS[i]
     if e == a:

@@ -9,7 +9,8 @@ must match their loop bit for bit), the control law's torque and
 linguistic scale's two terms around an input (``infer`` inlines them),
 the mechanical energy, the spectrum of the error Jacobian from its two
 2x2 blocks, a CSV reader for the command line's artifacts, a fitted GP's
-noise variance and its posterior by dense linear algebra."""
+noise variance and its posterior by dense linear algebra.
+"""
 
 from __future__ import annotations
 

@@ -184,8 +184,8 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     control_dt/sim_dt Euler sub-steps.  The loop runs on plain floats, from
     the controller's law to one flat list of rows.  Disturbances are indexed
     by sim step (or by control step under the per-control-step hold) and
-    read from the ``disturbance_draws`` memo one control period at a time;
-    the memo grows only as a sub-step's index reaches its end.  Each
+    read one control period at a time from the run's whole table, fetched
+    from the ``disturbance_draws`` memo once, before the loop.  Each
     sub-step is one forward-Euler step of the equations in ``plant``'s
     docstring, term by term, with each coefficient computed once, in
     straight-line float code: a counter numbers the sub-steps, and each
@@ -207,10 +207,11 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     cos = math.cos
     off = dist.kind == "off"
     per_control = dist.hold == "per-control-step"
-    draws = ((0.0, 0.0),) * sub if off else disturbance_draws(dist, 0)
+    steps = sim.n_control_steps
+    draws = ((0.0, 0.0),) * sub if off else disturbance_draws(
+        dist.seed, dist.amplitude, steps if per_control else steps * sub)
     x1 = x2 = x3 = x4 = 0.0
     c = cos(x1)
-    steps = sim.n_control_steps
     rows: list[float] = []
     for n in range(steps or 1):
         t = n * sim.control_dt
@@ -224,17 +225,8 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
         if not math.isfinite(u):
             raise DivergedTrajectory(base, t, State(x1, x2, x3, x4),
                                      f"non-finite torque {u!r}")
-        if off:
-            ds = draws
-        elif per_control:
-            if n >= len(draws):
-                draws = disturbance_draws(dist, n + 1)
-            ds = (draws[n],) * sub
-        else:
-            ds = draws[base:base + sub]
-            if len(ds) < sub:   # the table ends inside this period
-                ds = (disturbance_draws(dist, i + 1)[i]
-                      for i in range(base, base + sub))
+        ds = (draws if off else (draws[n],) * sub if per_control
+              else draws[base:base + sub])
         u_m = u / I_m
         j = base
         for d1, d2 in ds:

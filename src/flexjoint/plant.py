@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,32 +234,19 @@ def _uniform_pairs(seed: int, amplitude: float, start: int, stop: int) -> np.nda
 # (a tune, an ablation, one round of a sweep), so a few tables suffice.
 DISTURBANCE_TABLES = 4
 DRAW_BLOCK = 2048   # indices drawn per kernel call, bounding its temporaries
-_draw_lock = threading.Lock()   # a table grows under it, one block at a time
 
 
 @functools.lru_cache(maxsize=DISTURBANCE_TABLES)
-def _draw_table(kind: str, seed: int, amplitude: float) -> list[tuple[float, float]]:
-    return []
-
-
-def disturbance_draws(model: DisturbanceModel, stop: int) -> list[tuple[float, float]]:
-    """Memo of the draws of ``model``, holding at least ``stop`` entries:
-    entry i is the pair ``default_rng((seed, i)).uniform(-a, a, 2)``, a
-    the amplitude, so it is a pure function of (seed, i).
-
-    The table is shared by every model with the same kind, seed and
-    amplitude, whatever its hold, and grows in step order on demand, a
-    whole DRAW_BLOCK of indices per ``_uniform_pairs`` call.  (Kind "off"
-    draws from the zero-width interval: every entry is (0.0, 0.0).)  The
-    least recently used table is dropped once more than DISTURBANCE_TABLES
-    are live.  Entries are never changed once appended, so a caller may
-    index the table below its length without the lock.
-    """
-    table = _draw_table(model.kind, model.seed, model.amplitude)
-    amplitude = model.amplitude if model.kind == "uniform" else 0.0
-    with _draw_lock:
-        while len(table) < stop:
-            start = len(table)
-            d = _uniform_pairs(model.seed, amplitude, start, start + DRAW_BLOCK)
-            table.extend(zip(d[:, 0].tolist(), d[:, 1].tolist()))
-    return table
+def disturbance_draws(seed: int, amplitude: float,
+                      stop: int) -> tuple[tuple[float, float], ...]:
+    """The draws of indices 0..stop-1 as one tuple: entry i is the pair
+    ``default_rng((seed, i)).uniform(-amplitude, amplitude, 2)``.  The
+    table is drawn whole, DRAW_BLOCK indices per ``_uniform_pairs`` call,
+    memoized per (seed, amplitude, stop), the least recently used dropped
+    beyond DISTURBANCE_TABLES, and never changed, so threads share it
+    without a lock."""
+    table = []
+    for start in range(0, stop, DRAW_BLOCK):
+        d = _uniform_pairs(seed, amplitude, start, min(start + DRAW_BLOCK, stop))
+        table += zip(d[:, 0].tolist(), d[:, 1].tolist())
+    return tuple(table)

@@ -184,15 +184,21 @@ class Domain:
         return np.clip(x, self._lo, self._hi)
 
 
+MAX_EPISODES = 10_000
+
+
 @dataclass(frozen=True)
 class TunerConfig:
     """SMBO settings: T total episodes, n_init initial Latin-hypercube
     samples, h the UCB exploration coefficient, seed >= 0; T, n_init and
     seed are ints, not bools.
 
-    h lies in [0, 1e6]: the GP-UCB coefficient is non-negative, and the
-    posterior stddev is at most 10 times the costs' standard deviation
-    (signal variance <= 1e2), so h*stddev stays far from overflow.
+    T is at most MAX_EPISODES: a fit over n episodes builds the
+    likelihood's (d + 1, n, n) gradient planes, 4 GB at n = 10**4 and
+    d = 4, and the paper tunes for 150 episodes.  h lies in [0, 1e6]: the
+    GP-UCB coefficient is non-negative, and the posterior stddev is at
+    most 10 times the costs' standard deviation (signal variance <= 1e2),
+    so h*stddev stays far from overflow.
     """
 
     T: int = 150
@@ -207,6 +213,8 @@ class TunerConfig:
                 raise ValueError(f"tuner {name} must be an int, got {v!r}")
         if self.n_init < 1 or self.T < self.n_init:
             raise ValueError("need n_init >= 1 and T >= n_init")
+        if self.T > MAX_EPISODES:
+            raise ValueError(f"tuner T must be at most {MAX_EPISODES}, got {self.T}")
         if not 0.0 <= self.h <= 1e6:
             raise ValueError(f"h must be finite and in [0, 1e6], got {self.h}")
         if self.seed < 0:
@@ -461,22 +469,13 @@ def _lockstep(runs, fun) -> list:
     return results
 
 
-def _lbfgsb_lockstep(fun, starts, lo: np.ndarray, hi: np.ndarray,
-                     args: tuple = ()) -> list[tuple[np.ndarray, float]]:
-    """_lbfgsb_run from every start on _lockstep, where one call
-    fun(xs, *args) -> (values, gradients) evaluates each round's rows.
-    Returns each start's (x, f), in start order."""
-    return _lockstep([_lbfgsb_run(x0, lo, hi) for x0 in starts],
-                     lambda xs: zip(*fun(xs, *args)))
-
-
 def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
     """Fit kernel hyperparameters to the finite rows X (at least 2) and
     costs y by maximizing the log marginal likelihood with FIT_STARTS
     L-BFGS-B starts (analytic gradients; the first at unit length scales,
     the rest random, seeded by seed and the row count), then cache the
-    training factorization.  The starts run on _lockstep through
-    _lbfgsb_lockstep, each bit for bit scipy.optimize.minimize's L-BFGS-B,
+    training factorization.  The starts run as _lbfgsb_run generators on
+    _lockstep, each bit for bit scipy.optimize.minimize's L-BFGS-B,
     with one batched _neg_lml_and_grad per round.  The winner is the first
     start with the lowest value.  Singular covariances go through a fixed
     jitter escalation before failing."""
@@ -504,8 +503,9 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
     for _ in range(FIT_STARTS - 1):
         starts.append(np.array([rng.uniform(a, b) for a, b in bounds]))
     best_x, best_fun = None, None
-    for x, fun in _lbfgsb_lockstep(_neg_lml_and_grad, starts, lo, hi,
-                                   (ys, pairs)):
+    runs = [_lbfgsb_run(x0, lo, hi) for x0 in starts]
+    for x, fun in _lockstep(runs,
+                            lambda xs: zip(*_neg_lml_and_grad(xs, ys, pairs))):
         if best_x is None or fun < best_fun:
             best_x, best_fun = x, fun
     theta = np.clip(best_x, lo, hi)

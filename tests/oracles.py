@@ -4,8 +4,8 @@ Each is the plain, one-call-at-a-time form of something the library
 computes on plain floats, in bulk or in closed form: the model's
 right-hand side and one forward-Euler step on a ``State`` (``simulate``
 must match their loop bit for bit), the control law's torque and
-``Diagnostics`` at a ``State``, one disturbance draw (the memo
-``disturbance_draws`` must match it bit for bit), the grades of a
+``Diagnostics`` at a ``State``, one disturbance draw (each entry of a
+``disturbance_draws`` table must match it bit for bit), the grades of a
 linguistic scale's two terms around an input (``infer`` inlines them),
 the mechanical energy, the spectrum of the error Jacobian from its two
 2x2 blocks, a CSV reader for the command line's artifacts, a fitted GP's

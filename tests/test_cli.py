@@ -521,7 +521,8 @@ def _numeric_options():
 
 
 NUMERIC_OPTIONS = list(_numeric_options())
-BAD_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1")
+BAD_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1",
+              "1000000000000")
 
 
 # The constructor that each flag's value reaches, with the other values the

@@ -12,8 +12,8 @@ from flexjoint.control import (DIVERGENCE_LIMIT, TRAJ_COLUMNS, Controller,
                                ControllerKind, DivergedTrajectory,
                                GainSet, Reference, simulate)
 from flexjoint.fuzzy import FlrBounds
-from flexjoint.plant import (DISTURBANCE_TABLES, DRAW_BLOCK, DisturbanceModel,
-                             PlantParams, SimConfig, State)
+from flexjoint.plant import (DISTURBANCE_TABLES, DisturbanceModel, PlantParams,
+                             SimConfig, State)
 from oracles import Diagnostics, disturbance_sample, euler_step, torque
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -359,65 +359,70 @@ def draws(monkeypatch):
 # Seeds above 10**6 and these amplitudes are used by no other test, so each
 # memo table below starts empty.
 def test_repeated_disturbance_is_drawn_once(params, gains, draws):
-    sim = SimConfig(horizon=1.0)
+    """A first run of each hold draws exactly the indices of its horizon,
+    sim steps or control steps, and a repeat of either draws nothing."""
+    sim = SimConfig(horizon=1.0)   # 20 control steps of 10 sim steps
     ctrl = Controller(ControllerKind.CASCADED_PD, gains)
-    first = simulate(params, sim, ctrl, Reference("square"),
-                     DisturbanceModel("uniform", 7.25, 2_000_001))
-    assert draws == list(range(DRAW_BLOCK))   # 200 steps, one whole block
-    draws.clear()
-    for hold in ("per-sim-step", "per-control-step"):
-        again = simulate(params, sim, ctrl, Reference("square"),
-                         DisturbanceModel("uniform", 7.25, 2_000_001, hold))
-    assert draws == []
-    assert again.data.tobytes() != first.data.tobytes()
-
-
-def test_diverged_episode_draws_no_further(params, draws):
-    sim = SimConfig(horizon=100.0)   # 20000 steps, about ten blocks
-    with pytest.raises(DivergedTrajectory) as exc:
-        simulate(params, sim, Controller(ControllerKind.SINGLE_PD),
-                 Reference("square"), DisturbanceModel("uniform", 7.5, 2_000_002))
-    blocks = math.ceil(exc.value.sim_step / DRAW_BLOCK)
-    assert 0 < len(draws) <= blocks * DRAW_BLOCK
+    runs = []
+    for hold, stop in (("per-sim-step", 200), ("per-control-step", 20)):
+        dist = DisturbanceModel("uniform", 7.25, 2_000_001, hold)
+        draws.clear()
+        first = simulate(params, sim, ctrl, Reference("square"), dist)
+        assert draws == list(range(stop))
+        draws.clear()
+        again = simulate(params, sim, ctrl, Reference("square"), dist)
+        assert draws == []
+        assert again.data.tobytes() == first.data.tobytes()
+        runs.append(first)
+    assert runs[0].data.tobytes() != runs[1].data.tobytes()
 
 
 @pytest.fixture
 def fresh_memo():
     """Empty the disturbance memo before and after the test."""
-    plant._draw_table.cache_clear()
-    yield plant._draw_table.cache_clear
-    plant._draw_table.cache_clear()
+    plant.disturbance_draws.cache_clear()
+    yield plant.disturbance_draws.cache_clear
+    plant.disturbance_draws.cache_clear()
 
 
 @pytest.mark.parametrize("hold", ["per-sim-step", "per-control-step"])
-def test_draws_grow_exactly_across_block_edges(params, gains, draws, fresh_memo,
+def test_draws_grow_exactly_across_block_edges(params, gains, fresh_memo,
                                                monkeypatch, hold):
-    """With a block of 7 indices, which does not divide the 10 sub-steps of
-    a control period, a diverging episode draws only up to the block that
-    holds its last index, and every outcome has the bits of the default
-    block size."""
+    """With a block of 7 indices, which divides neither the 10 sub-steps of
+    a control period nor any table length here, the kernel draws [0, 7),
+    [7, 14), ... up to each table's end, and a diverging episode and a
+    finished one have the bits of the default block size."""
     sim = SimConfig(horizon=100.0)
+    short = SimConfig(horizon=3.0)
     dist = DisturbanceModel("uniform", 7.5, 2_000_003, hold)
+    calls = []
+    kernel = plant._uniform_pairs
+
+    def spying(seed, amplitude, start, stop):
+        calls.append((start, stop))
+        return kernel(seed, amplitude, start, stop)
+
+    monkeypatch.setattr(plant, "_uniform_pairs", spying)
 
     def outcomes():
         fresh_memo()
-        draws.clear()
+        calls.clear()
         with pytest.raises(DivergedTrajectory) as exc:
             simulate(params, sim, Controller(ControllerKind.SINGLE_PD),
                      Reference("square"), dist)
-        drawn = list(draws)
-        traj = simulate(params, SimConfig(horizon=3.0),
+        traj = simulate(params, short,
                         Controller(ControllerKind.CASCADED_PD, gains),
                         Reference("square"), dist)
-        return exc.value, drawn, traj
+        return exc.value, traj
 
-    expected, _, expected_traj = outcomes()
+    expected, expected_traj = outcomes()
     monkeypatch.setattr(plant, "DRAW_BLOCK", 7)
-    diverged, drawn, traj = outcomes()
-    last = diverged.sim_step - 1          # the index of the diverging sub-step
-    if hold == "per-control-step":
-        last //= sim.substeps
-    assert drawn == list(range((last // 7 + 1) * 7))
+    diverged, traj = outcomes()
+    stops = [s.n_control_steps * (1 if hold == "per-control-step" else s.substeps)
+             for s in (sim, short)]
+    assert all(stop % 7 for stop in stops)
+    assert calls == [(a, min(a + 7, stop)) for stop in stops
+                     for a in range(0, stop, 7)]
     assert (diverged.sim_step, diverged.state) == (expected.sim_step,
                                                    expected.state)
     assert traj.data.tobytes() == expected_traj.data.tobytes()
@@ -456,7 +461,7 @@ def test_disturbance_memo_is_bounded(params, gains, draws):
     run(seeds[-1])
     assert draws == []
     run(seeds[0])
-    assert draws == list(range(DRAW_BLOCK))
+    assert draws == list(range(100))   # 10 control steps of 10 sim steps
 
 
 def test_error_rows_exact_per_step(params, gains):

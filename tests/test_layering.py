@@ -151,12 +151,20 @@ UNREFERENCED_ON_PURPOSE = {"analysis.state_matrix"}
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name, node) of each module-level function and class
-    and each non-dunder method."""
+    """(qualified name, name, node) of each module-level function, class and
+    non-dunder name assigned, and each non-dunder method; an assigned
+    name's node is its whole assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             yield node.name, node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]):
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and not name.id.startswith("__")):
+                        yield name.id, name.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -183,8 +191,9 @@ def _references(tree: ast.AST, skip: ast.AST):
 
 
 def test_src_defines_only_what_src_uses():
-    """Every function, class and method in src/ is reached from src/
-    outside its own body: code that only tests call belongs with them."""
+    """Every function, class, method and module-level constant in src/ is
+    reached from src/ outside its own body or assignment: code that only
+    tests call belongs with them."""
     src = Path(flexjoint.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))}

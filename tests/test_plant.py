@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from flexjoint import plant
+from flexjoint.control import Controller, ControllerKind, Reference, simulate
 from flexjoint.plant import (DRAW_BLOCK, MAX_SUBSTEPS, DisturbanceModel,
                              PlantParams, SimConfig, State, disturbance_draws)
 from oracles import (as_array, derivatives, disturbance_sample, euler_step,
@@ -195,15 +196,16 @@ def test_disturbance_independent_of_call_order():
     assert forward == backward[::-1]
 
 
-def test_disturbance_draws_grow_in_order_across_threads():
-    """Threads that extend one table at once leave entry i the draw of
-    step i, in whole blocks."""
-    m = DisturbanceModel(kind="uniform", amplitude=3.5, seed=3_000_001)
+def test_disturbance_draws_agree_across_threads():
+    """Threads that build one table at once all get equal tuples, each
+    entry i the draw of step i."""
+    seed, amplitude, stop = 3_000_001, 3.5, 2 * DRAW_BLOCK + 1
+    tables = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=disturbance_draws, args=(m, stop))
-                   for stop in (150, 4097, 2048, 2049, 4096, 100)]
+        threads = [threading.Thread(target=lambda: tables.append(
+            disturbance_draws(seed, amplitude, stop))) for _ in range(6)]
         for th in threads:
             th.start()
         for th in threads:
@@ -211,9 +213,9 @@ def test_disturbance_draws_grow_in_order_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    table = disturbance_draws(m, 0)
-    assert len(table) == 3 * DRAW_BLOCK
-    assert table == [disturbance_sample(m, i) for i in range(len(table))]
+    m = DisturbanceModel("uniform", amplitude, seed)
+    want = tuple(disturbance_sample(m, i) for i in range(stop))
+    assert len(tables) == 6 and all(table == want for table in tables)
 
 
 KERNEL_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100 + 3)
@@ -229,7 +231,7 @@ def test_uniform_pairs_are_disturbance_sample(seed):
     full = KERNEL_AMPLITUDES[KERNEL_SEEDS.index(seed) % len(KERNEL_AMPLITUDES)]
     for amplitude in KERNEL_AMPLITUDES:
         m = DisturbanceModel("uniform", amplitude, seed)
-        table = disturbance_draws(m, 2 * DRAW_BLOCK + 1)
+        table = disturbance_draws(seed, amplitude, 2 * DRAW_BLOCK + 1)
         indices = [*range(2000)] if amplitude == full else []
         indices += [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK]
         assert [table[i] for i in indices] == \
@@ -241,8 +243,17 @@ def test_uniform_pairs_are_disturbance_sample(seed):
         assert short.tobytes() == np.array(want).tobytes()   # signed zeros too
 
 
-def test_disturbance_draws_off_are_zero():
-    assert disturbance_draws(DisturbanceModel(seed=3), 3)[:3] == [(0.0, 0.0)] * 3
+def test_disturbance_draws_off_are_zero(params, gains):
+    """Amplitude 0.0 draws zeros, and a run under it has the bytes of a run
+    under kind "off", which reads no table, for either hold."""
+    assert disturbance_draws(3, 0.0, 3) == ((0.0, 0.0),) * 3
+    sim = SimConfig(horizon=1.0)
+    ctrl = Controller(ControllerKind.CASCADED_PD, gains)
+    for hold in ("per-sim-step", "per-control-step"):
+        off, zero = (simulate(params, sim, ctrl, Reference("square"),
+                              DisturbanceModel(kind, 0.0, 3, hold))
+                     for kind in ("off", "uniform"))
+        assert off.data.tobytes() == zero.data.tobytes()
 
 
 @pytest.mark.parametrize("kwargs", [

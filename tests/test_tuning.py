@@ -18,7 +18,7 @@ from flexjoint.plant import PlantParams
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, FIT_STARTS, LOCAL_SEARCHES,
                               SOBOL_CANDIDATES, SOBOL_MAX_DIM, Domain,
-                              GpModel, TunerConfig, _lbfgsb_lockstep,
+                              GpModel, TunerConfig, _lbfgsb_run,
                               _lockstep, _neg_lml_and_grad, _nelder_mead,
                               _pair_cov,
                               _pairs, _sum_planes, flr_bound_domain,
@@ -491,9 +491,16 @@ def _fit_box(d: int) -> tuple[list, np.ndarray, np.ndarray]:
             np.array([b[1] for b in bounds]))
 
 
+def _lbfgsb_lockstep(fun, starts, lo, hi, ys, pairs):
+    """_lbfgsb_run from every start on _lockstep, each round's rows
+    evaluated by one call fun(xs, ys, pairs), as gp_fit runs its starts."""
+    return _lockstep([_lbfgsb_run(x0, lo, hi) for x0 in starts],
+                     lambda xs: zip(*fun(xs, ys, pairs)))
+
+
 def _assert_lockstep_matches_scipy(starts, ys, pairs, fun=_neg_lml_and_grad):
     bounds, lo, hi = _fit_box(len(starts[0]) - 2)
-    results = _lbfgsb_lockstep(fun, starts, lo, hi, (ys, pairs))
+    results = _lbfgsb_lockstep(fun, starts, lo, hi, ys, pairs)
     assert len(results) == len(starts)
     for x0, (x, value) in zip(starts, results):
         res = optimize.minimize(_row_fun, x0, args=(ys, pairs), jac=True,
@@ -506,7 +513,7 @@ def _assert_lockstep_matches_scipy(starts, ys, pairs, fun=_neg_lml_and_grad):
        n=st.integers(2, 40), chain=st.booleans(), k=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_lbfgsb_matches_scipy_bitwise(seed, d, n, chain, k):
-    """One _lbfgsb_lockstep call over k = 1 to 8 starts returns, for each
+    """_lockstep over the _lbfgsb_run of k = 1 to 8 starts returns, for each
     start, scipy.optimize.minimize's L-BFGS-B x and value bit for bit on
     the likelihood: from gp_fit's fixed start, a random start, a corner of
     the box, a start outside it (which clips), and more random starts and
@@ -563,22 +570,20 @@ def test_gp_fit_runs_its_starts_in_lockstep(monkeypatch):
     dom = pd_gain_domain()
     X = dom.denormalize(rng.random((16, 4)))
     y = np.sin(X @ rng.standard_normal(4) / 50.0)
-    starts_seen, rows = [], []
-    lockstep = tuning._lbfgsb_lockstep
+    starts, rows = [], []
     likelihood = tuning._neg_lml_and_grad
 
-    def spy_lockstep(fun, starts, *args):
-        starts_seen.append([s.copy() for s in starts])
-        return lockstep(fun, starts, *args)
+    def spy_run(x0, lo, hi):
+        starts.append(x0.copy())
+        return _lbfgsb_run(x0, lo, hi)
 
     def counting(thetas, *args):
         rows.append(len(thetas))
         return likelihood(thetas, *args)
 
-    monkeypatch.setattr(tuning, "_lbfgsb_lockstep", spy_lockstep)
+    monkeypatch.setattr(tuning, "_lbfgsb_run", spy_run)
     monkeypatch.setattr(tuning, "_neg_lml_and_grad", counting)
     gp_fit(X, y, dom, 0)
-    (starts,) = starts_seen
     assert len(starts) == FIT_STARTS
     fit_rows = rows[:]
     _, lo, hi = _fit_box(4)
@@ -587,7 +592,8 @@ def test_gp_fit_runs_its_starts_in_lockstep(monkeypatch):
     alone = []
     for x0 in starts:
         rows.clear()
-        lockstep(counting, [x0], lo, hi, (ys, _pairs(_ref_sq_dists(Xn, Xn))))
+        _lbfgsb_lockstep(counting, [x0], lo, hi, ys,
+                         _pairs(_ref_sq_dists(Xn, Xn)))
         assert set(rows) == {1}
         alone.append(len(rows))
     assert len(fit_rows) == max(alone) < sum(alone)
@@ -856,7 +862,8 @@ def test_tuner_config_validation():
                    dict(h=float("inf")), dict(h=-1.0), dict(h=1e308),
                    dict(seed=-1), dict(seed=1.5), dict(seed=True),
                    dict(T=3.5, n_init=2), dict(n_init=2.5),
-                   dict(T=True, n_init=True), dict(T=np.int64(5), n_init=2)):
+                   dict(T=True, n_init=True), dict(T=np.int64(5), n_init=2),
+                   dict(T=10_001)):
         with pytest.raises(ValueError):
             TunerConfig(**kwargs)
 

@@ -95,7 +95,7 @@ class DisturbanceModel:
                 f"disturbance amplitude must be finite and >= 0, got {self.amplitude}")
 
 
-MAX_SUBSTEPS = 10 ** 8
+MAX_SUBSTEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,9 @@ class SimConfig:
     """Fixed-step integration grid: control period must tile the horizon and
     the sim step must tile the control period.  Neither the horizon nor the
     control period may exceed MAX_SUBSTEPS sim steps, which bounds both step
-    counts (the default run takes 2000)."""
+    counts: a run holds its whole disturbance table and its trajectory
+    rows, about 165 B per sim step, so 165 MB at the cap (5000 s at the
+    default step), and the paper's runs take 2000 steps."""
 
     sim_dt: float = 0.005
     control_dt: float = 0.05

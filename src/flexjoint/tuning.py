@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import Controller, ControllerKind, GainSet, Reference, simulate
+from .control import (Controller, ControllerKind, DivergedTrajectory, GainSet,
+                      Reference, simulate)
 from .fuzzy import FlrBounds
 from .metrics import FAILED_COST, tracking_cost
 from .plant import DisturbanceModel, PlantParams, SimConfig
@@ -149,7 +150,8 @@ def latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned search box with named dimensions (arrays built once)."""
+    """Axis-aligned search box with named dimensions (arrays built once),
+    at most SOBOL_MAX_DIM, so every surrogate input is at most 8-D."""
 
     names: tuple[str, ...]
     lo: tuple[float, ...]
@@ -158,6 +160,7 @@ class Domain:
     def __post_init__(self):
         if not (len(self.names) == len(self.lo) == len(self.hi)):
             raise ValueError("names, lo, hi must have equal length")
+        _check_sobol_dim(len(self.names))
         for name, a, b in zip(self.names, self.lo, self.hi):
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError(f"dimension {name}: bounds must be finite, "
@@ -255,34 +258,22 @@ class GpModel:
 
 
 def _sum_planes(D: np.ndarray) -> np.ndarray:
-    """The sum of the d planes D[0], ..., D[d - 1] of a scratch array, in
-    the order numpy's add.reduce adds a contiguous last axis of length d,
-    so the result has the bits of A.sum(axis=-1) for the C-ordered A with
-    A[..., k] == D[k]: one by one below 8 terms; from 8 to 128, eight
-    running sums r0..r7 over the terms k = j mod 8 of the leading multiple
-    of 8, added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one
-    by one; above 128, the sums of two halves split at a multiple of 8.
-    Each step is one elementwise IEEE add, so summing plane by plane keeps
-    every bit while forming no (..., d) array.  From 8 planes the running
-    sums overwrite D's leading planes."""
+    """The sum of the d <= SOBOL_MAX_DIM planes D[0], ..., D[d - 1] of a
+    scratch array, in the order numpy's add.reduce adds a contiguous last
+    axis of length d, so the result has the bits of A.sum(axis=-1) for the
+    C-ordered A with A[..., k] == D[k]: one by one below 8 terms, and at 8
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) in place over D's planes.  Each
+    step is one elementwise IEEE add, so summing plane by plane keeps every
+    bit while forming no (..., d) array."""
     d = len(D)
     if d == 1:
         return D[0]
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        s = _sum_planes(D[:half])
-        s += _sum_planes(D[half:])
-        return s
-    if d < 8:
-        s, rest = D[0] + D[1], range(2, d)
-    else:
-        r = D[:8]
-        for i in range(8, d - d % 8, 8):
-            r += D[i:i + 8]
-        r[0::2] += r[1::2]
-        r[0::4] += r[2::4]
-        s, rest = r[0] + r[4], range(d - d % 8, d)
-    for k in rest:
+    if d == 8:
+        D[0::2] += D[1::2]
+        D[0::4] += D[2::4]
+        return D[0] + D[4]
+    s = D[0] + D[1]
+    for k in range(2, d):
         s += D[k]
     return s
 
@@ -318,8 +309,8 @@ def _pair_cov(pairs: _Pairs, e: np.ndarray) -> np.ndarray:
     the diagonal, for each row e = exp(theta) of an (S, d + 2) array, as
     (S, n(n-1)/2 + 1) columns that pairs.spread takes into (n, n)
     matrices, with the bits of that expression over the full correlations
-    C = exp(-0.5 * (D2 / ls ** 2).sum(axis=-1)): the (d, S, m) planes of
-    P2 / ls ** 2 are added by _sum_planes in the order of that sum,
+    C = exp(-0.5 * (D2 / ls ** 2).sum(axis=-1)): the d <= 8 (S, m) planes
+    of P2 / ls ** 2 are added by _sum_planes in the order of that sum,
     (a-b)**2 == (b-a)**2 makes each matrix exactly symmetric, C's diagonal
     is exactly 1, so the last column is sf2 * (1 + ratio), and off it
     ratio * 0 adds nothing."""
@@ -528,15 +519,15 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     cho_solve's finiteness check.  The kernel is built one plane per
     dimension: the query-training differences form one (d, m, n) scratch
     array, squared and divided by the squared length scales in place, whose
-    planes _sum_planes adds in the order np.sum gives over the last axis of
-    the (m, n, d) array it replaces, so no (m, n, d) array is formed and
-    the kernel keeps that array's bits.  Under the SkylakeX OpenBLAS kernel
-    with numpy's AVX-512 dispatch, every row of a batch has the bits of a
-    one-point call: the mean is a per-row dot (one ddot, where a (m, n) @
-    alpha gemv rounds rows apart), and the kernel, the dpotrs columns and
-    the variance reduction are per row already; other kernels can round a
-    multi-column dpotrs apart from one column.  A NaN or infinite query
-    raises ValueError."""
+    d <= 8 planes _sum_planes adds in the order np.sum gives over the last
+    axis of the (m, n, d) array it replaces, so no (m, n, d) array is
+    formed and the kernel keeps that array's bits.  Under the SkylakeX
+    OpenBLAS kernel with numpy's AVX-512 dispatch, every row of a batch has
+    the bits of a one-point call: the mean is a per-row dot (one ddot,
+    where a (m, n) @ alpha gemv rounds rows apart), and the kernel, the
+    dpotrs columns and the variance reduction are per row already; other
+    kernels can round a multi-column dpotrs apart from one column.  A NaN
+    or infinite query raises ValueError."""
     X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
     sf2 = model.signal_variance
     # off a zero-width dimension the normalized offset or its square
@@ -667,14 +658,12 @@ def smbo(cost, domain: Domain,
 
     Draws n_init Latin-hypercube samples, then alternates GP fit on the
     episodes so far, UCB maximization and cost evaluation until T episodes
-    are recorded.  A cost evaluation that raises RuntimeError
-    (DivergedTrajectory, say) or returns a non-finite value scores
-    FAILED_COST and the loop continues; any other exception, including the
-    RuntimeError subclasses NotImplementedError and RecursionError, is a
-    bug, not a bad parameter set, and propagates.  Returns (X, y), episode
-    i's parameters X[i] and score y[i]; identical seeds reproduce them.
+    are recorded.  A cost evaluation that raises DivergedTrajectory or
+    returns a non-finite value scores FAILED_COST and the loop continues;
+    any other exception, another RuntimeError included, is a bug, not a
+    bad parameter set, and propagates.  Returns (X, y), episode i's
+    parameters X[i] and score y[i]; identical seeds reproduce them.
     """
-    _check_sobol_dim(domain.dim)
     rng = np.random.default_rng((config.seed, 0x5B0))
     X = np.empty((config.T, domain.dim))
     y = np.empty(config.T)
@@ -688,9 +677,7 @@ def smbo(cost, domain: Domain,
             X[n] = domain.denormalize(rng.random((1, domain.dim)))[0]
         try:
             v = float(cost(X[n].copy()))
-        except (NotImplementedError, RecursionError):
-            raise  # RuntimeErrors that are bugs, not bad parameters
-        except RuntimeError:
+        except DivergedTrajectory:
             v = FAILED_COST
         y[n] = v if math.isfinite(v) else FAILED_COST
     return X, y

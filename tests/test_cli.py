@@ -164,6 +164,18 @@ def test_nonfinite_flag_is_one_line_usage_error(tmp_path, capsys, flags):
     assert len(err) == 1 and "must be finite" in err[0]
 
 
+def test_grid_above_the_step_cap_is_one_line_usage_error(tmp_path, capsys):
+    """A horizon of 1,000,010 sim steps is refused before anything is
+    drawn, simulated or written."""
+    out = str(tmp_path / "long")
+    assert run(["simulate", "--out", out, "--disturbance", "uniform",
+                "--horizon", "5000.05"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: horizon and control_dt must each be at most "
+                   "1000000 sim steps"]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["tune", "--stage", "pd", "--episodes", "4", "--n-init", "2",
      "--ucb-h", "nan"],

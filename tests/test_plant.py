@@ -227,7 +227,8 @@ def test_uniform_pairs_are_disturbance_sample(seed):
     """The vectorized kernel is disturbance_sample, bit for bit, across
     one-, two-, three- and four-word seeds: at every index of a 2000-step
     table (one amplitude per seed, in turn), and at every amplitude at the
-    block edges and in a short block just below MAX_SUBSTEPS."""
+    block edges and in a short block just below MAX_SUBSTEPS, the last
+    index a run reads, and just below 2**32, the kernel's own limit."""
     full = KERNEL_AMPLITUDES[KERNEL_SEEDS.index(seed) % len(KERNEL_AMPLITUDES)]
     for amplitude in KERNEL_AMPLITUDES:
         m = DisturbanceModel("uniform", amplitude, seed)
@@ -236,11 +237,11 @@ def test_uniform_pairs_are_disturbance_sample(seed):
         indices += [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK]
         assert [table[i] for i in indices] == \
             [disturbance_sample(m, i) for i in indices]
-        start = MAX_SUBSTEPS - 5
-        short = plant._uniform_pairs(seed, amplitude, start, MAX_SUBSTEPS)
-        want = [disturbance_sample(m, i) for i in range(start, MAX_SUBSTEPS)]
-        assert list(map(tuple, short.tolist())) == want
-        assert short.tobytes() == np.array(want).tobytes()   # signed zeros too
+        for stop in (MAX_SUBSTEPS, 2 ** 32):
+            short = plant._uniform_pairs(seed, amplitude, stop - 5, stop)
+            want = [disturbance_sample(m, i) for i in range(stop - 5, stop)]
+            assert list(map(tuple, short.tolist())) == want
+            assert short.tobytes() == np.array(want).tobytes()  # signed zeros too
 
 
 def test_disturbance_draws_off_are_zero(params, gains):
@@ -288,6 +289,7 @@ def test_sim_config_counts(sim):
     dict(sim_dt=1e-300, control_dt=1e-300, horizon=1.0),  # 1e300 steps
     dict(sim_dt=1e-3, control_dt=1e-3, horizon=1e6),      # 1e9 sub-steps
     dict(sim_dt=5e-324, horizon=0.0),  # control_dt / sim_dt overflows
+    dict(horizon=5000.05),   # 1,000,010 sim steps, ~165 MB of draws and rows
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ValueError, match="(sim_dt|control_dt|horizon).* must "):

@@ -6,8 +6,8 @@ resulting error Jacobian is block upper-triangular: its spectrum is the
 union of the two 2x2 loop blocks and is independent of the spring-coupling
 entry k/I_l.  The exact linearization of the simulated closed loop differs
 from this model because the motor reference x3d does move with the state;
-``state_matrix`` exposes that exact linearization for comparison (see
-DISCREPANCIES.md).
+the tests' ``oracles.state_matrix`` writes out that exact linearization for
+comparison (see DISCREPANCIES.md).
 """
 
 from __future__ import annotations
@@ -132,30 +132,6 @@ def closed_loop_charpoly(params: PlantParams, gains: GainSet) -> tuple:
     coeffs = (1.0, a1 + b1, a0 + b0 + a1 * b1, a1 * b0 + a0 * b1, a0 * b0)
     _require_finite(coeffs, "the characteristic polynomial", g, p)
     return coeffs
-
-
-def state_matrix(params: PlantParams, gains: GainSet) -> np.ndarray:
-    """Exact g = 0 linearization of the closed loop over (x1, x2, x3, x4)
-    with the cascaded control law and a constant reference.
-
-    Unlike the error Jacobian, this keeps the dependence of the motor
-    reference on the state, so its spectrum differs from the design model's
-    (see DISCREPANCIES.md).
-    """
-    p, g = params, gains
-    A = np.zeros((4, 4))
-    A[0, 1] = 1.0
-    A[1, 0] = -p.k / p.I_l
-    A[1, 2] = p.k / p.I_l
-    A[2, 3] = 1.0
-    # state-dependent parts of the control chain
-    u_pd1 = np.array([-g.kp1, -g.kd1, 0.0, 0.0])
-    x3d = p.I_l / p.k * u_pd1 + np.array([1.0, 0.0, 0.0, 0.0])
-    u_pd2 = g.kp2 * (x3d - np.array([0.0, 0.0, 1.0, 0.0])) \
-        + g.kd2 * np.array([0.0, 0.0, 0.0, -1.0])
-    u = u_pd2 + p.I_l * u_pd1
-    A[3] = np.array([p.k / p.I_m, 0.0, -p.k / p.I_m, -p.mu / p.I_m]) + u / p.I_m
-    return A
 
 
 def _violated(g: GainSet | WorstCaseGains, p: PlantParams,

@@ -7,15 +7,23 @@ seeds: the disturbance seed (``--seed``) and the tuner seed
 (``--tuner-seed``).  Floats are written with ``repr`` (shortest
 round-trip), which makes repeated runs byte-identical.
 
-Exit codes: 0 success, 1 usage, parse or file error, 2 diverged trajectory,
-3 stability check failure (analyze only).
+A command returns its artifacts as texts; once it has returned, ``main``
+replaces the prefix's whole set of names with them, whatever the exit code,
+so the names under a prefix always come from one run.  A command that fails
+or is interrupted writes nothing and leaves the earlier set whole.
+
+Exit codes: 0 success, 1 usage, parse or file error, 2 diverged trajectory
+or every tuning episode failed, 3 stability check failure (analyze only),
+130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -26,7 +34,7 @@ from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
                       DivergedTrajectory, GainSet, Reference, simulate)
 from .control import SINGLE_PD_GAINS  # noqa: F401  (re-exported for perfbench)
 from .fuzzy import FlrBounds
-from .gainsio import LoadedGains, load_gains, load_plant, save_gains
+from .gainsio import LoadedGains, gains_text, load_gains, load_plant
 from .metrics import COST_STEPS, FAILED_COST, Metrics, compute_metrics
 from .plant import DisturbanceModel, PlantParams, SimConfig
 
@@ -48,29 +56,27 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIVERGED = 2
 EXIT_UNSTABLE = 3
+EXIT_INTERRUPTED = 130
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error found by the command line's own checks: exit 1."""
 
 
 def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_csv(path, columns, rows) -> None:
+def csv_text(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_meta(out_prefix: str, config: dict) -> None:
+def meta_text(config: dict) -> str:
     config = dict(config, rng=RNG_DESCRIPTION)
-    Path(f"{out_prefix}_meta.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True, default=str) + "\n")
+    return json.dumps(config, indent=2, sort_keys=True, default=str) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +165,10 @@ def _disturbance(args, kind: str) -> DisturbanceModel:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; each returns its exit code and its artifacts as {suffix: text},
+# None standing for a name of the command's set that this run does not write
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict]:
     params = _resolve_plant(args)
     sim = _sim_config(args)
     loaded = _resolve_gains(args)
@@ -173,18 +180,17 @@ def cmd_simulate(args) -> int:
                 controller=args.controller, gains=asdict(loaded.gains),
                 flr_bounds=asdict(loaded.bounds), reference=args.reference,
                 disturbance=asdict(dist), seed=args.seed)
-    write_meta(args.out, meta)
     traj = simulate(params, sim, ctrl, ref, dist)
-    write_csv(f"{args.out}_trajectory.csv", TRAJ_COLUMNS, traj.data.tolist())
     m = compute_metrics(traj, ref)
-    write_csv(f"{args.out}_metrics.csv", METRIC_COLUMNS, [astuple(m)])
     print(f"cost={m.cost!r} overshoot_pct={m.overshoot_pct!r} "
           f"settling_time={m.settling_time!r} "
           f"steady_state_error={m.steady_state_error!r}")
-    return EXIT_OK
+    return EXIT_OK, {"_meta.json": meta_text(meta),
+                     "_trajectory.csv": csv_text(TRAJ_COLUMNS, traj.data.tolist()),
+                     "_metrics.csv": csv_text(METRIC_COLUMNS, [astuple(m)])}
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> tuple[int, dict]:
     # Only tune needs scipy: tuning loads its two compiled kernels, not the
     # scipy.linalg and scipy.optimize packages; the other commands skip it.
     try:
@@ -220,31 +226,28 @@ def cmd_tune(args) -> int:
                 sim=asdict(sim), tuner=asdict(config),
                 disturbance=asdict(dist), seed=args.seed,
                 tuner_seed=args.tuner_seed)
-    write_meta(args.out, meta)
     X, y = smbo(cost, domain, config)
-    best = np.maximum.accumulate(y)
-    write_csv(f"{args.out}_history.csv",
-              ("episode",) + domain.names + ("y", "best_y"),
-              np.column_stack((np.arange(len(y)), X, y, best)))
+    columns = ("episode",) + domain.names + ("y", "best_y")
+    history = np.column_stack((np.arange(len(y)), X, y, np.maximum.accumulate(y)))
+    files = {"_meta.json": meta_text(meta), "_history.csv": csv_text(columns, history),
+             "_gains.txt": None}
     i_best = int(np.argmax(y))
     best_x, best_y = X[i_best], float(y[i_best])
     if best_y == FAILED_COST:
-        raise CliError(f"all {len(y)} episodes failed; no gains written",
-                       EXIT_DIVERGED)
-    gains_path = f"{args.out}_gains.txt"
-    if args.stage == "pd":
-        save_gains(gains_path, GainSet(*best_x))
-    else:
-        save_gains(gains_path, base_gains, flr_bounds_from_vector(best_x))
-    print(f"best cost {best_y!r} -> {gains_path}")
-    return EXIT_OK
+        print(f"error: all {len(y)} episodes failed; no gains written",
+              file=sys.stderr)
+        return EXIT_DIVERGED, files
+    files["_gains.txt"] = (gains_text(GainSet(*best_x)) if args.stage == "pd" else
+                           gains_text(base_gains, flr_bounds_from_vector(best_x)))
+    print(f"best cost {best_y!r} -> {args.out}_gains.txt")
+    return EXIT_OK, files
 
 
 def _spectrum(zs) -> str:
     return ", ".join(f"{z.real:.4f}{z.imag:+.4f}j" for z in zs)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict]:
     params = _resolve_plant(args)
     loaded = _resolve_gains(args)
     gains, bounds = loaded.gains, loaded.bounds
@@ -277,12 +280,11 @@ def cmd_analyze(args) -> int:
                        f"plant from {args.plant or bundled})") from None
 
     print("\n".join(lines))
-    write_meta(args.out, dict(command="analyze", plant=asdict(params),
-                              gains=asdict(gains), flr_bounds=asdict(bounds),
-                              L=list(args.L)))
-    write_csv(f"{args.out}_analysis.csv",
-              ("matrix_is_worst_case", "index", "re", "im"), rows)
-    return EXIT_OK if all_ok else EXIT_UNSTABLE
+    meta = dict(command="analyze", plant=asdict(params), gains=asdict(gains),
+                flr_bounds=asdict(bounds), L=list(args.L))
+    return EXIT_OK if all_ok else EXIT_UNSTABLE, {
+        "_meta.json": meta_text(meta),
+        "_analysis.csv": csv_text(("matrix_is_worst_case", "index", "re", "im"), rows)}
 
 
 ABLATION_VARIANTS = (
@@ -314,22 +316,39 @@ def run_ablation(params: PlantParams, sim: SimConfig, gains: GainSet,
     return results
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args) -> tuple[int, dict]:
     params = _resolve_plant(args)
     sim = _sim_config(args)
     loaded = _resolve_gains(args)
     dist = _disturbance(args, "uniform")
-    write_meta(args.out, dict(command="ablate", plant=asdict(params),
-                              sim=asdict(sim), gains=asdict(loaded.gains),
-                              flr_bounds=asdict(loaded.bounds),
-                              disturbance=asdict(dist), seed=args.seed))
+    meta = dict(command="ablate", plant=asdict(params), sim=asdict(sim),
+                gains=asdict(loaded.gains), flr_bounds=asdict(loaded.bounds),
+                disturbance=asdict(dist), seed=args.seed)
     results = run_ablation(params, sim, loaded.gains, loaded.bounds, dist)
     lines = ["controller,cost,overshoot_pct,settling_time,status"]
     for name, cost, ov, ts, status in results:
         lines.append(f"{name},{_fmt(cost)},{_fmt(ov)},{_fmt(ts)},{status}")
         print(f"{name}: cost={cost!r} ({status})")
-    Path(f"{args.out}_ablation.csv").write_text("\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, {"_meta.json": meta_text(meta),
+                     "_ablation.csv": "\n".join(lines) + "\n"}
+
+
+def _replace_set(prefix: str, scratch: Path, files: dict) -> None:
+    """Write each text into scratch, then remove every name of the set under
+    prefix and move the texts in; if that fails part-way, none of the set's
+    names is left."""
+    texts = {suffix: text for suffix, text in files.items() if text is not None}
+    for suffix, text in texts.items():
+        (scratch / suffix).write_text(text)
+    try:
+        for suffix in files:
+            Path(f"{prefix}{suffix}").unlink(missing_ok=True)
+        for suffix in texts:
+            os.replace(scratch / suffix, f"{prefix}{suffix}")
+    except BaseException:
+        for suffix in files:
+            Path(f"{prefix}{suffix}").unlink(missing_ok=True)
+        raise
 
 
 def main(argv=None) -> int:
@@ -341,16 +360,22 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "tune": cmd_tune,
                 "analyze": cmd_analyze, "ablate": cmd_ablate}
     try:
-        return handlers[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        # beside --out and named after it: a bad --out fails before the work
+        out_dir, out_name = os.path.split(args.out)
+        with tempfile.TemporaryDirectory(prefix=f"{out_name}.tmp-",
+                                         dir=out_dir or ".") as tmp:
+            code, files = handlers[args.command](args)
+            _replace_set(args.out, Path(tmp), files)
+        return code
     except DivergedTrajectory as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

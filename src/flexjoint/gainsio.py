@@ -77,14 +77,14 @@ def load_gains(path) -> LoadedGains:
     return LoadedGains(gains=gains, bounds=bounds, repaired_pairs=tuple(repaired))
 
 
-def save_gains(path, gains: GainSet, bounds: FlrBounds | None = None) -> None:
+def gains_text(gains: GainSet, bounds: FlrBounds | None = None) -> str:
     lines = [f"{k} = {float(getattr(gains, k))!r}" for k in GAIN_KEYS]
     if bounds is not None:
         for name in ("dkp1", "dkd1", "dkp2", "dkd2"):
             lo, hi = getattr(bounds, name)
             lines.append(f"{name}_lo = {float(lo)!r}")
             lines.append(f"{name}_hi = {float(hi)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_plant(path) -> PlantParams:

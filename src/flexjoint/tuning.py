@@ -196,9 +196,12 @@ class TunerConfig:
     samples, h the UCB exploration coefficient, seed >= 0; T, n_init and
     seed are ints, not bools.
 
-    T is at most MAX_EPISODES: a fit over n episodes builds the
-    likelihood's (d + 1, n, n) gradient planes, 4 GB at n = 10**4 and
-    d = 4, and the paper tunes for 150 episodes.  h lies in [0, 1e6]: the
+    T is at most MAX_EPISODES, and the paper tunes for 150 episodes.  A
+    one-row likelihood call over n episodes holds about 18 (n, n) float64
+    planes at d = 4 and 28 at d = 8: _pairs' identity, spread indices,
+    (d + 1) planes Z and d / 2 planes P2, then K, its factor, its inverse,
+    W and the (d + 1) gradient planes; about 14 GB and 22 GB at n = 10**4
+    (counted from the code, not measured).  h lies in [0, 1e6]: the
     GP-UCB coefficient is non-negative, and the posterior stddev is at
     most 10 times the costs' standard deviation (signal variance <= 1e2),
     so h*stddev stays far from overflow.

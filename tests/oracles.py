@@ -8,7 +8,9 @@ must match their loop bit for bit), the control law's torque and
 ``disturbance_draws`` table must match it bit for bit), the grades of a
 linguistic scale's two terms around an input (``infer`` inlines them),
 the mechanical energy, the spectrum of the error Jacobian from its two
-2x2 blocks, a CSV reader for the command line's artifacts, a fitted GP's
+2x2 blocks, the exact g = 0 linearization of the simulated loop (which no
+command computes; DISCREPANCIES.md sets its spectrum against the design
+model's), a CSV reader for the command line's artifacts, a fitted GP's
 noise variance and its posterior by dense linear algebra.
 """
 
@@ -21,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from flexjoint.control import GainSet
 from flexjoint.plant import DisturbanceModel, PlantParams, State
 
 
@@ -125,6 +128,30 @@ def block_eigenvalues(A: np.ndarray) -> np.ndarray:
         ev.extend([(b - disc) / 2.0, (b + disc) / 2.0])
     ev = np.array(ev)
     return ev[np.lexsort((ev.imag, ev.real))]
+
+
+def state_matrix(params: PlantParams, gains: GainSet) -> np.ndarray:
+    """Exact g = 0 linearization of the closed loop over (x1, x2, x3, x4)
+    with the cascaded control law and a constant reference.
+
+    Unlike the error Jacobian, this keeps the dependence of the motor
+    reference on the state, so its spectrum differs from the design model's
+    (see DISCREPANCIES.md).
+    """
+    p, g = params, gains
+    A = np.zeros((4, 4))
+    A[0, 1] = 1.0
+    A[1, 0] = -p.k / p.I_l
+    A[1, 2] = p.k / p.I_l
+    A[2, 3] = 1.0
+    # state-dependent parts of the control chain
+    u_pd1 = np.array([-g.kp1, -g.kd1, 0.0, 0.0])
+    x3d = p.I_l / p.k * u_pd1 + np.array([1.0, 0.0, 0.0, 0.0])
+    u_pd2 = g.kp2 * (x3d - np.array([0.0, 0.0, 1.0, 0.0])) \
+        + g.kd2 * np.array([0.0, 0.0, 0.0, -1.0])
+    u = u_pd2 + p.I_l * u_pd1
+    A[3] = np.array([p.k / p.I_m, 0.0, -p.k / p.I_m, -p.mu / p.I_m]) + u / p.I_m
+    return A
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from flexjoint.analysis import (StabilityBounds, check_flr_conditions,
                                 check_gain_conditions, closed_loop_charpoly,
                                 eigenvalues, error_eigenvalues, error_jacobian,
-                                polynomial_roots, state_matrix,
-                                worst_case_gains)
+                                polynomial_roots, worst_case_gains)
 from flexjoint.control import GainSet
 from flexjoint.fuzzy import FlrBounds
 from flexjoint.plant import PlantParams
-from oracles import block_eigenvalues, torque
+from oracles import block_eigenvalues, state_matrix, torque
 
 pos = st.floats(0.05, 50.0, allow_nan=False)
 gain = st.floats(0.0, 200.0, allow_nan=False)

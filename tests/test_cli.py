@@ -2,17 +2,27 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import signal
+import stat
+import subprocess
+import sys
+import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flexjoint.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
-                           METRIC_COLUMNS, TRAJ_COLUMNS, build_parser, main)
+import flexjoint
+from flexjoint import cli, tuning
+from flexjoint.cli import (EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK,
+                           EXIT_UNSTABLE, EXIT_USAGE, METRIC_COLUMNS,
+                           TRAJ_COLUMNS, build_parser, main)
 from flexjoint.control import (Controller, ControllerKind, GainSet, Reference,
                                simulate)
 from flexjoint.fuzzy import FlrBounds
-from flexjoint.gainsio import BOUND_KEYS, GAIN_KEYS, PLANT_KEYS, save_gains
+from flexjoint.gainsio import BOUND_KEYS, GAIN_KEYS, PLANT_KEYS, gains_text
 from flexjoint.metrics import FAILED_COST
 from flexjoint.plant import DisturbanceModel, PlantParams, SimConfig
 from flexjoint.tuning import TunerConfig
@@ -49,11 +59,13 @@ def test_simulate_byte_identical_reruns(tmp_path):
 
 
 def test_simulate_zero_horizon_degenerate(tmp_path, capsys):
+    """A zero horizon leaves no control step to score: exit 1 with one
+    error line, and, as for every failing run, no file."""
     out = str(tmp_path / "z")
     assert run(["simulate", "--out", out, "--horizon", "0"]) == EXIT_USAGE
-    header, data = read_csv(out + "_trajectory.csv")
-    assert data.shape == (1, len(TRAJ_COLUMNS))
-    assert "degenerate" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: degenerate metrics")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_zero_horizon_records_an_infinite_torque(tmp_path, capsys):
@@ -65,15 +77,13 @@ def test_zero_horizon_records_an_infinite_torque(tmp_path, capsys):
                     Reference("square"), DisturbanceModel())
     assert len(traj) == 1 and traj.u[0] == math.inf
     gfile = tmp_path / "huge.txt"
-    save_gains(gfile, huge)
+    gfile.write_text(gains_text(huge))
     out = str(tmp_path / "zi")
     assert run(["simulate", "--out", out, "--horizon", "0",
                 "--gains", str(gfile)]) == EXIT_USAGE
-    header, data = read_csv(out + "_trajectory.csv")
-    assert data.shape == (1, len(TRAJ_COLUMNS))
-    assert data[0, header.index("u")] == math.inf
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: degenerate metrics")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.txt"]
 
 
 def test_simulate_divergence_exit_code(tmp_path):
@@ -84,7 +94,7 @@ def test_simulate_divergence_exit_code(tmp_path):
 
 def test_simulate_nonfinite_torque_exit_code(tmp_path, capsys):
     gfile = tmp_path / "huge.txt"
-    save_gains(gfile, GainSet(1e300, 1e300, 1e300, 1e300))
+    gfile.write_text(gains_text(GainSet(1e300, 1e300, 1e300, 1e300)))
     out = str(tmp_path / "h")
     assert run(["simulate", "--out", out, "--gains", str(gfile)]) == EXIT_DIVERGED
     assert "non-finite torque" in capsys.readouterr().err
@@ -99,7 +109,7 @@ def test_simulate_controller_choices(tmp_path):
 
 def test_gains_file_flows_into_simulation(tmp_path):
     gfile = tmp_path / "gains.txt"
-    save_gains(gfile, GainSet(60.0, 12.0, 120.0, 9.0))
+    gfile.write_text(gains_text(GainSet(60.0, 12.0, 120.0, 9.0)))
     out = str(tmp_path / "g")
     assert run(["simulate", "--out", out, "--horizon", "1",
                 "--controller", "cascaded", "--gains", str(gfile)]) == EXIT_OK
@@ -193,7 +203,7 @@ def test_nonfinite_parameter_is_one_line_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("half_width", ["nan", "inf", "1e308"])
 def test_flr_half_width_is_one_line_usage_error(tmp_path, capsys, half_width):
     gfile = tmp_path / "gains.txt"
-    save_gains(gfile, GainSet())
+    gfile.write_text(gains_text(GainSet()))
     out = str(tmp_path / "hw")
     assert run(["tune", "--stage", "flr", "--gains", str(gfile), "--out", out,
                 "--episodes", "3", "--n-init", "2",
@@ -271,7 +281,7 @@ def test_analyze_stable_gains(tmp_path, capsys):
 
 def test_analyze_zero_gains_unstable(tmp_path):
     gfile = tmp_path / "zero.txt"
-    save_gains(gfile, GainSet(0.0, 0.0, 0.0, 0.0))
+    gfile.write_text(gains_text(GainSet(0.0, 0.0, 0.0, 0.0)))
     out = str(tmp_path / "an0")
     assert run(["analyze", "--out", out, "--gains", str(gfile)]) == EXIT_UNSTABLE
 
@@ -486,7 +496,7 @@ def test_tune_pd_rejects_gains(tmp_path, capsys):
 
 def test_tune_flr_quick(tmp_path):
     gfile = tmp_path / "pd.txt"
-    save_gains(gfile, GainSet())
+    gfile.write_text(gains_text(GainSet()))
     out = str(tmp_path / "t3")
     assert run(["tune", "--stage", "flr", "--out", out, "--gains", str(gfile),
                 "--episodes", "2", "--n-init", "1"]) == EXIT_OK
@@ -580,7 +590,7 @@ def test_bad_flag_values_end_in_a_documented_exit(tmp_path, capsys, command,
     base = []
     if command == "tune":
         gfile = tmp_path / "gains.txt"
-        save_gains(gfile, GainSet())
+        gfile.write_text(gains_text(GainSet()))
         stage = (["--stage", "flr", "--gains", str(gfile)]
                  if option == "--flr-half-width" else ["--stage", "pd"])
         base = stage + ["--episodes", "1", "--n-init", "1"]
@@ -762,3 +772,186 @@ def test_artifacts_match_frozen_bytes(tmp_path, args, digests):
     for suffix, digest in digests.items():
         data = (tmp_path / ("f" + suffix)).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+
+def _files(directory) -> dict[str, bytes]:
+    """The name and bytes of each entry of directory."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+TUNE_QUICK = ["tune", "--stage", "pd", "--episodes", "3", "--n-init", "2"]
+
+# (first run, which succeeds; second run on the same prefix, which fails;
+# the second run's exit code; the first run's set of suffixes)
+RUN_THEN_FAIL = (
+    (["simulate", "--disturbance", "uniform"],
+     ["simulate", "--controller", "single-pd"], EXIT_DIVERGED,
+     ["_meta.json", "_metrics.csv", "_trajectory.csv"]),
+    (TUNE_QUICK, TUNE_QUICK + ["--tuner-seed", "7", "--horizon", "1"],
+     EXIT_USAGE, ["_gains.txt", "_history.csv", "_meta.json"]),
+    (["analyze"], ["analyze", "--plant", "BAD_PLANT"], EXIT_USAGE,
+     ["_analysis.csv", "_meta.json"]),
+    (["ablate", "--horizon", "2"], ["ablate", "--horizon", "2", "--seed", "-1"],
+     EXIT_USAGE, ["_ablation.csv", "_meta.json"]),
+)
+
+
+@pytest.mark.parametrize("first,second,code,suffixes", RUN_THEN_FAIL,
+                         ids=[r[0][0] for r in RUN_THEN_FAIL])
+def test_a_failing_run_leaves_the_earlier_set_whole(tmp_path, capsys, first,
+                                                    second, code, suffixes):
+    """A run that succeeds, then a run that fails on the same prefix: the
+    prefix holds exactly the first run's set, byte for byte, so its
+    _meta.json still describes the first run."""
+    bad_plant = tmp_path / "bad_plant.txt"
+    bad_plant.write_text("m = -1\n")
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = str(runs / "p")
+    assert run(first + ["--out", out]) == EXIT_OK
+    before = _files(runs)
+    assert list(before) == ["p" + suffix for suffix in suffixes]
+    assert json.loads(before["p_meta.json"])["command"] == first[0]
+    capsys.readouterr()
+    second = [str(bad_plant) if a == "BAD_PLANT" else a for a in second]
+    assert run(second + ["--out", out]) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert _files(runs) == before
+
+
+def test_an_unstable_analyze_replaces_the_set(tmp_path):
+    """Exit 3 is a run that returns: its report replaces the earlier one."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = str(runs / "p")
+    assert run(["analyze", "--out", out]) == EXIT_OK
+    gfile = tmp_path / "zero.txt"
+    gfile.write_text(gains_text(GainSet(0.0, 0.0, 0.0, 0.0)))
+    assert run(["analyze", "--gains", str(gfile), "--out", out]) == EXIT_UNSTABLE
+    files = _files(runs)
+    assert list(files) == ["p_analysis.csv", "p_meta.json"]
+    assert json.loads(files["p_meta.json"])["gains"] == asdict(GainSet(0, 0, 0, 0))
+
+
+def test_an_all_failed_tune_drops_the_earlier_gains(tmp_path, capsys):
+    """A tune whose every episode fails over an earlier tune's prefix leaves
+    its own history and meta, and no _gains.txt that a later flr stage
+    could take for its result."""
+    out = str(tmp_path / "tf")
+    assert run(TUNE_QUICK + ["--out", out]) == EXIT_OK
+    earlier = _files(tmp_path)
+    assert run(TUNE_QUICK + ["--amplitude", "1e300", "--out", out]) == EXIT_DIVERGED
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: all 3 episodes failed; no gains written"]
+    files = _files(tmp_path)
+    assert list(files) == ["tf_history.csv", "tf_meta.json"]
+    assert files["tf_history.csv"] != earlier["tf_history.csv"]
+    meta = json.loads(files["tf_meta.json"])
+    assert meta["disturbance"]["amplitude"] == 1e300
+
+
+def test_an_interrupted_tune_leaves_the_earlier_set(tmp_path, capsys,
+                                                    monkeypatch):
+    """A KeyboardInterrupt at episode 2, after the first fit, ends main with
+    one line and exit 130; the earlier set keeps every byte and the scratch
+    directory is gone."""
+    out = str(tmp_path / "p")
+    assert run(TUNE_QUICK + ["--out", out]) == EXIT_OK
+    before = _files(tmp_path)
+    make_pd_cost = tuning.make_pd_cost
+
+    def make_interrupted_cost(*args):
+        cost, episodes = make_pd_cost(*args), iter(range(10))
+
+        def interrupted_cost(x):
+            if next(episodes) == 2:
+                raise KeyboardInterrupt
+            return cost(x)
+        return interrupted_cost
+
+    monkeypatch.setattr(tuning, "make_pd_cost", make_interrupted_cost)
+    capsys.readouterr()
+    argv = TUNE_QUICK + ["--episodes", "4", "--tuner-seed", "7", "--out", out]
+    try:
+        code = run(argv)
+    except KeyboardInterrupt:  # would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert _files(tmp_path) == before
+
+
+def test_sigint_ends_a_tune_in_one_line_and_exit_130(tmp_path):
+    """A tune in a fresh interpreter, sent SIGINT once its scratch directory
+    appears: one error line, exit 130, no traceback and no new file."""
+    out = str(tmp_path / "p")
+    assert run(TUNE_QUICK + ["--out", out]) == EXIT_OK
+    before = _files(tmp_path)
+    argv = ["tune", "--stage", "pd", "--episodes", "40", "--tuner-seed", "7",
+            "--out", out]
+    # the interpreter's own SIGINT handler, even where the test runner's
+    # shell started it with SIGINT ignored
+    code = ("import signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "from flexjoint.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    src = str(Path(flexjoint.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", code], text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("p.tmp-*")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == EXIT_INTERRUPTED, err
+    assert err == "error: interrupted\n"
+    assert _files(tmp_path) == before
+
+
+def test_a_failed_rename_leaves_none_of_the_set(tmp_path, capsys, monkeypatch):
+    """A rename that fails after the first one has landed: exit 1, one line,
+    and none of the set's names, so the prefix never mixes two runs."""
+    out = str(tmp_path / "p")
+    assert run(["simulate", "--horizon", "2", "--out", out]) == EXIT_OK
+    replace, targets = os.replace, []
+
+    def replace_but_the_second(src, dst):
+        targets.append(dst)
+        if len(targets) == 2:
+            raise OSError(f"cannot rename to {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace_but_the_second)
+    capsys.readouterr()
+    assert run(["simulate", "--horizon", "3", "--out", out]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert len(targets) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_artifacts_keep_the_mode_write_text_gives(tmp_path):
+    """The scratch directory is private, but the artifacts moved out of it
+    have the umask's mode, as a file Path.write_text makes."""
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "ref").write_text("")
+        assert run(["analyze", "--out", str(tmp_path / "p")]) == EXIT_OK
+    finally:
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["p_analysis.csv", "p_meta.json", "ref"], 0o640)
+
+
+def test_an_out_prefix_ending_in_a_separator_writes_into_that_directory(tmp_path):
+    """--out somedir/ names the files somedir/_meta.json and so on, and the
+    scratch directory is made inside somedir and removed."""
+    (tmp_path / "d").mkdir()
+    assert run(["analyze", "--out", str(tmp_path / "d") + os.sep]) == EXIT_OK
+    assert list(_files(tmp_path / "d")) == ["_analysis.csv", "_meta.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]

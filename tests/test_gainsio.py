@@ -2,12 +2,12 @@ import pytest
 
 from flexjoint.control import GainSet
 from flexjoint.fuzzy import FlrBounds
-from flexjoint.gainsio import load_gains, load_plant, save_gains
+from flexjoint.gainsio import gains_text, load_gains, load_plant
 
 
 def test_roundtrip(tmp_path, gains, bounds):
     path = tmp_path / "gains.txt"
-    save_gains(path, gains, bounds)
+    path.write_text(gains_text(gains, bounds))
     loaded = load_gains(path)
     assert loaded.gains == gains
     assert loaded.bounds == bounds

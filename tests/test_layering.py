@@ -144,12 +144,6 @@ def test_tune_without_scipy_is_a_one_line_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# Definitions that src/ keeps though no command reaches them, with the reason.
-# state_matrix is the exact g = 0 linearization of the simulated loop, which
-# DISCREPANCIES.md sets against the design model's spectrum.
-UNREFERENCED_ON_PURPOSE = {"analysis.state_matrix"}
-
-
 def _definitions(tree: ast.Module):
     """(qualified name, name, node) of each module-level function, class and
     non-dunder name assigned, and each non-dunder method; an assigned
@@ -203,7 +197,6 @@ def test_src_defines_only_what_src_uses():
             if not any(name in set(_references(other, node))
                        for other in trees.values()):
                 unused.append(f"{module}.{qualname}")
-    unused = sorted(set(unused) - UNREFERENCED_ON_PURPOSE)
     assert not unused, f"defined in src/ but used only outside it: {unused}"
 
 

@@ -11,7 +11,6 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, lapack
 from scipy.stats import qmc
 
 from flexjoint import tuning
-from flexjoint.analysis import state_matrix
 from flexjoint.cli import main
 from flexjoint.control import (TRAJ_COLUMNS, DivergedTrajectory, GainSet,
                                Trajectory)
@@ -26,7 +25,7 @@ from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
                               suggest, tracking_cost, ucb)
-from oracles import dense_oracle, noise_variance, read_csv
+from oracles import dense_oracle, noise_variance, read_csv, state_matrix
 
 UNIT = Domain(names=("x",), lo=(0.0,), hi=(1.0,))
 

@@ -64,7 +64,7 @@ class CliError(Exception):
 
 
 def _fmt(v) -> str:
-    return repr(float(v))
+    return v if isinstance(v, str) else repr(float(v))
 
 
 def csv_text(columns, rows) -> str:
@@ -325,12 +325,11 @@ def cmd_ablate(args) -> tuple[int, dict]:
                 gains=asdict(loaded.gains), flr_bounds=asdict(loaded.bounds),
                 disturbance=asdict(dist), seed=args.seed)
     results = run_ablation(params, sim, loaded.gains, loaded.bounds, dist)
-    lines = ["controller,cost,overshoot_pct,settling_time,status"]
-    for name, cost, ov, ts, status in results:
-        lines.append(f"{name},{_fmt(cost)},{_fmt(ov)},{_fmt(ts)},{status}")
+    for name, cost, *_, status in results:
         print(f"{name}: cost={cost!r} ({status})")
+    columns = ("controller", "cost", "overshoot_pct", "settling_time", "status")
     return EXIT_OK, {"_meta.json": meta_text(meta),
-                     "_ablation.csv": "\n".join(lines) + "\n"}
+                     "_ablation.csv": csv_text(columns, results)}
 
 
 def _replace_set(prefix: str, scratch: Path, files: dict) -> None:

@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from typing import NamedTuple
 
 import numpy as np
 
@@ -197,14 +196,13 @@ class TunerConfig:
     seed are ints, not bools.
 
     T is at most MAX_EPISODES, and the paper tunes for 150 episodes.  A
-    one-row likelihood call over n episodes holds about 18 (n, n) float64
-    planes at d = 4 and 28 at d = 8: _pairs' identity, spread indices,
-    (d + 1) planes Z and d / 2 planes P2, then K, its factor, its inverse,
-    W and the (d + 1) gradient planes; about 14 GB and 22 GB at n = 10**4
-    (counted from the code, not measured).  h lies in [0, 1e6]: the
-    GP-UCB coefficient is non-negative, and the posterior stddev is at
-    most 10 times the costs' standard deviation (signal variance <= 1e2),
-    so h*stddev stays far from overflow.
+    one-row likelihood call over n episodes holds 2d + 6 (n, n) float64
+    planes, 14 at d = 4 and 22 at d = 8: the (d + 1) planes Z, K, its
+    factor, its inverse, W and the (d + 1) gradient planes; about 11 GB
+    and 18 GB at n = 10**4 (a test traces the count at n = 149).  h lies
+    in [0, 1e6]: the GP-UCB coefficient is non-negative, and the
+    posterior stddev is at most 10 times the costs' standard deviation
+    (signal variance <= 1e2), so h*stddev stays far from overflow.
     """
 
     T: int = 150
@@ -281,49 +279,41 @@ def _sum_planes(D: np.ndarray) -> np.ndarray:
     return s
 
 
-class _Pairs(NamedTuple):
-    """Per-fit constants of the likelihood over n training points: the
-    identity, the squared differences of the n(n-1)/2 pairs i < j plus a
-    zero column for the diagonal as d contiguous planes (d, n(n-1)/2 + 1),
-    the (n, n) indices of those columns that spread them into the
-    symmetric matrix, and the gradient's (d + 1, n, n) planes Z: the
-    squared differences in each dimension, then ones, so that
-    dK/dtheta_k = K * Z[k] / s_k with s the squared length scales and 1."""
-
-    eye: np.ndarray
-    P2: np.ndarray
-    spread: np.ndarray
-    Z: np.ndarray
+def _se_kernel(D: np.ndarray, sf2) -> np.ndarray:
+    """The squared-exponential kernel sf2 * exp(-0.5 * r), r the sum in
+    _sum_planes' order of the d planes D of squared differences over squared
+    length scales, which it may overwrite; sf2 broadcasts against a plane."""
+    k = _sum_planes(D)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= sf2
+    return k
 
 
-def _pairs(D2: np.ndarray) -> _Pairs:
-    n, d = len(D2), D2.shape[2]
-    iu, ju = np.triu_indices(n, 1)
-    spread = np.full((n, n), len(iu))
-    spread[iu, ju] = spread[ju, iu] = np.arange(len(iu))
-    Z = np.ones((d + 1, n, n))  # C-ordered: each plane is one contiguous row
-    Z[:d] = D2.transpose(2, 0, 1)
-    P2 = np.hstack([Z[:d, iu, ju], np.zeros((d, 1))])
-    return _Pairs(np.eye(n), P2, spread, Z)
+def _planes(Xn: np.ndarray) -> np.ndarray:
+    """The likelihood's (d + 1, n, n) planes Z over the normalized training
+    inputs Xn (n, d): the squared differences in each dimension, then ones,
+    so that dK/dtheta_k = K * Z[k] / s_k with s the squared length scales
+    and 1.  Each plane is one contiguous C-ordered row, formed in place."""
+    n, d = Xn.shape
+    Z = np.ones((d + 1, n, n))
+    np.subtract(Xn.T[:, :, None], Xn.T[:, None, :], out=Z[:d])
+    np.square(Z[:d], out=Z[:d])
+    return Z
 
 
-def _pair_cov(pairs: _Pairs, e: np.ndarray) -> np.ndarray:
-    """The covariances sf2 * (C + ratio * I) of the pairs i < j, then of
-    the diagonal, for each row e = exp(theta) of an (S, d + 2) array, as
-    (S, n(n-1)/2 + 1) columns that pairs.spread takes into (n, n)
-    matrices, with the bits of that expression over the full correlations
-    C = exp(-0.5 * (D2 / ls ** 2).sum(axis=-1)): the d <= 8 (S, m) planes
-    of P2 / ls ** 2 are added by _sum_planes in the order of that sum,
-    (a-b)**2 == (b-a)**2 makes each matrix exactly symmetric, C's diagonal
-    is exactly 1, so the last column is sf2 * (1 + ratio), and off it
-    ratio * 0 adds nothing."""
-    d = len(pairs.P2)
-    s = _sum_planes(pairs.P2[:, None] / (e[:, :d] ** 2).T[:, :, None])
-    s *= -0.5
-    np.exp(s, out=s)
-    s *= e[:, d, None]
-    s[:, -1] = e[:, d] * (1.0 + e[:, d + 1])
-    return s
+def _cov(Z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The (S, n, n) covariances sf2 * (C + ratio * I) over the planes Z
+    for each row e = exp(theta) of an (S, d + 2) array, with the bits of
+    that expression over the full correlations
+    C = exp(-0.5 * (D2 / ls ** 2).sum(axis=-1)): C's diagonal is exactly 1,
+    so the diagonal is sf2 * (1 + ratio), and off it ratio * 0 adds nothing."""
+    S, d, n = len(e), len(Z) - 1, Z.shape[1]
+    K = _se_kernel(Z[:d, None] / (e[:, :d] ** 2).T[:, :, None, None],
+                   e[:, d, None, None])
+    # K is a new C-ordered array, so its reshape is a view
+    K.reshape(S, n * n)[:, ::n + 1] = (e[:, d] * (1.0 + e[:, d + 1]))[:, None]
+    return K
 
 
 # Bytes of stacked (rows, d + 1, n, n) gradient terms per batch of
@@ -337,35 +327,35 @@ _LML_BATCH_BYTES = 1 << 18
 
 
 def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
-                      pairs: _Pairs) -> tuple[np.ndarray, np.ndarray]:
+                      Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negative log marginal likelihood of the standardized targets ys and
-    its gradient in theta, at each row of thetas (S, d + 2), as
-    (values (S,), gradients (S, d + 2)).  Rows go in batches of at most
-    _LML_BATCH_BYTES of gradient terms, and every row keeps the bits of a
-    batch of one: exp(theta), the correlations, K and the gradient terms
-    are elementwise over the batch, each row's sums run over one
-    contiguous n * n row in numpy's pairwise order, the gradient in the
-    length scales divides by the scalar power ls[k] ** 2 (the array
-    power's element can round apart), and dpotrf and dpotrs factor and
-    solve one row at a time, in place.  A row whose covariance is not
-    positive definite gives 1e12 and a zero gradient; a non-finite
-    covariance raises ValueError."""
+    its gradient in theta over the training planes Z = _planes(Xn), at
+    each row of thetas (S, d + 2), as (values (S,), gradients (S, d + 2)).
+    Rows go in batches of at most _LML_BATCH_BYTES of gradient terms, and
+    every row keeps the bits of a batch of one: exp(theta), the
+    correlations, K and the gradient terms are elementwise over the batch,
+    each row's sums run over one contiguous n * n row in numpy's pairwise
+    order, the gradient in the length scales divides by the scalar power
+    ls[k] ** 2 (the array power's element can round apart), and dpotrf and
+    dpotrs factor and solve one row at a time, in place.  A row whose
+    covariance is not positive definite gives 1e12 and a zero gradient; a
+    non-finite covariance raises ValueError."""
     S, p = thetas.shape
     d, n = p - 2, len(ys)
     rows = max(1, _LML_BATCH_BYTES // (8 * (d + 1) * n * n))
     if S > rows:
-        parts = [_neg_lml_and_grad(thetas[i:i + rows], ys, pairs)
+        parts = [_neg_lml_and_grad(thetas[i:i + rows], ys, Z)
                  for i in range(0, S, rows)]
         return (np.concatenate([v for v, _ in parts]),
                 np.concatenate([g for _, g in parts]))
     e = np.exp(thetas)
-    cov = _pair_cov(pairs, e)
-    K = cov.take(pairs.spread, axis=1)
-    cov[:, -1] += 1e-12 * e[:, d]
+    K = _cov(Z, e)
     # K + 1e-12 * sf2 * I, factored in place
-    Kj = np.asarray_chkfinite(cov).take(pairs.spread, axis=1)
+    Kj = np.asarray_chkfinite(K).copy()
+    Kj.reshape(S, n * n)[:, ::n + 1] += 1e-12 * e[:, d, None]
     alpha = np.array([ys] * S)  # solved in place
-    Kinv = np.array([pairs.eye] * S)  # solved in place, transposed
+    Kinv = np.zeros((S, n, n))  # the identity, solved in place, transposed
+    Kinv.reshape(S, n * n)[:, ::n + 1] = 1.0
     values = np.empty(S)
     singular = []
     hys, c = -0.5 * ys, 0.5 * n * math.log(2.0 * math.pi)
@@ -383,7 +373,7 @@ def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
     W = alpha[:, :, None] * alpha[:, None, :]  # d(lml)/dK = W/2
     W -= Kinv.transpose(0, 2, 1)
     s = [[v ** 2 for v in row] + [1.0] for row in e[:, :d].tolist()]
-    G = pairs.Z / np.array(s)[:, :, None, None]
+    G = Z / np.array(s)[:, :, None, None]
     G *= K[:, None]
     G *= W[:, None]
     grads = np.empty((S, p))
@@ -488,7 +478,7 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
         y_std = 1.0
     ys = (y - y_mean) / y_std
     d = Xn.shape[1]
-    pairs = _pairs((Xn[:, None, :] - Xn[None, :, :]) ** 2)
+    Z = _planes(Xn)
     bounds = [_LEN_BOUNDS] * d + [_SIG_BOUNDS, _NOISE_RATIO_BOUNDS]
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -499,14 +489,14 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
     best_x, best_fun = None, None
     runs = [_lbfgsb_run(x0, lo, hi) for x0 in starts]
     for x, fun in _lockstep(runs,
-                            lambda xs: zip(*_neg_lml_and_grad(xs, ys, pairs))):
+                            lambda xs: zip(*_neg_lml_and_grad(xs, ys, Z))):
         if best_x is None or fun < best_fun:
             best_x, best_fun = x, fun
     theta = np.clip(best_x, lo, hi)
     sf2 = float(np.exp(theta[d]))
-    K = _pair_cov(pairs, np.exp(theta)[None])[0].take(pairs.spread)
+    K, eye = _cov(Z, np.exp(theta)[None])[0], np.eye(len(y))
     for jitter in _JITTERS:
-        c, info = dpotrf(K + jitter * sf2 * pairs.eye, lower=1, clean=0)
+        c, info = dpotrf(K + jitter * sf2 * eye, lower=1, clean=0)
         if info == 0:
             break
     else:
@@ -522,7 +512,7 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     cho_solve's finiteness check.  The kernel is built one plane per
     dimension: the query-training differences form one (d, m, n) scratch
     array, squared and divided by the squared length scales in place, whose
-    d <= 8 planes _sum_planes adds in the order np.sum gives over the last
+    d <= 8 planes _se_kernel adds in the order np.sum gives over the last
     axis of the (m, n, d) array it replaces, so no (m, n, d) array is
     formed and the kernel keeps that array's bits.  Under the SkylakeX
     OpenBLAS kernel with numpy's AVX-512 dispatch, every row of a batch has
@@ -539,11 +529,8 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
         D = model.domain.normalize(X).T[:, :, None] - model.XnT[:, None, :]
         np.square(D, out=D)
         D /= model.ls2
-    ks = _sum_planes(D)  # (m, n)
+    ks = _se_kernel(D, sf2)  # (m, n)
     del D  # free the d planes before the solve forms its own
-    ks *= -0.5
-    np.exp(ks, out=ks)
-    ks *= sf2
     mean_s = np.vecdot(ks, model.alpha)
     v = dpotrs(model.chol, np.asarray_chkfinite(ks.T), lower=1)[0]  # K^-1 k*
     var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)

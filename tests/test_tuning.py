@@ -18,10 +18,9 @@ from flexjoint.plant import PlantParams, State
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, FIT_STARTS, LOCAL_SEARCHES,
                               SOBOL_CANDIDATES, SOBOL_MAX_DIM, Domain,
-                              GpModel, TunerConfig, _lbfgsb_run,
+                              GpModel, TunerConfig, _cov, _lbfgsb_run,
                               _lockstep, _neg_lml_and_grad, _nelder_mead,
-                              _pair_cov,
-                              _pairs, _sum_planes, flr_bound_domain,
+                              _planes, _sum_planes, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
                               suggest, tracking_cost, ucb)
@@ -172,6 +171,16 @@ def _ref_sq_dists(A, B):
     return (A[:, None, :] - B[None, :, :]) ** 2
 
 
+def _ref_planes(D2):
+    """The likelihood's (d + 1, n, n) planes from squared differences D2
+    (n, n, d): D2's planes, then ones, C-ordered as _planes makes them (the
+    gradient's sums run over each contiguous plane)."""
+    n, _, d = D2.shape
+    Z = np.ones((d + 1, n, n))
+    Z[:d] = np.moveaxis(D2, -1, 0)
+    return Z
+
+
 def _ref_gp_predict(model: GpModel, x):
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Un = _ref_normalize(model.domain, X)
@@ -279,9 +288,10 @@ def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m, k):
         (np.atleast_2d(U) * np.maximum(hi - lo, 1e-300) + lo).tobytes()
     assert dom.clip(Q[0]).tobytes() == np.clip(Q[0], dom.lo, dom.hi).tobytes()
     D2 = _ref_sq_dists(model.Xn, model.Xn)
+    assert _planes(model.Xn).tobytes() == _ref_planes(D2).tobytes()
     # every row of a batch of k has the reference's bits
     thetas = _random_thetas(rng, k, d)
-    values, grads = _neg_lml_and_grad(thetas, ys, _pairs(D2))
+    values, grads = _neg_lml_and_grad(thetas, ys, _ref_planes(D2))
     assert values.shape == (len(thetas),) and grads.shape == thetas.shape
     for theta, value, grad in zip(thetas, values, grads):
         assert _bytes(value, grad) == \
@@ -295,8 +305,8 @@ def test_surrogate_matches_pre_cache_code_bitwise(seed, d, n, m, k):
 @example(seed=0, d=8, n=150)
 @settings(max_examples=100, deadline=None)
 def test_pair_corr_matches_full_corr_bitwise(seed, d, n):
-    """The likelihood's correlations and covariances from the upper
-    triangle equal the full (n, n, d) computation bit for bit, from n = 1
+    """The likelihood's correlations and covariances from the planes of
+    _planes equal the full (n, n, d) computation bit for bit, from n = 1
     to 150 points, for every row of a batch of 1 to 4 hyperparameters:
     at unit signal variance and zero noise the covariance is the
     correlation, and otherwise sf2 * (C + ratio * I)."""
@@ -304,11 +314,13 @@ def test_pair_corr_matches_full_corr_bitwise(seed, d, n):
     Xn = rng.random((n, d))
     Xn[rng.random(n) < 0.1] = Xn[0]  # repeated points
     D2 = _ref_sq_dists(Xn, Xn)
-    pairs = _pairs(D2)
+    Z = _planes(Xn)
+    assert Z.flags.c_contiguous and Z.tobytes() == _ref_planes(D2).tobytes()
     e = np.exp(_random_thetas(rng, int(rng.integers(1, 5)), d))
-    K = _pair_cov(pairs, e).take(pairs.spread, axis=1)
+    K = _cov(Z, e)
     unit = np.column_stack([e[:, :d], np.ones(len(e)), np.zeros(len(e))])
-    C = _pair_cov(pairs, unit).take(pairs.spread, axis=1)
+    C = _cov(Z, unit)
+    assert K.shape == C.shape == (len(e), n, n)
     for row, Ki, Ci in zip(e, K, C):
         ls, sf2, ratio = row[:d], row[d], row[d + 1]
         assert Ci.tobytes() == _ref_corr(D2, ls).tobytes()
@@ -369,6 +381,26 @@ def test_ucb_scan_forms_no_query_training_dimension_array():
     assert peak <= 6 * 2048 * 149 * 8
 
 
+@pytest.mark.parametrize("d", [4, 8])
+def test_likelihood_row_holds_the_planes_tuner_config_states(d):
+    """One likelihood row over 149 training points, its planes built
+    included, peaks within the 2d + 6 (n, n) float64 planes that
+    TunerConfig states (14 at d = 4, 22 at d = 8) and half a plane for
+    the length-n vectors."""
+    n = 149
+    rng = np.random.default_rng(d)
+    Xn, ys = rng.random((n, d)), rng.standard_normal(n)
+    theta = np.concatenate([np.zeros(d), [0.0], [math.log(1e-4)]])[None]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _neg_lml_and_grad(theta, ys, _planes(Xn))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * d + 6.5) * n * n * 8
+
+
 def test_gp_predict_off_a_zero_width_dimension_is_the_prior():
     """A query off a zero-width dimension of the box is infinitely far
     from every training point: zero correlation, the prior mean and
@@ -399,7 +431,7 @@ def test_surrogate_rejects_nonfinite_and_non_pd_input():
         thetas = np.array([good, good])
         thetas[bad_row] = np.nan
         with pytest.raises(ValueError):
-            _neg_lml_and_grad(thetas, ys, _pairs(D2))
+            _neg_lml_and_grad(thetas, ys, _ref_planes(D2))
     # correlations 0.99 / 0.99 / 0 around a chain of three points: not PSD
     c = -2.0 * math.log(0.99)
     D2 = np.array([[0.0, c, 100.0], [c, 0.0, c], [100.0, c, 0.0]])[:, :, None]
@@ -407,7 +439,7 @@ def test_surrogate_rejects_nonfinite_and_non_pd_input():
     pd_theta = np.array([-3.0, 0.0, _NOISE_RATIO_BOUNDS[0]])  # short scale
     ys = np.array([1.0, -1.0, 0.5])
     values, grads = _neg_lml_and_grad(np.array([pd_theta, theta, pd_theta]),
-                                      ys, _pairs(D2))
+                                      ys, _ref_planes(D2))
     # the non-PD row alone takes the 1e12 branch, with a +0.0 gradient
     assert values[1] == 1e12 and grads[1].tobytes() == np.zeros(3).tobytes()
     assert _ref_neg_lml_and_grad(theta, np.zeros((3, 1)), ys, D2)[0] == 1e12
@@ -499,10 +531,10 @@ def _chain_pairs(D2: np.ndarray) -> np.ndarray:
     return D2
 
 
-def _row_fun(theta, ys, pairs):
+def _row_fun(theta, ys, Z):
     """The likelihood at one theta, as a batch of one: the function
     scipy.optimize.minimize is given as the reference."""
-    values, grads = _neg_lml_and_grad(theta[None], ys, pairs)
+    values, grads = _neg_lml_and_grad(theta[None], ys, Z)
     return values[0], grads[0]
 
 
@@ -512,19 +544,19 @@ def _fit_box(d: int) -> tuple[list, np.ndarray, np.ndarray]:
             np.array([b[1] for b in bounds]))
 
 
-def _lbfgsb_lockstep(fun, starts, lo, hi, ys, pairs):
+def _lbfgsb_lockstep(fun, starts, lo, hi, ys, Z):
     """_lbfgsb_run from every start on _lockstep, each round's rows
-    evaluated by one call fun(xs, ys, pairs), as gp_fit runs its starts."""
+    evaluated by one call fun(xs, ys, Z), as gp_fit runs its starts."""
     return _lockstep([_lbfgsb_run(x0, lo, hi) for x0 in starts],
-                     lambda xs: zip(*fun(xs, ys, pairs)))
+                     lambda xs: zip(*fun(xs, ys, Z)))
 
 
-def _assert_lockstep_matches_scipy(starts, ys, pairs, fun=_neg_lml_and_grad):
+def _assert_lockstep_matches_scipy(starts, ys, Z, fun=_neg_lml_and_grad):
     bounds, lo, hi = _fit_box(len(starts[0]) - 2)
-    results = _lbfgsb_lockstep(fun, starts, lo, hi, ys, pairs)
+    results = _lbfgsb_lockstep(fun, starts, lo, hi, ys, Z)
     assert len(results) == len(starts)
     for x0, (x, value) in zip(starts, results):
-        res = optimize.minimize(_row_fun, x0, args=(ys, pairs), jac=True,
+        res = optimize.minimize(_row_fun, x0, args=(ys, Z), jac=True,
                                 method="L-BFGS-B", bounds=bounds)
         assert x.tobytes() == res.x.tobytes()
         assert np.float64(value).tobytes() == np.float64(res.fun).tobytes()
@@ -555,7 +587,7 @@ def test_lbfgsb_matches_scipy_bitwise(seed, d, n, chain, k):
     while len(starts) < k:
         starts.append(rng.uniform(lo, hi) if rng.random() < 0.75
                       else starts[int(rng.integers(len(starts)))])
-    _assert_lockstep_matches_scipy(starts[:k], ys, _pairs(D2))
+    _assert_lockstep_matches_scipy(starts[:k], ys, _ref_planes(D2))
 
 
 def test_lbfgsb_passes_through_the_non_pd_branch():
@@ -564,7 +596,7 @@ def test_lbfgsb_passes_through_the_non_pd_branch():
     alone and in lockstep with 1 to 7 other starts."""
     rng = np.random.default_rng(11)
     Xn = rng.random((6, 2))
-    pairs = _pairs(_chain_pairs(_ref_sq_dists(Xn, Xn)))
+    Z = _ref_planes(_chain_pairs(_ref_sq_dists(Xn, Xn)))
     ys = rng.standard_normal(6)
     _, lo, hi = _fit_box(2)
     x0 = np.array([-3.36, 2.04, -1.95, -13.42])
@@ -575,11 +607,11 @@ def test_lbfgsb_passes_through_the_non_pd_branch():
         values.extend(v)
         return v, g
 
-    _assert_lockstep_matches_scipy([x0], ys, pairs, fun)
+    _assert_lockstep_matches_scipy([x0], ys, Z, fun)
     assert values[0] != 1e12 and 1e12 in values
     for k in range(2, 9):
         others = [rng.uniform(lo, hi) for _ in range(k - 1)]
-        _assert_lockstep_matches_scipy([x0] + others, ys, pairs)
+        _assert_lockstep_matches_scipy([x0] + others, ys, Z)
 
 
 def test_gp_fit_runs_its_starts_in_lockstep(monkeypatch):
@@ -613,8 +645,7 @@ def test_gp_fit_runs_its_starts_in_lockstep(monkeypatch):
     alone = []
     for x0 in starts:
         rows.clear()
-        _lbfgsb_lockstep(counting, [x0], lo, hi, ys,
-                         _pairs(_ref_sq_dists(Xn, Xn)))
+        _lbfgsb_lockstep(counting, [x0], lo, hi, ys, _planes(Xn))
         assert set(rows) == {1}
         alone.append(len(rows))
     assert len(fit_rows) == max(alone) < sum(alone)

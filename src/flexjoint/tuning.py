@@ -10,8 +10,10 @@ different widths (e.g. kp in [0, 150] against kd in [0, 30]).
 
 from __future__ import annotations
 
+import bisect
 import importlib.util
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -183,7 +185,9 @@ class Domain:
         return np.atleast_2d(U) * self._width + self._lo
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self._lo, self._hi)
+        """np.clip(x, lo, hi) without np.clip's Python wrapper; a test holds
+        the two to the same bytes, signed zeros included."""
+        return np.minimum(np.maximum(x, self._lo), self._hi)
 
 
 MAX_EPISODES = 10_000
@@ -337,7 +341,10 @@ def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
     each row's sums run over one contiguous n * n row in numpy's pairwise
     order, the gradient in the length scales divides by the scalar power
     ls[k] ** 2 (the array power's element can round apart), and dpotrf and
-    dpotrs factor and solve one row at a time, in place.  A row whose
+    dpotrs factor and solve one row at a time, in place.  The values are
+    formed once per batch after the solves, each row with the one-row
+    bits: its data term a ddot, its log determinant a pairwise sum of the
+    logs of its factor's diagonal.  A row whose
     covariance is not positive definite gives 1e12 and a zero gradient; a
     non-finite covariance raises ValueError."""
     S, p = thetas.shape
@@ -356,20 +363,24 @@ def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
     alpha = np.array([ys] * S)  # solved in place
     Kinv = np.zeros((S, n, n))  # the identity, solved in place, transposed
     Kinv.reshape(S, n * n)[:, ::n + 1] = 1.0
-    values = np.empty(S)
     singular = []
-    hys, c = -0.5 * ys, 0.5 * n * math.log(2.0 * math.pi)
     for i in range(S):
         # Kj[i] is symmetric, so its transpose is the Fortran array that
         # dpotrf would copy it to; likewise Kinv[i]'s, as the identity
         L, info = dpotrf(Kj[i].T, lower=1, overwrite_a=1)
         if info > 0:  # not positive definite
-            values[i] = 1e12
             singular.append(i)
             continue
         dpotrs(L, alpha[i], lower=1, overwrite_b=1)
         dpotrs(L, Kinv[i].T, lower=1, overwrite_b=1)
-        values[i] = -(hys @ alpha[i] - np.log(L.diagonal()).sum() - c)
+    # -(-ys' alpha / 2 - log|L| - c), L's diagonal read from Kj; a
+    # singular row, which dpotrf left part factored, gets a diagonal of
+    # ones so that its log stays quiet, and scores 1e12
+    diag = Kj.reshape(S, n * n)[:, ::n + 1]
+    if singular:
+        diag[singular] = 1.0
+    values = -(np.vecdot(-0.5 * ys, alpha) - np.log(diag).sum(axis=1)
+               - 0.5 * n * math.log(2.0 * math.pi))
     W = alpha[:, :, None] * alpha[:, None, :]  # d(lml)/dK = W/2
     W -= Kinv.transpose(0, 2, 1)
     s = [[v ** 2 for v in row] + [1.0] for row in e[:, :d].tolist()]
@@ -384,6 +395,7 @@ def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
     grads[:, d + 1] = (-0.5 * W.reshape(S, n * n)[:, ::n + 1].sum(axis=1)
                        * e[:, d] * e[:, d + 1])
     if singular:
+        values[singular] = 1e12
         grads[singular] = 0.0
     return values, grads
 
@@ -505,37 +517,49 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
                    y_std=y_std, alpha=dpotrs(c, ys, lower=1)[0], chol=c)
 
 
-def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and standard deviation (original cost units) of the
-    latent function at one point or a batch of points (GPML Alg. 2.1), from
-    the model's cached state, solving with LAPACK dpotrs directly after
-    cho_solve's finiteness check.  The kernel is built one plane per
-    dimension: the query-training differences form one (d, m, n) scratch
-    array, squared and divided by the squared length scales in place, whose
-    d <= 8 planes _se_kernel adds in the order np.sum gives over the last
-    axis of the (m, n, d) array it replaces, so no (m, n, d) array is
-    formed and the kernel keeps that array's bits.  Under the SkylakeX
-    OpenBLAS kernel with numpy's AVX-512 dispatch, every row of a batch has
-    the bits of a one-point call: the mean is a per-row dot (one ddot,
-    where a (m, n) @ alpha gemv rounds rows apart), and the kernel, the
-    dpotrs columns and the variance reduction are per row already; other
-    kernels can round a multi-column dpotrs apart from one column.  A NaN
-    or infinite query raises ValueError."""
-    X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
+def _posterior(model: GpModel, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and standard deviation arrays (original cost units)
+    of the latent function at the finite normalized rows U (m, d) (GPML
+    Alg. 2.1), from the model's cached state, solving with LAPACK dpotrs
+    directly.  The kernel is built one plane per dimension: the
+    query-training differences form one (d, m, n) scratch array, squared
+    and divided by the squared length scales in place, whose d <= 8 planes
+    _se_kernel adds in the order np.sum gives over the last axis of the
+    (m, n, d) array it replaces, so no (m, n, d) array is formed and the
+    kernel keeps that array's bits.  Under the SkylakeX OpenBLAS kernel
+    with numpy's AVX-512 dispatch, every row of a batch has the bits of a
+    one-point call: the mean is a per-row dot (one ddot, where a
+    (m, n) @ alpha gemv rounds rows apart), and the kernel, the dpotrs
+    columns and the variance reduction are per row already; other kernels
+    can round a multi-column dpotrs apart from one column.  A row far off
+    the unit box can overflow a squared difference to inf, a zero
+    correlation; numpy warns of it unless the caller silences it."""
     sf2 = model.signal_variance
-    # off a zero-width dimension the normalized offset or its square
-    # overflows to inf: zero correlation, the intended limit
-    with np.errstate(over="ignore"):
-        D = model.domain.normalize(X).T[:, :, None] - model.XnT[:, None, :]
-        np.square(D, out=D)
-        D /= model.ls2
+    D = U.T[:, :, None] - model.XnT[:, None, :]
+    np.square(D, out=D)
+    D /= model.ls2
     ks = _se_kernel(D, sf2)  # (m, n)
     del D  # free the d planes before the solve forms its own
     mean_s = np.vecdot(ks, model.alpha)
-    v = dpotrs(model.chol, np.asarray_chkfinite(ks.T), lower=1)[0]  # K^-1 k*
+    v = dpotrs(model.chol, ks.T, lower=1)[0]  # K^-1 k*
     var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
-    mean = model.y_mean + model.y_std * mean_s
-    std = model.y_std * np.sqrt(var)
+    return model.y_mean + model.y_std * mean_s, model.y_std * np.sqrt(var)
+
+
+def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and standard deviation (original cost units) of the
+    latent function at one point or a batch of points: the finiteness
+    check, the box's normalization and _posterior.  A NaN or infinite
+    query raises ValueError.  That check is the only one: from finite
+    rows each squared scaled difference is >= 0 or +inf, never NaN, so
+    the kernel sf2 * exp(-r / 2) lies in [0, sf2] and dpotrs gets finite
+    columns, as cho_solve's own check would have found."""
+    X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
+    # off a zero-width dimension the normalized offset or its square
+    # overflows to inf: zero correlation, the intended limit (suggest's
+    # rows lie in the box, where no step overflows)
+    with np.errstate(over="ignore"):
+        mean, std = _posterior(model, model.domain.normalize(X))
     if np.ndim(x) == 1:
         return float(mean[0]), float(std[0])
     return mean, std
@@ -546,9 +570,29 @@ def ucb(mean, stddev, h: float):
     return mean + h * stddev
 
 
-def _sorted_simplex(sim: list, fs: list) -> tuple[list, list]:
+def _sorted_simplex(sim: list, fs: list,
+                    rising_head: bool = False) -> tuple[list, list, bool]:
+    """sim and fs in the order np.array(fs).argsort() puts fs, and whether
+    the sorted values rise strictly.  Where they do, that is the only
+    ascending order, so any sort finds it: with rising_head, which says
+    that fs[:-1] rises strictly already, bisection places the last vertex
+    when its value falls strictly between theirs, and otherwise Python's
+    sort orders them all.  A tie (-0.0 == 0.0 among them) or a NaN leaves
+    the order to np.argsort, whose ties fall as its algorithm and dispatch
+    level put them.  The rising_head path reorders sim and fs in place."""
+    if rising_head:
+        f, n = fs[-1], len(fs) - 1
+        i = bisect.bisect_left(fs, f, 0, n)
+        if i == n or f < fs[i]:  # fs[:i] < f, and NaN goes to i = 0
+            sim.insert(i, sim.pop())
+            fs.insert(i, fs.pop())
+            return sim, fs, True
+    order = sorted(range(len(fs)), key=fs.__getitem__)
+    ranked = [fs[i] for i in order]
+    if all(map(operator.lt, ranked, ranked[1:])):
+        return [sim[i] for i in order], ranked, True
     order = np.array(fs).argsort().tolist()
-    return [sim[i] for i in order], [fs[i] for i in order]
+    return [sim[i] for i in order], [fs[i] for i in order], False
 
 
 def _nelder_mead(x0):
@@ -559,9 +603,11 @@ def _nelder_mead(x0):
     method="Nelder-Mead", options={"maxiter": 120, "xatol": 1e-6,
     "fatol": 1e-12}): its initial simplex, coefficients (reflection 1,
     expansion 2, contraction 1/2, shrink 1/2), branch order, stopping test,
-    centroid summed vertex by vertex from the first, and reordering by
-    np.argsort, so that tied values (clipping makes them on box faces)
-    break as scipy's do."""
+    centroid summed vertex by vertex from the first, and the order
+    np.argsort gives each step, so that tied values (clipping makes them on
+    box faces) break as scipy's do.  _sorted_simplex keeps that order,
+    bisecting for the new worst vertex's place after a step that moved only
+    it, while the other n rise strictly."""
     x0 = np.asarray(x0, dtype=float).tolist()
     n = len(x0)
     sim = [x0]
@@ -573,16 +619,18 @@ def _nelder_mead(x0):
     for x in sim:
         fs.append((yield x))
     # scipy sorts the initial simplex twice; a repeat can reorder ties
-    sim, fs = _sorted_simplex(sim, fs)
-    sim, fs = _sorted_simplex(sim, fs)
+    sim, fs, rising = _sorted_simplex(sim, fs)
+    sim, fs, rising = _sorted_simplex(sim, fs)
     for _ in range(119):
         best, worst = sim[0], sim[-1]
-        if (all(abs(a - b) <= 1e-6 for x in sim[1:] for a, b in zip(x, best))
-                and all(abs(fs[0] - fx) <= 1e-12 for fx in fs[1:])):
+        # scipy's two tests, the cheaper first: neither has side effects
+        if (all(abs(fs[0] - fx) <= 1e-12 for fx in fs[1:])
+                and all(abs(a - b) <= 1e-6
+                        for x in sim[1:] for a, b in zip(x, best))):
             break
-        xbar = list(best)
+        xbar = best
         for x in sim[1:-1]:
-            xbar = [s + a for s, a in zip(xbar, x)]
+            xbar = list(map(operator.add, xbar, x))
         xbar = [s / n for s in xbar]
         xr = [2 * c - w for c, w in zip(xbar, worst)]
         fxr = yield xr
@@ -607,22 +655,28 @@ def _nelder_mead(x0):
                 for j in range(1, n + 1):
                     sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
                     fs[j] = yield sim[j]
-        sim, fs = _sorted_simplex(sim, fs)
+                rising = False  # every vertex but the best moved
+        sim, fs, rising = _sorted_simplex(sim, fs, rising)
     return np.array(sim[0]), float(np.min(fs))
 
 
 def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     """Maximize the UCB over the model's box: a scan of SOBOL_CANDIDATES
-    scrambled Sobol points (one batched gp_predict), then _nelder_mead from
-    the best LOCAL_SEARCHES candidates on the UCB at the clipped point.  The
-    searches run on _lockstep with one batched gp_predict per round, whose
-    rows have the bits of one-point calls under the SkylakeX OpenBLAS
-    kernel with numpy's AVX-512 dispatch.  Tests hold the local search to
-    scipy's Nelder-Mead bit for bit.  Candidates with tied scores are
-    ranked by the reversed np.argsort of the scan, so the best is whichever
-    tie the default sort puts last, and that order can differ between
-    numpy's dispatch levels; among the local searches, a tie keeps the
-    earlier candidate."""
+    scrambled Sobol points (one batched gp_predict), then _nelder_mead
+    from the best LOCAL_SEARCHES candidates on the UCB at the clipped
+    point.  The searches run on _lockstep with one _posterior call per
+    round on the clipped, normalized queries: the rows gp_predict would
+    pass, without its per-call checks, which these queries never fail
+    (the candidates are finite, and so is every vertex the simplex
+    arithmetic forms from them: a step's point is at most 5 times the
+    simplex's largest coordinate, over at most 119 steps).  Under the
+    SkylakeX OpenBLAS kernel with numpy's AVX-512 dispatch each round's
+    rows have the bits of one-point gp_predict calls.  Tests hold the
+    local search to scipy's Nelder-Mead bit for bit.  Candidates with tied
+    scores are ranked by the reversed np.argsort of the scan, so the best
+    is whichever tie the default sort puts last, and that order can differ
+    between numpy's dispatch levels; among the local searches, a tie keeps
+    the earlier candidate."""
     domain = model.domain
     cand = domain.denormalize(
         sobol(domain.dim, SOBOL_CANDIDATES, int(rng.integers(2 ** 63))))
@@ -634,7 +688,8 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
 
     results = _lockstep(
         [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]],
-        lambda xs: (-ucb(*gp_predict(model, domain.clip(xs)), h)).tolist())
+        lambda xs: (-ucb(*_posterior(model, domain.normalize(domain.clip(xs))),
+                         h)).tolist())
     for x, fun in results:  # in candidate order
         if -fun > best_score:
             best_score = -fun

@@ -20,7 +20,8 @@ from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               SOBOL_CANDIDATES, SOBOL_MAX_DIM, Domain,
                               GpModel, TunerConfig, _cov, _lbfgsb_run,
                               _lockstep, _neg_lml_and_grad, _nelder_mead,
-                              _planes, _sum_planes, flr_bound_domain,
+                              _planes, _posterior, _sorted_simplex,
+                              _sum_planes, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
                               suggest, tracking_cost, ucb)
@@ -57,6 +58,54 @@ def test_domain_normalize_roundtrip(x):
     X = d.denormalize(np.array(x))
     np.testing.assert_allclose(d.normalize(X), np.atleast_2d(x),
                                rtol=1e-12, atol=1e-12)
+
+
+# bounds with signed zeros and zero widths, the lower one -0.0 among them
+_CLIP_BOUNDS = ((0.0, 150.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                (2.0, 2.0), (-5.0, 5.0), (-0.0, 3.0), (-3.0, 0.0))
+
+
+def _clip_values(lo: float, hi: float) -> list:
+    """Values at, just inside and beyond both bounds, signed zeros, huge
+    and infinite values."""
+    return [lo, hi, -0.0, 0.0, np.nextafter(lo, -np.inf),
+            np.nextafter(hi, np.inf), np.nextafter(lo, np.inf),
+            np.nextafter(hi, -np.inf), lo - 1.0, hi + 1.0, (lo + hi) / 2,
+            1e308, -1e308, math.inf, -math.inf, 5e-324, -5e-324]
+
+
+def test_domain_clip_is_np_clip_bytewise():
+    """Domain.clip gives np.clip's bytes on every value of _clip_values in
+    each dimension of _CLIP_BOUNDS, as one point and as batches of 1 to
+    17 rows (numpy's loops take other paths on longer arrays); numpy
+    documents the sign of a clipped zero for neither."""
+    lo, hi = zip(*_CLIP_BOUNDS)
+    dom = Domain(names=tuple(f"x{i}" for i in range(len(lo))), lo=lo, hi=hi)
+    columns = [_clip_values(a, b) for a, b in _CLIP_BOUNDS]
+    X = np.array(columns).T  # row j holds value j of every dimension
+    for x in X:
+        assert dom.clip(x).tobytes() == np.clip(x, lo, hi).tobytes()
+    for m in range(1, len(X) + 1):
+        assert dom.clip(X[:m]).tobytes() == np.clip(X[:m], lo, hi).tobytes()
+        assert dom.clip(X[-m:]).tobytes() == np.clip(X[-m:], lo, hi).tobytes()
+
+
+@given(bounds=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                       min_size=1, max_size=SOBOL_MAX_DIM),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_domain_clip_is_np_clip_on_drawn_boxes(bounds, data):
+    """Domain.clip gives np.clip's bytes on drawn boxes, zero widths
+    included, for 1 to 9 points drawn from each box's bounds, their
+    neighbours, signed zeros and any float."""
+    lo, hi = zip(*(sorted(b) for b in bounds))
+    dom = Domain(names=tuple(f"x{i}" for i in range(len(lo))), lo=lo, hi=hi)
+    m = data.draw(st.integers(1, 9))
+    X = np.array([[data.draw(st.one_of(st.sampled_from(_clip_values(a, b)),
+                                       st.floats(allow_nan=False)))
+                   for a, b in zip(lo, hi)] for _ in range(m)])
+    assert dom.clip(X).tobytes() == np.clip(X, lo, hi).tobytes()
+    assert dom.clip(X[0]).tobytes() == np.clip(X[0], lo, hi).tobytes()
 
 
 def test_pd_gain_domain_box():
@@ -463,9 +512,9 @@ def _drive(search, f):
        n=st.integers(2, 40), h=st.sampled_from([0.0, 2.576, None]))
 @settings(max_examples=40, deadline=None)
 def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
-    """-ucb of a batched gp_predict at the clipped points, as suggest
-    evaluates its local searches, equals -ucb of a one-point gp_predict
-    for every point of a batch of 1 to 8, and _nelder_mead driven
+    """-ucb of one _posterior call on the clipped, normalized points, as
+    suggest evaluates its local searches, equals -ucb of a one-point
+    gp_predict for every point of a batch of 1 to 8, and _nelder_mead driven
     point by point equals scipy's Nelder-Mead on that function, bit for
     bit, from Sobol candidates, corners, points on box faces (where
     clipping ties values), points with zero components and boxes with
@@ -499,7 +548,7 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
     starts += [face, zeros, np.zeros(d), np.full(d, -0.0)]
 
     def batch_neg_ucb(X):
-        return -ucb(*gp_predict(model, dom.clip(np.array(X))), h)
+        return -ucb(*_posterior(model, dom.normalize(dom.clip(np.array(X)))), h)
 
     def checked(x):
         value = in_batch(batch_neg_ucb, x)
@@ -516,6 +565,77 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
                                          "fatol": 1e-12})
         assert x.tobytes() == res.x.tobytes()
         assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+
+
+# simplex values as the search meets them: signed zeros, repeats (clipping
+# to a box face gives equal UCB values), infinities and NaN beside any float
+_SIMPLEX_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _tied(values: list, picks: list) -> list:
+    """values with entry i replaced by a copy of entry picks[i] where
+    picks[i] < i, so ties are forced wherever the picks say."""
+    values = list(values)
+    for i, j in enumerate(picks[:len(values)]):
+        if j < i:
+            values[i] = values[j]
+    return values
+
+
+@given(values=st.lists(_SIMPLEX_VALUE, min_size=2, max_size=9),
+       picks=st.lists(st.integers(0, 8), max_size=9))
+@example(values=[0.0, -0.0], picks=[])
+@example(values=[-0.0, 1.0, 0.0, -0.0, 0.0], picks=[])
+@example(values=[2.0, 1.0, 3.0, 1.0, 2.0, 1.0], picks=[])
+@settings(max_examples=300, deadline=None)
+def test_sorted_simplex_orders_as_argsort(values, picks):
+    """_sorted_simplex puts the vertices in the order np.argsort puts
+    their values, whether Python's sort or np.argsort orders them: with
+    forced ties, -0.0 beside 0.0, repeats and NaN.  It says the sorted
+    values rise strictly exactly when they do."""
+    fs = _tied(values, picks)
+    order = np.array(fs).argsort().tolist()
+    sim, ranked, rising = _sorted_simplex([[i] for i in range(len(fs))], fs)
+    assert [v[0] for v in sim] == order
+    assert _bytes(ranked) == _bytes([fs[i] for i in order])
+    assert rising == all(a < b for a, b in zip(ranked, ranked[1:]))
+
+
+@given(values=st.lists(_SIMPLEX_VALUE, min_size=2, max_size=9),
+       picks=st.lists(st.integers(0, 8), max_size=9), new=_SIMPLEX_VALUE,
+       pick=st.integers(0, 9))
+@example(values=[3.0, 1.0, 2.0], picks=[], new=1.5, pick=9)
+@example(values=[3.0, 1.0, 2.0], picks=[], new=-1.0, pick=9)
+@example(values=[3.0, 1.0, 2.0], picks=[], new=7.0, pick=9)
+@example(values=[3.0, 0.0, 2.0], picks=[], new=-0.0, pick=9)
+@example(values=[3.0, 1.0, 2.0], picks=[], new=math.nan, pick=9)
+@settings(max_examples=300, deadline=None)
+def test_sorted_simplex_bisects_for_a_new_worst_vertex(values, picks, new,
+                                                      pick):
+    """After a step that replaces only the worst vertex of a sorted
+    simplex, _sorted_simplex told whether the other vertices rise strictly
+    puts the new one where np.argsort puts its value.  It bisects, in
+    place, exactly when they rise strictly and the new value lies strictly
+    between theirs; a tie with any of them (also forced: pick < len
+    copies that entry), -0.0 beside 0.0 or a NaN sorts them all again."""
+    sim, fs, rising = _sorted_simplex([[i] for i in range(len(values))],
+                                      _tied(values, picks))
+    if pick < len(fs) - 1:
+        new = fs[pick]
+    sim[-1], fs[-1] = [len(fs)], new
+    labels = [v[0] for v in sim]
+    order = np.array(fs).argsort().tolist()
+    expected = ([labels[i] for i in order], [fs[i] for i in order])
+    head = fs[:-1]
+    bisects = rising and all(new != v for v in head) and new == new
+    got_sim, got_fs, got_rising = _sorted_simplex(sim, fs, rising)
+    assert ([v[0] for v in got_sim], _bytes(got_fs)) == \
+        (expected[0], _bytes(expected[1]))
+    assert got_rising == all(a < b for a, b in zip(got_fs, got_fs[1:]))
+    assert (got_sim is sim and got_fs is fs) == bisects
 
 
 def _chain_pairs(D2: np.ndarray) -> np.ndarray:
@@ -682,25 +802,25 @@ def test_lockstep_sends_each_run_its_own_row():
 
 
 def test_suggest_runs_its_searches_in_lockstep(monkeypatch):
-    """After its scan, suggest makes as many gp_predict calls as its
+    """After its scan, suggest makes as many _posterior calls as its
     longest local search needs alone, not the sum over its LOCAL_SEARCHES
     searches, and evaluates each search's queries once: the rows of those
     calls add up to the searches' queries run one at a time.  Its point
     is, bit for bit, the best of those searches, each run alone with
-    _drive on a one-point negated UCB."""
+    _drive on a one-point gp_predict's negated UCB."""
     rng = np.random.default_rng(4)
     dom = pd_gain_domain()
     X = dom.denormalize(rng.random((16, 4)))
     model = gp_fit(X, np.sin(X @ rng.standard_normal(4) / 50.0), dom, 0)
     h = 2.576
-    predict = tuning.gp_predict
+    core = tuning._posterior
     rows = []
 
-    def counting(model, x):
-        rows.append(len(np.atleast_2d(x)))
-        return predict(model, x)
+    def counting(model, U):
+        rows.append(len(U))
+        return core(model, U)
 
-    monkeypatch.setattr(tuning, "gp_predict", counting)
+    monkeypatch.setattr(tuning, "_posterior", counting)
     x = suggest(model, np.random.default_rng(9), h)
     monkeypatch.undo()
     assert rows[0] == SOBOL_CANDIDATES
@@ -724,6 +844,32 @@ def test_suggest_runs_its_searches_in_lockstep(monkeypatch):
     best_x, best_fun = min(results, key=lambda r: r[1])  # first of ties
     assert -best_fun > scores[order[0]]
     assert x.tobytes() == dom.clip(best_x).tobytes()
+
+
+def test_pinned_tune_does_the_same_work(monkeypatch, tmp_path):
+    """The frozen `tune --stage pd --episodes 16 --n-init 10` makes 465
+    batched likelihood calls over 1,495 rows and 1,653 _posterior calls
+    over 23,401 rows: 6 scans of SOBOL_CANDIDATES points and 1,647 search
+    rounds.  A faster tuner does the same work, not less of it."""
+    likelihood, core = tuning._neg_lml_and_grad, tuning._posterior
+    fit_rows, core_rows = [], []
+
+    def counting_likelihood(thetas, *args):
+        fit_rows.append(len(thetas))
+        return likelihood(thetas, *args)
+
+    def counting_core(model, U):
+        core_rows.append(len(U))
+        return core(model, U)
+
+    monkeypatch.setattr(tuning, "_neg_lml_and_grad", counting_likelihood)
+    monkeypatch.setattr(tuning, "_posterior", counting_core)
+    assert main(["tune", "--stage", "pd", "--episodes", "16", "--n-init", "10",
+                 "--out", str(tmp_path / "pin")]) == 0
+    assert (len(fit_rows), sum(fit_rows)) == (465, 1495)
+    assert (len(core_rows), sum(core_rows)) == (1653, 23401)
+    assert core_rows.count(SOBOL_CANDIDATES) == 6
+    assert max(r for r in core_rows if r != SOBOL_CANDIDATES) <= LOCAL_SEARCHES
 
 
 def test_ucb_definition():

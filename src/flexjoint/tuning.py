@@ -10,7 +10,6 @@ different widths (e.g. kp in [0, 150] against kd in [0, 30]).
 
 from __future__ import annotations
 
-import bisect
 import importlib.util
 import math
 import operator
@@ -185,9 +184,7 @@ class Domain:
         return np.atleast_2d(U) * self._width + self._lo
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        """np.clip(x, lo, hi) without np.clip's Python wrapper; a test holds
-        the two to the same bytes, signed zeros included."""
-        return np.minimum(np.maximum(x, self._lo), self._hi)
+        return np.clip(x, self._lo, self._hi)
 
 
 MAX_EPISODES = 10_000
@@ -531,9 +528,10 @@ def _posterior(model: GpModel, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one-point call: the mean is a per-row dot (one ddot, where a
     (m, n) @ alpha gemv rounds rows apart), and the kernel, the dpotrs
     columns and the variance reduction are per row already; other kernels
-    can round a multi-column dpotrs apart from one column.  A row far off
-    the unit box can overflow a squared difference to inf, a zero
-    correlation; numpy warns of it unless the caller silences it."""
+    can round a multi-column dpotrs apart from one column.  A query or
+    training row far off the unit box can overflow a squared difference to
+    inf, a zero correlation; numpy warns of it unless the caller silences
+    it, as gp_predict and suggest do."""
     sf2 = model.signal_variance
     D = U.T[:, :, None] - model.XnT[:, None, :]
     np.square(D, out=D)
@@ -556,8 +554,7 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     columns, as cho_solve's own check would have found."""
     X = np.atleast_2d(np.asarray_chkfinite(x, dtype=float))
     # off a zero-width dimension the normalized offset or its square
-    # overflows to inf: zero correlation, the intended limit (suggest's
-    # rows lie in the box, where no step overflows)
+    # overflows to inf: zero correlation, the intended limit
     with np.errstate(over="ignore"):
         mean, std = _posterior(model, model.domain.normalize(X))
     if np.ndim(x) == 1:
@@ -570,29 +567,18 @@ def ucb(mean, stddev, h: float):
     return mean + h * stddev
 
 
-def _sorted_simplex(sim: list, fs: list,
-                    rising_head: bool = False) -> tuple[list, list, bool]:
-    """sim and fs in the order np.array(fs).argsort() puts fs, and whether
-    the sorted values rise strictly.  Where they do, that is the only
-    ascending order, so any sort finds it: with rising_head, which says
-    that fs[:-1] rises strictly already, bisection places the last vertex
-    when its value falls strictly between theirs, and otherwise Python's
-    sort orders them all.  A tie (-0.0 == 0.0 among them) or a NaN leaves
-    the order to np.argsort, whose ties fall as its algorithm and dispatch
-    level put them.  The rising_head path reorders sim and fs in place."""
-    if rising_head:
-        f, n = fs[-1], len(fs) - 1
-        i = bisect.bisect_left(fs, f, 0, n)
-        if i == n or f < fs[i]:  # fs[:i] < f, and NaN goes to i = 0
-            sim.insert(i, sim.pop())
-            fs.insert(i, fs.pop())
-            return sim, fs, True
+def _sorted_simplex(sim: list, fs: list) -> tuple[list, list]:
+    """sim and fs in the order np.array(fs).argsort() puts fs.  Where
+    Python's sort leaves the values rising strictly, that is the only
+    ascending order, so both sorts find it; a tie (-0.0 == 0.0 among them)
+    or a NaN leaves the order to np.argsort, whose ties fall as its
+    algorithm and dispatch level put them."""
     order = sorted(range(len(fs)), key=fs.__getitem__)
     ranked = [fs[i] for i in order]
     if all(map(operator.lt, ranked, ranked[1:])):
-        return [sim[i] for i in order], ranked, True
+        return [sim[i] for i in order], ranked
     order = np.array(fs).argsort().tolist()
-    return [sim[i] for i in order], [fs[i] for i in order], False
+    return [sim[i] for i in order], [fs[i] for i in order]
 
 
 def _nelder_mead(x0):
@@ -605,9 +591,9 @@ def _nelder_mead(x0):
     expansion 2, contraction 1/2, shrink 1/2), branch order, stopping test,
     centroid summed vertex by vertex from the first, and the order
     np.argsort gives each step, so that tied values (clipping makes them on
-    box faces) break as scipy's do.  _sorted_simplex keeps that order,
-    bisecting for the new worst vertex's place after a step that moved only
-    it, while the other n rise strictly."""
+    box faces) break as scipy's do: _sorted_simplex keeps that order with
+    Python's sort where the values rise strictly, and np.argsort's on a
+    tie."""
     x0 = np.asarray(x0, dtype=float).tolist()
     n = len(x0)
     sim = [x0]
@@ -619,8 +605,8 @@ def _nelder_mead(x0):
     for x in sim:
         fs.append((yield x))
     # scipy sorts the initial simplex twice; a repeat can reorder ties
-    sim, fs, rising = _sorted_simplex(sim, fs)
-    sim, fs, rising = _sorted_simplex(sim, fs)
+    sim, fs = _sorted_simplex(sim, fs)
+    sim, fs = _sorted_simplex(sim, fs)
     for _ in range(119):
         best, worst = sim[0], sim[-1]
         # scipy's two tests, the cheaper first: neither has side effects
@@ -655,8 +641,7 @@ def _nelder_mead(x0):
                 for j in range(1, n + 1):
                     sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
                     fs[j] = yield sim[j]
-                rising = False  # every vertex but the best moved
-        sim, fs, rising = _sorted_simplex(sim, fs, rising)
+        sim, fs = _sorted_simplex(sim, fs)
     return np.array(sim[0]), float(np.min(fs))
 
 
@@ -666,7 +651,8 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     from the best LOCAL_SEARCHES candidates on the UCB at the clipped
     point.  The searches run on _lockstep with one _posterior call per
     round on the clipped, normalized queries: the rows gp_predict would
-    pass, without its per-call checks, which these queries never fail
+    pass, under its overflow silencing, without its finiteness check,
+    which these queries never fail
     (the candidates are finite, and so is every vertex the simplex
     arithmetic forms from them: a step's point is at most 5 times the
     simplex's largest coordinate, over at most 119 steps).  Under the
@@ -686,10 +672,13 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     best_x = cand[order[0]]
     best_score = scores[order[0]]
 
-    results = _lockstep(
-        [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]],
-        lambda xs: (-ucb(*_posterior(model, domain.normalize(domain.clip(xs))),
-                         h)).tolist())
+    # as in gp_predict: a training row off a zero-width dimension sits far
+    # off the unit box, and its squared difference overflows to inf
+    with np.errstate(over="ignore"):
+        results = _lockstep(
+            [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]],
+            lambda xs: (-ucb(*_posterior(
+                model, domain.normalize(domain.clip(xs))), h)).tolist())
     for x, fun in results:  # in candidate order
         if -fun > best_score:
             best_score = -fun

@@ -444,21 +444,26 @@ def _lockstep(runs, fun) -> list:
     """Drive the generators runs, each of which yields the point it needs
     next and is sent its reply, until all return.  Each round makes one
     call fun(xs), whose rows are the pending points of all live runs in
-    run order and which returns one reply per row; each run is sent its
-    own row's reply, so there are as many calls as the longest run has
-    points.  The runs share nothing but fun, so each gets the replies it
-    would get alone when fun's rows do not depend on the batch.  Returns
-    each run's return value, in run order."""
-    pending = {i: next(run) for i, run in enumerate(runs)}
+    run order, kept in two lists rebuilt each round, and which returns one
+    reply per row; xs is a fresh array that fun may overwrite.  Each run
+    is sent its own row's reply, so there are as many calls as the longest
+    run has points.  The runs share nothing but fun, so each gets the
+    replies it would get alone when fun's rows do not depend on the batch.
+    Returns each run's return value, in run order."""
+    live = list(enumerate(runs))
+    points = [next(run) for run in runs]
     results = [None] * len(runs)
-    while pending:
-        replies = fun(np.array(list(pending.values())))
-        for i, reply in zip(list(pending), replies):
+    while live:
+        replies = fun(np.array(points))
+        still, points = [], []
+        for (i, run), reply in zip(live, replies):
             try:
-                pending[i] = runs[i].send(reply)
+                points.append(run.send(reply))
             except StopIteration as done:
-                del pending[i]
                 results[i] = done.value
+            else:
+                still.append((i, run))
+        live = still
     return results
 
 
@@ -471,7 +476,9 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
     _lockstep, each bit for bit scipy.optimize.minimize's L-BFGS-B,
     with one batched _neg_lml_and_grad per round.  The winner is the first
     start with the lowest value.  Singular covariances go through a fixed
-    jitter escalation before failing."""
+    jitter escalation before failing.  Rows that differ on a zero-width
+    dimension of the box raise ValueError; rows off it at one value, up to
+    about 1e8 off, fit."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
@@ -480,7 +487,16 @@ def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
         raise ValueError("gp_fit data contains non-finite values")
     if len(y) < 2:
         raise ValueError("gp_fit needs at least 2 rows")
-    Xn = domain.normalize(X)
+    # rows that differ on a zero-width (or near zero-width) dimension lie
+    # some 1e300 widths apart there, past what the planes can square;
+    # Python floats overflow to inf and NaN without a warning
+    with np.errstate(over="ignore"):
+        Xn = domain.normalize(X)
+    for name, a, b, col in zip(domain.names, domain.lo, domain.hi, Xn.T.tolist()):
+        spread = max(col) - min(col)
+        if not spread * spread < math.inf:
+            raise ValueError(f"gp_fit rows on dimension {name} lie too far "
+                             f"apart or off its box [{a}, {b}] to normalize")
     y_mean = float(np.mean(y))
     y_std = float(np.std(y))
     if y_std <= 0.0:
@@ -567,6 +583,22 @@ def ucb(mean, stddev, h: float):
     return mean + h * stddev
 
 
+def _search_round(model: GpModel, X: np.ndarray, h: float) -> list:
+    """The negated UCB, as floats, at the queries X (m, d) of one local
+    search round: X is clipped to the model's box and normalized in place
+    and goes to _posterior, as gp_predict would take domain.clip(X) less
+    its finiteness check (suggest says why these queries pass it).  Where
+    np.clip gives a zero, np.maximum and np.minimum may give it the other
+    sign; no squared offset can tell, so every value keeps its bits."""
+    domain = model.domain
+    np.maximum(X, domain._lo, out=X)
+    np.minimum(X, domain._hi, out=X)
+    X -= domain._lo
+    X /= domain._width
+    mean, std = _posterior(model, X)
+    return (-ucb(mean, std, h)).tolist()
+
+
 def _sorted_simplex(sim: list, fs: list) -> tuple[list, list]:
     """sim and fs in the order np.array(fs).argsort() puts fs.  Where
     Python's sort leaves the values rising strictly, that is the only
@@ -593,7 +625,11 @@ def _nelder_mead(x0):
     np.argsort gives each step, so that tied values (clipping makes them on
     box faces) break as scipy's do: _sorted_simplex keeps that order with
     Python's sort where the values rise strictly, and np.argsort's on a
-    tie."""
+    tie.  On that order scipy's value test max |fs[0] - fs[k]| <= fatol is
+    the one comparison fs[-1] - fs[0] <= fatol: a - b rounds monotonically
+    in a and negates exactly, and a NaN (sorted last) or -inf - -inf fails
+    both.  The centroid is one lazy chain of adds per coordinate, in
+    scipy's order, read once by the division."""
     x0 = np.asarray(x0, dtype=float).tolist()
     n = len(x0)
     sim = [x0]
@@ -610,13 +646,13 @@ def _nelder_mead(x0):
     for _ in range(119):
         best, worst = sim[0], sim[-1]
         # scipy's two tests, the cheaper first: neither has side effects
-        if (all(abs(fs[0] - fx) <= 1e-12 for fx in fs[1:])
+        if (fs[-1] - fs[0] <= 1e-12
                 and all(abs(a - b) <= 1e-6
                         for x in sim[1:] for a, b in zip(x, best))):
             break
         xbar = best
         for x in sim[1:-1]:
-            xbar = list(map(operator.add, xbar, x))
+            xbar = map(operator.add, xbar, x)
         xbar = [s / n for s in xbar]
         xr = [2 * c - w for c, w in zip(xbar, worst)]
         fxr = yield xr
@@ -649,13 +685,14 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     """Maximize the UCB over the model's box: a scan of SOBOL_CANDIDATES
     scrambled Sobol points (one batched gp_predict), then _nelder_mead
     from the best LOCAL_SEARCHES candidates on the UCB at the clipped
-    point.  The searches run on _lockstep with one _posterior call per
-    round on the clipped, normalized queries: the rows gp_predict would
-    pass, under its overflow silencing, without its finiteness check,
-    which these queries never fail
-    (the candidates are finite, and so is every vertex the simplex
-    arithmetic forms from them: a step's point is at most 5 times the
-    simplex's largest coordinate, over at most 119 steps).  Under the
+    point.  The searches run on _lockstep with one _search_round per
+    round, which clips and normalizes the round's fresh query array in
+    place and makes one _posterior call, the core the scan reaches
+    through gp_predict: the rows gp_predict would pass, under its
+    overflow silencing, without its finiteness check, which these queries
+    never fail (the candidates are finite, and so is every vertex the
+    simplex arithmetic forms from them: a step's point is at most 5 times
+    the simplex's largest coordinate, over at most 119 steps).  Under the
     SkylakeX OpenBLAS kernel with numpy's AVX-512 dispatch each round's
     rows have the bits of one-point gp_predict calls.  Tests hold the
     local search to scipy's Nelder-Mead bit for bit.  Candidates with tied
@@ -677,8 +714,7 @@ def suggest(model: GpModel, rng: np.random.Generator, h: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         results = _lockstep(
             [_nelder_mead(cand[i]) for i in order[:LOCAL_SEARCHES]],
-            lambda xs: (-ucb(*_posterior(
-                model, domain.normalize(domain.clip(xs))), h)).tolist())
+            lambda xs: _search_round(model, xs, h))
     for x, fun in results:  # in candidate order
         if -fun > best_score:
             best_score = -fun

@@ -195,6 +195,7 @@ def test_criterion_5_companion_baseline_blows_up():
 # ---------------------------------------------------------------------------
 # 6. optimizer sanity
 
+@pytest.mark.slow
 def test_criterion_6_bo_sanity():
     unit = Domain(names=("x",), lo=(0.0,), hi=(1.0,))
     hits = 0

@@ -20,7 +20,7 @@ from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               SOBOL_CANDIDATES, SOBOL_MAX_DIM, Domain,
                               GpModel, TunerConfig, _cov, _lbfgsb_run,
                               _lockstep, _neg_lml_and_grad, _nelder_mead,
-                              _planes, _posterior, _sorted_simplex,
+                              _planes, _search_round, _sorted_simplex,
                               _sum_planes, flr_bound_domain,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
@@ -438,6 +438,19 @@ def test_suggest_with_training_rows_off_a_zero_width_dimension():
     assert x.tobytes() == dom.clip(x).tobytes()
 
 
+def test_gp_fit_rows_straddling_a_zero_width_dimension_is_one_line_error():
+    """Rows at 2.0 and 2.5 on a [2, 2] dimension lie 5e299 normalized
+    widths apart, past what the likelihood's planes can square: gp_fit
+    raises a one-line ValueError that names the dimension, before any
+    overflow warning (an error under the suite's filterwarnings)."""
+    dom = Domain(names=("a", "b"), lo=(0.0, 2.0), hi=(1.0, 2.0))
+    for X in ([[0.1, 2.0], [0.5, 2.5]], [[0.1, 2.5], [0.5, 2.5], [0.9, 1.5]],
+              [[0.1, 2e10], [0.5, 2e10]]):
+        with pytest.raises(ValueError, match="dimension b") as err:
+            gp_fit(np.array(X), np.arange(len(X), dtype=float), dom, 0)
+        assert "\n" not in str(err.value)
+
+
 def test_surrogate_rejects_nonfinite_and_non_pd_input():
     model, ys, _ = _random_model(0, 2, 5)
     x = np.array([np.nan, model.domain.lo[1]])
@@ -485,14 +498,13 @@ def _drive(search, f):
        n=st.integers(2, 40), h=st.sampled_from([0.0, 2.576, None]))
 @settings(max_examples=40, deadline=None)
 def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
-    """-ucb of one _posterior call on the clipped, normalized points, as
-    suggest evaluates its local searches, equals -ucb of a one-point
-    gp_predict for every point of a batch of 1 to 8, and _nelder_mead driven
-    point by point equals scipy's Nelder-Mead on that function, bit for
-    bit, from Sobol candidates, corners, points on box faces (where
-    clipping ties values), points with zero components and boxes with
-    zero-width dimensions.  Every query of the simplex is evaluated at a
-    random slot of a random batch."""
+    """_search_round, as suggest evaluates its local searches, equals -ucb
+    of a one-point gp_predict for every point of a batch of 1 to 8, and
+    _nelder_mead driven point by point equals scipy's Nelder-Mead on that
+    function, bit for bit, from Sobol candidates, corners, points on box
+    faces (where clipping ties values), points with zero components and
+    boxes with zero-width dimensions.  Every query of the simplex is
+    evaluated at a random slot of a random batch."""
     model, _, rng = _random_model(seed, d, n)
     dom = model.domain
     h = float(rng.uniform(0.0, 5.0)) if h is None else h
@@ -521,7 +533,7 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
     starts += [face, zeros, np.zeros(d), np.full(d, -0.0)]
 
     def batch_neg_ucb(X):
-        return -ucb(*_posterior(model, dom.normalize(dom.clip(np.array(X)))), h)
+        return _search_round(model, np.array(X), h)
 
     def checked(x):
         value = in_batch(batch_neg_ucb, x)
@@ -577,6 +589,31 @@ def test_sorted_simplex_orders_as_argsort(values, picks):
     sim, ranked = _sorted_simplex([[i] for i in range(len(fs))], fs)
     assert [v[0] for v in sim] == order
     assert _bytes(ranked) == _bytes([fs[i] for i in order])
+
+
+@given(values=st.lists(_SIMPLEX_VALUE, min_size=2, max_size=9),
+       picks=st.lists(st.integers(0, 8), max_size=9))
+@example(values=[0.0, -0.0], picks=[])
+@example(values=[-math.inf, -math.inf, 1.0], picks=[])
+@example(values=[-math.inf, -math.inf], picks=[])
+@example(values=[math.inf, math.inf], picks=[])
+@example(values=[1.0, 1.0 + 1e-12, 1.0 + 2e-12], picks=[])
+@example(values=[0.0, 1e-12, 5e-13], picks=[])
+@example(values=[1.0, 2.0, math.nan], picks=[])
+@settings(max_examples=300, deadline=None)
+def test_one_comparison_stop_test_is_scipys(values, picks):
+    """On every order _sorted_simplex returns, _nelder_mead's value test
+    fs[-1] - fs[0] <= 1e-12 decides as scipy's
+    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol: with forced ties, signed
+    zeros, differences at the tolerance, infinities and NaN."""
+    _, fs = _sorted_simplex([[i] for i in range(len(values))],
+                            _tied(values, picks))
+    fsim = np.array(fs)
+    # inf - inf is NaN, and a difference past the float range inf, in both
+    # forms; Python's floats say nothing of either
+    with np.errstate(invalid="ignore", over="ignore"):
+        scipy_stops = bool(np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12)
+    assert (fs[-1] - fs[0] <= 1e-12) == scipy_stops
 
 
 def _chain_pairs(D2: np.ndarray) -> np.ndarray:
@@ -810,6 +847,35 @@ def test_pinned_tune_does_the_same_work(monkeypatch, tmp_path):
     assert (len(fit_rows), sum(fit_rows)) == (465, 1495)
     assert (len(core_rows), sum(core_rows)) == (1653, 23401)
     assert core_rows.count(SOBOL_CANDIDATES) == 6
+    assert max(r for r in core_rows if r != SOBOL_CANDIDATES) <= LOCAL_SEARCHES
+
+
+def test_pinned_flr_tune_does_the_same_work(monkeypatch, tmp_path):
+    """The frozen 8-D `tune --stage flr --episodes 12 --n-init 10` makes
+    140 batched likelihood calls over 562 rows and 419 _posterior calls
+    over 7,287 rows: 2 scans of SOBOL_CANDIDATES points and 417 search
+    rounds, every one through _sum_planes' d = 8 branch."""
+    likelihood, core = tuning._neg_lml_and_grad, tuning._posterior
+    fit_rows, core_rows = [], []
+
+    def counting_likelihood(thetas, *args):
+        fit_rows.append(len(thetas))
+        return likelihood(thetas, *args)
+
+    def counting_core(model, U):
+        assert U.shape[1] == 8
+        core_rows.append(len(U))
+        return core(model, U)
+
+    monkeypatch.setattr(tuning, "_neg_lml_and_grad", counting_likelihood)
+    monkeypatch.setattr(tuning, "_posterior", counting_core)
+    gains = tmp_path / "gains.txt"
+    gains.write_text("kp1 = 52.19\nkd1 = 10.18\nkp2 = 144.5\nkd2 = 8.636\n")
+    assert main(["tune", "--stage", "flr", "--episodes", "12", "--n-init", "10",
+                 "--gains", str(gains), "--out", str(tmp_path / "pin")]) == 0
+    assert (len(fit_rows), sum(fit_rows)) == (140, 562)
+    assert (len(core_rows), sum(core_rows)) == (419, 7287)
+    assert core_rows.count(SOBOL_CANDIDATES) == 2
     assert max(r for r in core_rows if r != SOBOL_CANDIDATES) <= LOCAL_SEARCHES
 
 

@@ -66,6 +66,10 @@ class ControllerKind(str, enum.Enum):
     PD1_FUZZY2 = "pd1-fuzzy2"
 
 
+# a module-level name reads faster than an enum member, once per control step
+_SINGLE_PD = ControllerKind.SINGLE_PD
+
+
 @dataclass(frozen=True)
 class Reference:
     """Tracked link-angle signal; evaluates to (x1d, x1d_dot, x1d_ddot).
@@ -124,13 +128,16 @@ class Controller:
         feeding it (e1, e2) and loop 2 (e3, e4)."""
         e1 = x1d - x1
         e2 = x1d_dot - x2
-        if self.kind is ControllerKind.SINGLE_PD:
+        if self.kind is _SINGLE_PD:
             kp, kd = self.single_gains
             u = kp * e1 + kd * e2
             nan = math.nan
             return u, u, nan, e1, e2, nan, nan, kp, kd, nan, nan
         g = self.gains
-        kp1, kd1, kp2, kd2 = g.kp1, g.kd1, g.kp2, g.kd2
+        kp1 = g.kp1
+        kd1 = g.kd1
+        kp2 = g.kp2
+        kd2 = g.kd2
         if self.loop1 is not None:
             dkp1, dkd1 = infer(self.loop1, e1, e2)
             kp1, kd1 = kp1 + dkp1, kd1 + dkd1
@@ -188,13 +195,17 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     from the ``disturbance_draws`` memo once, before the loop.  Each
     sub-step is one forward-Euler step of the equations in ``plant``'s
     docstring, term by term, with each coefficient computed once, in
-    straight-line float code: a counter numbers the sub-steps, and each
+    straight-line float code: a counter numbers the sub-steps, each
     velocity's derivative is written into its update, its operations in
-    the equation's order.  Raises
-    DivergedTrajectory before integrating a non-finite torque, and as soon
-    as any state component is NaN or its magnitude exceeds 1e6.
+    the equation's order, and the new state is committed one name at a
+    time and tested with one comparison per bound, so a sub-step builds
+    no tuple.  Raises DivergedTrajectory before integrating a non-finite torque, and
+    as soon as any state component is NaN or its magnitude exceeds 1e6.
     """
-    I_l, I_m, k, mgl = params.I_l, params.I_m, params.k, params.mgl
+    I_l = params.I_l
+    I_m = params.I_m
+    k = params.k
+    mgl = params.mgl
     a_grav = -mgl / I_l
     k_l = k / I_l
     k_m = k / I_m
@@ -237,14 +248,17 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
             y2 = x2 + dt * (a_grav * c - k_l * q + d1)
             y3 = x3 + dt * x4
             y4 = x4 + dt * (k_m * q - mu_m * x4 + u_m + d2)
-            # chained comparisons are false for NaN, as abs(y) <= lim is
-            if not (nlim <= y1 <= lim and nlim <= y2 <= lim
-                    and nlim <= y3 <= lim and nlim <= y4 <= lim):
+            # each comparison is false for NaN, as abs(y) <= lim is
+            if not (y1 <= lim and nlim <= y1 and y2 <= lim and nlim <= y2
+                    and y3 <= lim and nlim <= y3 and y4 <= lim and nlim <= y4):
                 if all(map(math.isfinite, (y1, y2, y3, y4))):
                     raise DivergedTrajectory(j, j * dt, State(y1, y2, y3, y4))
                 raise DivergedTrajectory(j, j * dt, State(x1, x2, x3, x4),
                                          "non-finite state")
-            x1, x2, x3, x4 = y1, y2, y3, y4
+            x1 = y1
+            x2 = y2
+            x3 = y3
+            x4 = y4
             c = cos(x1)
-    data = np.array(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
+    data = np.fromiter(rows, float, len(rows)).reshape(-1, len(TRAJ_COLUMNS))
     return Trajectory(data, final_state=State(x1, x2, x3, x4))

@@ -137,7 +137,9 @@ def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
     Each input is clamped to its scale; with peaks a <= x < b (or
     x = b = hi) around it, terms i and i + 1 grade (b - x)/(b - a) and
     (x - a)/(b - a), or 1.0 and 0.0 at x = a, and the others 0.  A NaN
-    input grades NaN, and every sum over NaN grades is this NaN."""
+    input grades NaN, and every sum over NaN grades is this NaN.  Each
+    value is assigned to its own name: no tuple is built but the pair
+    returned."""
     e = _E_LO if e < _E_LO else _E_HI if e > _E_HI else e
     de = _D_LO if de < _D_LO else _D_HI if de > _D_HI else de
     if e != e or de != de:
@@ -158,7 +160,10 @@ def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
         d0, d1 = (b - de) / (b - a), (de - a) / (b - a)
     o = 4 * i + j
     order = _ORDER[o]
-    w00, w01, w10, w11 = e0 * d0, e0 * d1, e1 * d0, e1 * d1
+    w00 = e0 * d0
+    w01 = e0 * d1
+    w10 = e1 * d0
+    w11 = e1 * d1
     if order == 0:
         s = (w00 + w01) + (w10 + w11)
     elif order == 1:
@@ -167,11 +172,20 @@ def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
         s = ((w10 + w11) + w00) + w01
     else:
         s = ((w00 + w01) + w10) + w11
-    w00, w01, w10, w11 = w00 / s, w01 / s, w10 / s, w11 / s
+    w00 = w00 / s
+    w01 = w01 / s
+    w10 = w10 / s
+    w11 = w11 / s
     p00, p01, p10, p11 = rb._kp[o]
-    p00, p01, p10, p11 = w00 * p00, w01 * p01, w10 * p10, w11 * p11
+    p00 = w00 * p00
+    p01 = w01 * p01
+    p10 = w10 * p10
+    p11 = w11 * p11
     q00, q01, q10, q11 = rb._kd[o]
-    q00, q01, q10, q11 = w00 * q00, w01 * q01, w10 * q10, w11 * q11
+    q00 = w00 * q00
+    q01 = w01 * q01
+    q10 = w10 * q10
+    q11 = w11 * q11
     if order == 0:
         return ((p00 + p01) + (p10 + p11) or 0.0,
                 (q00 + q01) + (q10 + q11) or 0.0)

@@ -39,12 +39,12 @@ def tracking_cost(trajectory: Trajectory, n_steps: int = COST_STEPS) -> float:
     if len(e1) < n_steps:
         raise ValueError(
             f"trajectory has {len(e1)} control-step records, need {n_steps}")
-    return float(-np.sum(np.abs(e1[:n_steps])))
+    return float(-np.abs(e1[:n_steps]).sum())
 
 
 def step_overshoot(x1: np.ndarray, target: float, step_size: float) -> float:
     """Peak excursion of x1 beyond the step target, in percent of the step."""
-    return max(0.0, float((np.max(x1) - target) / step_size) * 100.0)
+    return max(0.0, float((x1.max() - target) / step_size) * 100.0)
 
 
 def settling_time(t: np.ndarray, e1: np.ndarray, step_size: float) -> float:
@@ -64,10 +64,12 @@ def settling_time(t: np.ndarray, e1: np.ndarray, step_size: float) -> float:
 def compute_metrics(traj: Trajectory, ref: Reference) -> Metrics:
     """Metrics over a completed tracking run.  The cost window is the first
     COST_STEPS control steps (the full square-wave protocol yields 200);
-    shorter runs are scored over what they have."""
+    shorter runs are scored over what they have.  Rows are taken before
+    each torque, so a run of one control period holds one record, too few
+    to score."""
     if len(traj) < 2:
-        raise ValueError(
-            "degenerate metrics: trajectory has no simulated control steps")
+        raise ValueError(f"degenerate metrics: need at least 2 control-step "
+                         f"records, the trajectory has {len(traj)}")
     t, e1, x1 = traj.t, traj.e1, traj.x1
     cost = tracking_cost(traj, n_steps=min(COST_STEPS, len(traj)))
     if ref.kind in ("square", "constant"):
@@ -82,7 +84,7 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> Metrics:
         ts = float("nan")
     final = t[-1]
     tail = np.abs(e1[t >= final - 1.0 + 1e-12])
-    sse = float(np.mean(tail)) if len(tail) else float("nan")
-    rms = float(np.sqrt(np.mean(e1 ** 2)))
+    sse = float(tail.mean()) if len(tail) else float("nan")
+    rms = float(np.sqrt((e1 ** 2).mean()))
     return Metrics(cost=cost, overshoot_pct=ov, settling_time=ts,
                    steady_state_error=sse, rms_error=rms)

@@ -342,6 +342,30 @@ def test_simulate_matches_euler_step_bitwise(kind, gains, tiny_motor, uniform,
         assert got.final_state == final
 
 
+@pytest.mark.parametrize("value", [1.0, -1.0])
+@pytest.mark.parametrize("kp, diverged_at",
+                         [(1.28e8, 2), (math.nextafter(1.28e8, math.inf), 1)])
+def test_divergence_bound_is_inclusive(kp, diverged_at, value):
+    """The first sub-step of a single-PD run from rest sets x4 to
+    dt * kp * value / I_m.  On exactly +-1e6 that is inside the bound and
+    the run diverges a sub-step later; one float beyond diverges at once,
+    with the crossing state, as the euler_step loop does."""
+    params = PlantParams(I_m=0.5)
+    dt = 2.0 ** -8
+    sim = SimConfig(sim_dt=dt, control_dt=10 * dt, horizon=10 * dt)
+    ctrl = Controller(ControllerKind.SINGLE_PD, single_gains=(kp, 0.0))
+    args = (params, sim, ctrl, Reference("constant", value), DisturbanceModel())
+    first = euler_step(params, State(0.0, 0.0, 0.0, 0.0), kp * value, 0.0, 0.0, dt)
+    assert (first.x4 == value * DIVERGENCE_LIMIT) == (diverged_at == 2)
+    expected = _outcome(_euler_reference, *args)
+    assert isinstance(expected, DivergedTrajectory)
+    with pytest.raises(DivergedTrajectory) as exc:
+        simulate(*args)
+    assert exc.value.sim_step == diverged_at
+    assert (exc.value.sim_step, exc.value.state) == (expected.sim_step,
+                                                     expected.state)
+
+
 @pytest.fixture
 def draws(monkeypatch):
     """The step indices drawn by plant._uniform_pairs, in call order."""

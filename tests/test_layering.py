@@ -1,4 +1,5 @@
 import ast
+import dis
 import importlib
 import os
 import subprocess
@@ -227,3 +228,24 @@ def test_every_exception_class_is_caught_by_name():
     assert exceptions >= {"CliError", "DivergedTrajectory"}
     uncaught = sorted(exceptions - caught)
     assert not uncaught, f"exception classes no except clause in src/ names: {uncaught}"
+
+
+def _tuple_swaps(function):
+    """Line numbers at which function's bytecode builds an n-tuple only to
+    unpack it into n names at once."""
+    instructions = list(dis.get_instructions(function))
+    return [build.positions.lineno
+            for build, unpack in zip(instructions, instructions[1:])
+            if build.opname == "BUILD_TUPLE" and unpack.opname == "UNPACK_SEQUENCE"
+            and build.arg == unpack.arg]
+
+
+def test_hot_loops_build_no_tuple_to_unpack():
+    """simulate runs per Euler sub-step, and the controller's law and infer
+    per control step: none of them writes a multiple assignment that the
+    interpreter compiles to a tuple built and unpacked again.  An
+    interpreter that compiles it to plain stores passes trivially."""
+    from flexjoint import control, fuzzy
+    found = {f.__qualname__: _tuple_swaps(f)
+             for f in (control.simulate, control.Controller._law, fuzzy.infer)}
+    assert found == {name: [] for name in found}

@@ -1,12 +1,16 @@
 import math
+import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexjoint.control import (TRAJ_COLUMNS, Controller, ControllerKind,
                                Reference, Trajectory, simulate)
-from flexjoint.metrics import (Metrics, compute_metrics, settling_time,
-                               step_overshoot)
+from flexjoint.metrics import (COST_STEPS, Metrics, compute_metrics,
+                               settling_time, step_overshoot, tracking_cost)
 from flexjoint.plant import DisturbanceModel, State
 
 
@@ -65,11 +69,59 @@ def test_compute_metrics_sine_has_no_step_metrics(params, sim, gains):
 
 
 def test_compute_metrics_rejects_tiny_trajectory():
-    traj = Trajectory(np.zeros((1, len(TRAJ_COLUMNS))),
-                      final_state=State(0, 0, 0, 0))
-    with pytest.raises(ValueError, match="degenerate metrics: trajectory has "
-                       "no simulated control steps"):
-        compute_metrics(traj, Reference("square"))
+    """A one-period run holds one record, taken before its torque: too few
+    to score, and the error says how many there are."""
+    for rows in (0, 1):
+        traj = Trajectory(np.zeros((rows, len(TRAJ_COLUMNS))),
+                          final_state=State(0, 0, 0, 0))
+        with pytest.raises(ValueError, match=f"^degenerate metrics: need at "
+                           f"least 2 control-step records, the trajectory "
+                           f"has {rows}$"):
+            compute_metrics(traj, Reference("square"))
+
+
+def _metrics_with_wrappers(traj, ref):
+    """compute_metrics' formulas written with np.sum, np.max and np.mean."""
+    t, e1, x1 = traj.t, traj.e1, traj.x1
+    cost = float(-np.sum(np.abs(e1[:min(COST_STEPS, len(traj))])))
+    ov = ts = math.nan
+    if ref.kind != "sine":
+        target = traj.x1d[-1]
+        step = abs(target - x1[0]) or 1.0
+        ov = max(0.0, float((np.max(x1) - target) / step) * 100.0)
+        ts = settling_time(t, e1, step)
+    tail = np.abs(e1[t >= t[-1] - 1.0 + 1e-12])
+    sse = float(np.mean(tail)) if len(tail) else math.nan
+    rms = float(np.sqrt(np.mean(e1 ** 2)))
+    return Metrics(cost, ov, ts, sse, rms)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@given(rows=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+       ref_kind=st.sampled_from(["square", "constant", "sine"]))
+@settings(max_examples=200, deadline=None)
+def test_metrics_reductions_are_the_numpy_wrappers_bitwise(rows, seed, scale,
+                                                           ref_kind):
+    """The array methods the metrics call give the bits of np.sum, np.max
+    and np.mean, on strided columns of 2-300 rows, lengths on both sides of
+    numpy's 8-term and 128-term pairwise blocks."""
+    data = np.random.default_rng(seed).standard_normal(
+        (rows, len(TRAJ_COLUMNS))) * scale
+    data[:, 0] = np.arange(rows) * 0.05
+    traj = Trajectory(data, final_state=State(0.0, 0.0, 0.0, 0.0))
+    ref = Reference(ref_kind)
+    assert _bits(astuple(compute_metrics(traj, ref))) == _bits(
+        astuple(_metrics_with_wrappers(traj, ref)))
+    n = 1 + seed % rows
+    assert _bits([tracking_cost(traj, n)]) == _bits(
+        [float(-np.sum(np.abs(traj.e1[:n])))])
+    x1, target = traj.x1, traj.x1d[-1]
+    assert _bits([step_overshoot(x1, target, scale)]) == _bits(
+        [max(0.0, float((np.max(x1) - target) / scale) * 100.0)])
 
 
 def test_compute_metrics_is_dataclass():

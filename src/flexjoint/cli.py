@@ -22,8 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
-import tempfile
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -334,8 +334,9 @@ def cmd_ablate(args) -> tuple[int, dict]:
 
 def _replace_set(prefix: str, scratch: Path, files: dict) -> None:
     """Write each text into scratch, then remove every name of the set under
-    prefix and move the texts in; if that fails part-way, none of the set's
-    names is left."""
+    prefix and move the texts in.  If a write fails or is interrupted, the
+    earlier set under prefix is left whole; if a removal or a move fails or
+    is interrupted part-way, none of the set's names is left."""
     texts = {suffix: text for suffix, text in files.items() if text is not None}
     for suffix, text in texts.items():
         (scratch / suffix).write_text(text)
@@ -358,13 +359,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     handlers = {"simulate": cmd_simulate, "tune": cmd_tune,
                 "analyze": cmd_analyze, "ablate": cmd_ablate}
+    # the scratch directory lies beside --out and is named after it, so a
+    # bad --out fails before the work.  Its name is set before os.mkdir
+    # makes it inside the try: an interrupt lands only between bytecodes,
+    # so whenever the directory exists, the finally clause removes it.
+    out_dir, out_name = os.path.split(args.out)
+    scratch = Path(out_dir or ".",
+                   f"{out_name}.tmp-{os.getpid()}-{os.urandom(6).hex()}")
     try:
-        # beside --out and named after it: a bad --out fails before the work
-        out_dir, out_name = os.path.split(args.out)
-        with tempfile.TemporaryDirectory(prefix=f"{out_name}.tmp-",
-                                         dir=out_dir or ".") as tmp:
-            code, files = handlers[args.command](args)
-            _replace_set(args.out, Path(tmp), files)
+        try:
+            os.mkdir(scratch, 0o700)
+        except FileExistsError:  # another run's: not ours to remove
+            scratch = None
+            raise
+        code, files = handlers[args.command](args)
+        _replace_set(args.out, scratch, files)
         return code
     except DivergedTrajectory as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -375,6 +384,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
 
 if __name__ == "__main__":

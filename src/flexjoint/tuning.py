@@ -200,7 +200,12 @@ class TunerConfig:
     one-row likelihood call over n episodes holds 2d + 6 (n, n) float64
     planes, 14 at d = 4 and 22 at d = 8: the (d + 1) planes Z, K, its
     factor, its inverse, W and the (d + 1) gradient planes; about 11 GB
-    and 18 GB at n = 10**4 (a test traces the count at n = 149).  h lies
+    and 18 GB at n = 10**4 (a test traces the count at n = 149).  The
+    likelihood's batches and the UCB scan's blocks of query rows share one
+    256 KiB budget (_BATCH_BYTES), so a scan of SOBOL_CANDIDATES points
+    peaks within 4 budgets (2.3 at d = 4) and d + 2 float64 per query at
+    any n, not at about 5 (m, n) float64 planes (12 MB at n = 149; a test
+    traces the bound at d = 4 and 8).  h lies
     in [0, 1e6]: the GP-UCB coefficient is non-negative, and the
     posterior stddev is at most 10 times the costs' standard deviation
     (signal variance <= 1e2), so h*stddev stays far from overflow.
@@ -234,9 +239,11 @@ class GpModel:
     log noise-to-signal ratio); chol is the lower Cholesky factor of the
     training covariance (including any jitter used to factor it).
     Construction checks the factor as cho_solve would and caches, for
-    gp_predict, the (d, n) transposed training inputs XnT, the squared
-    length scales ls2 shaped (d, 1, 1) to divide its (d, m, n) planes, and
-    signal_variance.
+    gp_predict, the transposed training inputs XnT shaped (d, 1, n) to
+    subtract from its (d, rows, 1) queries, the squared length scales ls2
+    shaped (d, 1, 1) to divide its (d, rows, n) planes, signal_variance,
+    and block_rows, the most query rows whose differences fit in
+    _BATCH_BYTES.
     """
 
     domain: Domain
@@ -250,9 +257,11 @@ class GpModel:
     def __post_init__(self):
         if np.asarray_chkfinite(self.chol).shape != (len(self.Xn),) * 2:
             raise ValueError("Cholesky factor must be n x n for n points")
-        object.__setattr__(self, "XnT", np.ascontiguousarray(self.Xn.T))
+        n, d = self.Xn.shape
+        object.__setattr__(self, "XnT", np.ascontiguousarray(self.Xn.T)[:, None])
         object.__setattr__(self, "ls2", (self.length_scales ** 2)[:, None, None])
         object.__setattr__(self, "signal_variance", float(np.exp(self.theta[-2])))
+        object.__setattr__(self, "block_rows", max(1, _BATCH_BYTES // (8 * d * n)))
 
     @property
     def length_scales(self) -> np.ndarray:
@@ -317,14 +326,21 @@ def _cov(Z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return K
 
 
-# Bytes of stacked (rows, d + 1, n, n) gradient terms per batch of
-# _neg_lml_and_grad.  Batching saves per-call overhead that large n
+# The byte budget of one batch, shared by the likelihood and the posterior.
+# _neg_lml_and_grad stacks at most this many bytes of (rows, d + 1, n, n)
+# gradient terms per batch.  Batching saves per-call overhead that large n
 # dwarfs, and large stacks fall out of cache: at d = 4, the time per row
 # against one row at a time was 0.44x for 8 rows at n = 16 (80 KiB),
 # 0.55x at n = 23 and 0.77x for 4 rows at n = 40 (250 KiB), but 1.14x for
 # 8 rows there (500 KiB), and 0.92x-1.0x at n = 64-149 (Xeon, 2 MiB L2,
 # one BLAS thread).  So a fit at large n runs one row at a time.
-_LML_BATCH_BYTES = 1 << 18
+# _posterior forms at most this many bytes of (d, rows, n) query-training
+# differences per block of query rows, so a scan's peak memory grows with
+# neither n nor the query count: at d = 4 a 2048-point scan took 0.93x the
+# time of one whole block at n = 149 and 1.0x-1.02x at n = 16-60, and a
+# search round (at most LOCAL_SEARCHES rows) stays one block up to
+# n = 1024 at d = 4 and n = 512 at d = 8.
+_BATCH_BYTES = 1 << 18
 
 
 def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
@@ -332,7 +348,7 @@ def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
     """Negative log marginal likelihood of the standardized targets ys and
     its gradient in theta over the training planes Z = _planes(Xn), at
     each row of thetas (S, d + 2), as (values (S,), gradients (S, d + 2)).
-    Rows go in batches of at most _LML_BATCH_BYTES of gradient terms, and
+    Rows go in batches of at most _BATCH_BYTES of gradient terms, and
     every row keeps the bits of a batch of one: exp(theta), the
     correlations, K and the gradient terms are elementwise over the batch,
     each row's sums run over one contiguous n * n row in numpy's pairwise
@@ -346,7 +362,7 @@ def _neg_lml_and_grad(thetas: np.ndarray, ys: np.ndarray,
     non-finite covariance raises ValueError."""
     S, p = thetas.shape
     d, n = p - 2, len(ys)
-    rows = max(1, _LML_BATCH_BYTES // (8 * (d + 1) * n * n))
+    rows = max(1, _BATCH_BYTES // (8 * (d + 1) * n * n))
     if S > rows:
         parts = [_neg_lml_and_grad(thetas[i:i + rows], ys, Z)
                  for i in range(0, S, rows)]
@@ -534,29 +550,37 @@ def _posterior(model: GpModel, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation arrays (original cost units)
     of the latent function at the finite normalized rows U (m, d) (GPML
     Alg. 2.1), from the model's cached state, solving with LAPACK dpotrs
-    directly.  The kernel is built one plane per dimension: the
-    query-training differences form one (d, m, n) scratch array, squared
-    and divided by the squared length scales in place, whose d <= 8 planes
+    directly.  The rows go in blocks of at most _BATCH_BYTES of (d, rows, n)
+    query-training differences; each block writes its rows' mean and
+    k*' K^-1 k* terms into two length-m arrays, and one elementwise pass
+    at the end makes the variance and applies y_mean and y_std.  A block's
+    kernel is built one plane per dimension: its differences, squared and
+    divided by the squared length scales in place, form d <= 8 planes that
     _se_kernel adds in the order np.sum gives over the last axis of the
-    (m, n, d) array it replaces, so no (m, n, d) array is formed and the
-    kernel keeps that array's bits.  Under the SkylakeX OpenBLAS kernel
-    with numpy's AVX-512 dispatch, every row of a batch has the bits of a
-    one-point call: the mean is a per-row dot (one ddot, where a
-    (m, n) @ alpha gemv rounds rows apart), and the kernel, the dpotrs
-    columns and the variance reduction are per row already; other kernels
-    can round a multi-column dpotrs apart from one column.  A query or
-    training row far off the unit box can overflow a squared difference to
-    inf, a zero correlation; numpy warns of it unless the caller silences
-    it, as gp_predict and suggest do."""
-    sf2 = model.signal_variance
-    D = U.T[:, :, None] - model.XnT[:, None, :]
-    np.square(D, out=D)
-    D /= model.ls2
-    ks = _se_kernel(D, sf2)  # (m, n)
-    del D  # free the d planes before the solve forms its own
-    mean_s = np.vecdot(ks, model.alpha)
-    v = dpotrs(model.chol, ks.T, lower=1)[0]  # K^-1 k*
-    var = np.maximum(sf2 - (ks * v.T).sum(axis=1), 0.0)
+    (rows, n, d) array it replaces, so no (rows, n, d) array is formed and
+    the kernel keeps that array's bits.  Under the SkylakeX OpenBLAS kernel
+    with numpy's AVX-512 dispatch, every row of a batch, and so of a block,
+    has the bits of a one-point call: the mean is a per-row dot (one ddot,
+    where a (m, n) @ alpha gemv rounds rows apart), and the kernel, the
+    dpotrs columns and the variance reduction are per row already; other
+    kernels can round a multi-column dpotrs apart from one column.  A
+    query or training row far off the unit box can overflow a squared
+    difference to inf, a zero correlation; numpy warns of it unless the
+    caller silences it, as gp_predict and suggest do."""
+    sf2, alpha, rows = model.signal_variance, model.alpha, model.block_rows
+    m, UT = len(U), U.T
+    mean_s, kvk = np.empty(m), np.empty(m)
+    for i in range(0, m, rows):
+        j = i + rows
+        D = UT[:, i:j, None] - model.XnT
+        np.square(D, out=D)
+        D /= model.ls2
+        ks = _se_kernel(D, sf2)  # (rows, n)
+        del D  # free the d planes before the solve forms its own
+        np.vecdot(ks, alpha, out=mean_s[i:j])
+        v = dpotrs(model.chol, ks.T, lower=1)[0]  # K^-1 k*
+        (ks * v.T).sum(axis=1, out=kvk[i:j])
+    var = np.maximum(sf2 - kvk, 0.0)
     return model.y_mean + model.y_std * mean_s, model.y_std * np.sqrt(var)
 
 

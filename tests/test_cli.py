@@ -8,11 +8,14 @@ import stat
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import flexjoint
 from flexjoint import cli, tuning
@@ -530,12 +533,16 @@ def test_tune_single_episode_returns_the_sample(tmp_path):
     np.testing.assert_allclose(vals, data[0, 1:5])
 
 
+def _subparsers() -> dict:
+    """build_parser()'s parser of each command, by command name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _numeric_options():
     """(command, option, position) of each float and int value that
     build_parser() reads, one per position of a multi-value option."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for command, parser in sub.choices.items():
+    for command, parser in _subparsers().items():
         for action in parser._actions:
             if action.type in (float, int):
                 for i in range(action.nargs or 1):
@@ -622,19 +629,86 @@ def test_bad_flag_values_end_in_a_documented_exit(tmp_path, capsys, command,
                                          "error: degenerate metrics: ")), (argv, err)
 
 
+EDGE_VALUES = ("nan", "inf", "-inf", "-0.0", "5e-324", "1e308", str(2 ** 64),
+               "0", "1", "2", "0.5", "0.05", "-1")
+# the choice options that command_lines may set
+CHOICES = {"--controller": [k.value for k in ControllerKind],
+           "--reference": ["square", "sine", "constant"],
+           "--disturbance": ["off", "uniform"],
+           "--hold": ["per-sim-step", "per-control-step"]}
+
+
+@st.composite
+def command_lines(draw, directory: Path) -> list:
+    """A simulate, analyze or ablate line, or a tune of at most 3 episodes,
+    with any subset of its numeric flags and choices set, and plant and
+    gains files whose keys take values from EDGE_VALUES."""
+    command = draw(st.sampled_from(["simulate", "analyze", "ablate", "tune"]))
+    argv, stage = [command], None
+    if command == "tune":  # at most 3 episodes, so not from the edge values
+        stage = draw(st.sampled_from(["pd", "flr"]))
+        argv += ["--stage", stage,
+                 "--episodes", draw(st.sampled_from(["1", "2", "3"])),
+                 "--n-init", draw(st.sampled_from(["1", "2", "3"]))]
+    for c, option, position in NUMERIC_OPTIONS:
+        if c != command or option in ("--episodes", "--n-init") or position:
+            continue
+        if draw(st.integers(0, 3)) == 0:  # a few flags per line
+            if option == "--L":  # the leading space keeps -inf a value
+                argv += ["--L"] + [" " + draw(st.sampled_from(EDGE_VALUES))
+                                   for _ in range(4)]
+            else:
+                argv.append(f"{option}={draw(st.sampled_from(EDGE_VALUES))}")
+    for action in _subparsers()[command]._actions:
+        option = action.option_strings[-1] if action.option_strings else None
+        if option in CHOICES and draw(st.integers(0, 3)) == 0:
+            argv.append(f"{option}={draw(st.sampled_from(CHOICES[option]))}")
+    for kind, keys in (("plant", PLANT_KEYS), ("gains", GAIN_KEYS + BOUND_KEYS)):
+        if kind == "gains" and stage:
+            # the flr stage takes the gains file that the pd stage refuses
+            wanted = stage == "flr"
+        else:
+            wanted = draw(st.booleans())
+        if wanted:
+            values = draw(st.dictionaries(st.sampled_from(keys),
+                                          st.sampled_from(EDGE_VALUES)))
+            path = directory / f"{kind}.txt"
+            path.write_text(_file_text(kind, **values))
+            argv += [f"--{kind}", str(path)]
+    return argv + ["--out", str(directory / "o")]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_command_lines_end_in_a_documented_exit(tmp_path, capsys, data):
+    """Random command lines with edge values in their flags and files:
+    main never raises and never warns, and ends in an exit code from 0 to
+    3 with at most one error line."""
+    argv = data.draw(command_lines(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    err = capsys.readouterr().err
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_UNSTABLE), argv
+    assert "Traceback" not in err, argv
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+
+
 FILE_KEYS = ([("plant", key) for key in PLANT_KEYS]
              + [("gains", key) for key in GAIN_KEYS + BOUND_KEYS])
 
 
-def _file_text(kind: str, key: str, value: str) -> str:
-    """A plant or gains file with the default values and key set to value."""
+def _file_text(kind: str, **overrides: str) -> str:
+    """A plant or gains file with the default values, overrides applied."""
     if kind == "plant":
         values = asdict(PlantParams())
     else:
         values = dict(asdict(GainSet()), dkp1_lo=-1.0, dkp1_hi=1.0,
                       dkd1_lo=-1.0, dkd1_hi=1.0, dkp2_lo=-1.0, dkp2_hi=1.0,
                       dkd2_lo=-1.0, dkd2_hi=1.0)
-    values[key] = value
+    values.update(overrides)
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
@@ -680,7 +754,7 @@ def test_bad_file_values_end_in_a_documented_exit(tmp_path, capsys, kind, key):
                          "--n-init", "2"])
     for n, value in enumerate(BAD_VALUES):
         path = tmp_path / f"{kind}{n}.txt"
-        path.write_text(_file_text(kind, key, value))
+        path.write_text(_file_text(kind, **{key: value}))
         for command in commands:
             argv = command + [f"--{kind}", str(path),
                               "--out", str(tmp_path / f"o{n}")]
@@ -933,6 +1007,59 @@ def test_a_failed_rename_leaves_none_of_the_set(tmp_path, capsys, monkeypatch):
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert len(targets) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# Each step of main's write path for a simulate run, which writes three
+# texts: the function that takes the step and its call number
+WRITE_STEPS = ([("mkdir", 0)]
+               + [(step, i) for step in ("write_text", "unlink", "replace")
+                  for i in range(3)])
+
+
+@pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+@pytest.mark.parametrize("step,call", WRITE_STEPS,
+                         ids=[f"{step} {i}" for step, i in WRITE_STEPS])
+def test_an_interrupt_at_any_write_step_leaves_no_scratch(tmp_path, capsys,
+                                                          monkeypatch, step,
+                                                          call, after):
+    """A KeyboardInterrupt just before or just after each step of the write
+    path: the scratch directory's os.mkdir, each write_text into it, each
+    unlink under the prefix and each os.replace out of it.  main ends with
+    exit 130 and one line, no scratch entry is left, and the prefix holds
+    what _replace_set promises: the earlier set whole while only the
+    scratch directory and its texts were made, none of the set's names
+    once a removal has begun."""
+    out = str(tmp_path / "p")
+    assert run(["simulate", "--horizon", "2", "--out", out]) == EXIT_OK
+    before = _files(tmp_path)
+    owner = cli.os if step in ("mkdir", "replace") else Path
+    real, calls = getattr(owner, step), []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == call + 1 and not after:
+            raise KeyboardInterrupt
+        result = real(*args, **kwargs)
+        if len(calls) == call + 1:
+            raise KeyboardInterrupt
+        return result
+
+    monkeypatch.setattr(owner, step, interrupted)
+    capsys.readouterr()
+    try:
+        code = run(["simulate", "--horizon", "3", "--out", out])
+    except KeyboardInterrupt:  # would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    finally:
+        monkeypatch.undo()
+    assert len(calls) > call
+    assert code == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert not list(tmp_path.glob("*.tmp-*"))
+    if step in ("mkdir", "write_text"):
+        assert _files(tmp_path) == before
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_artifacts_keep_the_mode_write_text_gives(tmp_path):

@@ -365,21 +365,60 @@ def test_sum_planes_follows_numpy_sum_order():
         assert _sum_planes(D).tobytes() == A.sum(axis=-1).tobytes(), d
 
 
-def test_ucb_scan_forms_no_query_training_dimension_array():
-    """A 2048-point scan against 149 training points in 4-D builds its
-    kernel one (2048, 149) plane per dimension: the traced peak of
-    gp_predict stays within 6 such float64 planes, where forming the
-    (2048, 149, 4) squared differences and their scaled copy takes 9."""
-    model, _, rng = _random_model(0, 4, 149)
-    Q = model.domain.denormalize(rng.random((2048, 4)))
+def _traced_peak(f, *args) -> int:
+    """The traced peak of f(*args), in bytes above what was held before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        gp_predict(model, Q)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2048 * 149 * 8
+
+
+def test_ucb_scan_forms_no_query_training_dimension_array():
+    """A 2048-point scan against 149 training points, in 4-D and 8-D,
+    builds its kernel in blocks of query rows, each under _BATCH_BYTES of
+    (d, rows, n) differences: the traced peak of gp_predict stays within
+    3 budgets and d + 2 float64 per query (the normalized queries, the
+    means and the variance terms), where one (2048, 149, 4) array of
+    differences takes 9.8 MB.  An 8192-point scan peaks no higher, apart
+    from those per-query arrays: the blocks do not grow with m."""
+    for d in (4, 8):
+        model, _, rng = _random_model(0, d, 149)
+        peaks = {m: _traced_peak(gp_predict, model,
+                                 model.domain.denormalize(rng.random((m, d))))
+                 for m in (2048, 8192)}
+        assert peaks[2048] <= 3 * tuning._BATCH_BYTES + (d + 2) * 8 * 2048, d
+        assert peaks[8192] - peaks[2048] <= (d + 4) * 8 * (8192 - 2048), d
+
+
+def _first_split(d: int) -> int:
+    """The most training points at which a SOBOL_CANDIDATES scan in d
+    dimensions is still one block."""
+    return tuning._BATCH_BYTES // (8 * d * SOBOL_CANDIDATES)
+
+
+# n on both sides of the first split, where a scan becomes two blocks, and
+# at 40 points, where it takes 7 to 52 blocks
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(1, SOBOL_MAX_DIM + 1)
+                                 for n in (max(2, _first_split(d)),
+                                           _first_split(d) + 1, 40)])
+def test_blocked_scan_rows_match_one_point_calls(d, n):
+    """gp_predict on block_rows - 1, block_rows, block_rows + 1 and
+    SOBOL_CANDIDATES queries: every row has the bits of a one-point call,
+    whichever block it falls in."""
+    model, _, rng = _random_model(d * 100 + n, d, n)
+    rows = model.block_rows
+    assert rows == max(1, tuning._BATCH_BYTES // (8 * d * n))
+    m_max = max(rows + 1, SOBOL_CANDIDATES)
+    Q = model.domain.denormalize(rng.uniform(-0.5, 1.5, (m_max, d)))
+    single = [gp_predict(model, q) for q in Q]
+    for m in (rows - 1, rows, rows + 1, SOBOL_CANDIDATES):
+        mean, std = gp_predict(model, Q[:m])
+        assert mean.shape == std.shape == (m,)
+        for i in range(m):
+            assert _bytes(mean[i], std[i]) == _bytes(*single[i]), (m, i)
 
 
 @pytest.mark.parametrize("d", [4, 8])
@@ -392,13 +431,7 @@ def test_likelihood_row_holds_the_planes_tuner_config_states(d):
     rng = np.random.default_rng(d)
     Xn, ys = rng.random((n, d)), rng.standard_normal(n)
     theta = np.concatenate([np.zeros(d), [0.0], [math.log(1e-4)]])[None]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _neg_lml_and_grad(theta, ys, _planes(Xn))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: _neg_lml_and_grad(theta, ys, _planes(Xn)))
     assert peak <= (2 * d + 6.5) * n * n * 8
 
 

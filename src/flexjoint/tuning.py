@@ -10,6 +10,7 @@ different widths (e.g. kp in [0, 150] against kd in [0, 30]).
 
 from __future__ import annotations
 
+import bisect
 import importlib.util
 import math
 import operator
@@ -460,27 +461,30 @@ def _lockstep(runs, fun) -> list:
     """Drive the generators runs, each of which yields the point it needs
     next and is sent its reply, until all return.  Each round makes one
     call fun(xs), whose rows are the pending points of all live runs in
-    run order, kept in two lists rebuilt each round, and which returns one
-    reply per row; xs is a fresh array that fun may overwrite.  Each run
-    is sent its own row's reply, so there are as many calls as the longest
-    run has points.  The runs share nothing but fun, so each gets the
-    replies it would get alone when fun's rows do not depend on the batch.
-    Returns each run's return value, in run order."""
-    live = list(enumerate(runs))
-    points = [next(run) for run in runs]
-    results = [None] * len(runs)
+    run order, and which returns one reply per row; xs is a fresh array
+    that fun may overwrite.  Each run is sent its own row's reply, and its
+    next point takes that row's place in the list of pending points; the
+    lists of live runs and their points are rebuilt only in a round where
+    a run returned.  So there are as many calls as the longest run has
+    points.  The runs share nothing but fun, so each gets the replies it
+    would get alone when fun's rows do not depend on the batch.  Returns
+    each run's return value, in run order."""
+    live = list(runs)
+    results = dict.fromkeys(live)
+    points = [next(run) for run in live]
     while live:
-        replies = fun(np.array(points))
-        still, points = [], []
-        for (i, run), reply in zip(live, replies):
+        ended = False
+        for j, reply in enumerate(fun(np.array(points))):
             try:
-                points.append(run.send(reply))
+                points[j] = live[j].send(reply)
             except StopIteration as done:
-                results[i] = done.value
-            else:
-                still.append((i, run))
-        live = still
-    return results
+                results[live[j]] = done.value
+                live[j] = None
+                ended = True
+        if ended:
+            points = [x for run, x in zip(live, points) if run is not None]
+            live = [run for run in live if run is not None]
+    return list(results.values())
 
 
 def gp_fit(X, y, domain: Domain, seed: int) -> GpModel:
@@ -628,7 +632,9 @@ def _sorted_simplex(sim: list, fs: list) -> tuple[list, list]:
     Python's sort leaves the values rising strictly, that is the only
     ascending order, so both sorts find it; a tie (-0.0 == 0.0 among them)
     or a NaN leaves the order to np.argsort, whose ties fall as its
-    algorithm and dispatch level put them."""
+    algorithm and dispatch level put them.  _nelder_mead calls it for the
+    initial simplex, after a shrink, and where inserting a new vertex by
+    bisection cannot tell the order alone."""
     order = sorted(range(len(fs)), key=fs.__getitem__)
     ranked = [fs[i] for i in order]
     if all(map(operator.lt, ranked, ranked[1:])):
@@ -647,11 +653,15 @@ def _nelder_mead(x0):
     expansion 2, contraction 1/2, shrink 1/2), branch order, stopping test,
     centroid summed vertex by vertex from the first, and the order
     np.argsort gives each step, so that tied values (clipping makes them on
-    box faces) break as scipy's do: _sorted_simplex keeps that order with
-    Python's sort where the values rise strictly, and np.argsort's on a
-    tie.  On that order scipy's value test max |fs[0] - fs[k]| <= fatol is
-    the one comparison fs[-1] - fs[0] <= fatol: a - b rounds monotonically
-    in a and negates exactly, and a NaN (sorted last) or -inf - -inf fails
+    box faces) break as scipy's do.  A step that replaces the worst vertex
+    inserts the new one by one bisection over the other n values when
+    those rise strictly and the new value is neither NaN nor equal to a
+    neighbour (-0.0 == 0.0 included): the n + 1 values then rise strictly,
+    the one ascending order np.argsort can give them.  Otherwise, and for
+    the initial simplex and after a shrink, _sorted_simplex orders it.  On
+    that order scipy's value test max |fs[0] - fs[k]| <= fatol is the one
+    comparison fs[-1] - fs[0] <= fatol: a - b rounds monotonically in a
+    and negates exactly, and a NaN (sorted last) or -inf - -inf fails
     both.  The centroid is one lazy chain of adds per coordinate, in
     scipy's order, read once by the division."""
     x0 = np.asarray(x0, dtype=float).tolist()
@@ -667,6 +677,7 @@ def _nelder_mead(x0):
     # scipy sorts the initial simplex twice; a repeat can reorder ties
     sim, fs = _sorted_simplex(sim, fs)
     sim, fs = _sorted_simplex(sim, fs)
+    rising = all(map(operator.lt, fs, fs[1:n]))  # all but the worst
     for _ in range(119):
         best, worst = sim[0], sim[-1]
         # scipy's two tests, the cheaper first: neither has side effects
@@ -678,30 +689,42 @@ def _nelder_mead(x0):
         for x in sim[1:-1]:
             xbar = map(operator.add, xbar, x)
         xbar = [s / n for s in xbar]
-        xr = [2 * c - w for c, w in zip(xbar, worst)]
-        fxr = yield xr
-        if fxr < fs[0]:
+        new = [2 * c - w for c, w in zip(xbar, worst)]  # reflection
+        f_new = yield new
+        if f_new < fs[0]:
             xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
             fxe = yield xe
-            sim[-1], fs[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fs[-2]:
-            sim[-1], fs[-1] = xr, fxr
-        else:
-            if fxr < fs[-1]:  # outside contraction
+            if fxe < f_new:
+                new = xe
+                f_new = fxe
+        elif not f_new < fs[-2]:
+            if f_new < fs[-1]:  # outside contraction
                 xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
                 fxc = yield xc
-                accept = fxc <= fxr
+                accept = fxc <= f_new
             else:  # inside contraction
                 xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
                 fxc = yield xc
                 accept = fxc < fs[-1]
-            if accept:
-                sim[-1], fs[-1] = xc, fxc
-            else:  # shrink towards the best vertex
+            if not accept:  # shrink towards the best vertex
                 for j in range(1, n + 1):
                     sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
                     fs[j] = yield sim[j]
-        sim, fs = _sorted_simplex(sim, fs)
+                sim, fs = _sorted_simplex(sim, fs)
+                rising = all(map(operator.lt, fs, fs[1:n]))
+                continue
+            new = xc
+            f_new = fxc
+        k = bisect.bisect_left(fs, f_new, 0, n)  # fs[:k] < f_new
+        if rising and (k == n or f_new < fs[k]):
+            del sim[-1], fs[-1]
+            sim.insert(k, new)
+            fs.insert(k, f_new)
+        else:
+            sim[-1] = new
+            fs[-1] = f_new
+            sim, fs = _sorted_simplex(sim, fs)
+            rising = all(map(operator.lt, fs, fs[1:n]))
     return np.array(sim[0]), float(np.min(fs))
 
 

@@ -241,11 +241,14 @@ def _tuple_swaps(function):
 
 
 def test_hot_loops_build_no_tuple_to_unpack():
-    """simulate runs per Euler sub-step, and the controller's law and infer
-    per control step: none of them writes a multiple assignment that the
-    interpreter compiles to a tuple built and unpacked again.  An
+    """simulate runs per Euler sub-step, the controller's law and infer
+    per control step, and the tuner's simplex, L-BFGS-B driver and
+    lockstep engine per query: none of them writes a multiple assignment
+    that the interpreter compiles to a tuple built and unpacked again.  An
     interpreter that compiles it to plain stores passes trivially."""
-    from flexjoint import control, fuzzy
+    from flexjoint import control, fuzzy, tuning
     found = {f.__qualname__: _tuple_swaps(f)
-             for f in (control.simulate, control.Controller._law, fuzzy.infer)}
+             for f in (control.simulate, control.Controller._law, fuzzy.infer,
+                       tuning._nelder_mead, tuning._lockstep,
+                       tuning._lbfgsb_run)}
     assert found == {name: [] for name in found}

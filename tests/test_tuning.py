@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -587,10 +588,38 @@ def test_local_search_matches_scipy_and_gp_predict_bitwise(seed, d, n, h):
 
 # simplex values as the search meets them: signed zeros, repeats (clipping
 # to a box face gives equal UCB values), infinities and NaN beside any float
-_SIMPLEX_VALUE = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e300,
-                     math.inf, -math.inf, math.nan]),
-    st.floats(allow_nan=True, allow_infinity=True))
+_SIMPLEX_POOL = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e300,
+                 math.inf, -math.inf, math.nan]
+_SIMPLEX_VALUE = st.one_of(st.sampled_from(_SIMPLEX_POOL),
+                           st.floats(allow_nan=True, allow_infinity=True))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+@pytest.mark.parametrize("smooth", [0, 1, 3])
+def test_nelder_mead_matches_scipy_on_tied_and_nonfinite_values(d, smooth):
+    """_nelder_mead equals scipy's Nelder-Mead bit for bit on objectives
+    that tie, meet -0.0 beside 0.0, +-inf and NaN in the middle of a
+    search: each query's value is drawn from _SIMPLEX_POOL by the CRC-32
+    of its bytes, except that smooth of every four hashes give a smooth
+    value instead, so steps that insert a new vertex by bisection and
+    steps that fall back to a full sort alternate."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        h = zlib.crc32(x.tobytes())
+        if h % 4 < smooth:
+            return float(np.sum((x - 0.3) ** 2))
+        return _SIMPLEX_POOL[h // 4 % len(_SIMPLEX_POOL)]
+
+    rng = np.random.default_rng(d * 10 + smooth)
+    for x0 in [rng.uniform(-2.0, 2.0, d) for _ in range(6)] + [np.zeros(d)]:
+        x, fun = _drive(_nelder_mead(x0), f)
+        # inf - inf in scipy's stop test; Python's floats say nothing
+        with np.errstate(invalid="ignore"):
+            res = optimize.minimize(f, x0, method="Nelder-Mead",
+                                    options={"maxiter": 120, "xatol": 1e-6,
+                                             "fatol": 1e-12})
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
 
 
 def _tied(values: list, picks: list) -> list:

@@ -27,9 +27,6 @@ import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis
 from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
                       DivergedTrajectory, GainSet, Reference, simulate)
 from .control import SINGLE_PD_GAINS  # noqa: F401  (re-exported for perfbench)
@@ -185,14 +182,16 @@ def cmd_simulate(args) -> tuple[int, dict]:
     print(f"cost={m.cost!r} overshoot_pct={m.overshoot_pct!r} "
           f"settling_time={m.settling_time!r} "
           f"steady_state_error={m.steady_state_error!r}")
+    rows = zip(*[iter(traj.data)] * len(TRAJ_COLUMNS))  # the flat data, row by row
     return EXIT_OK, {"_meta.json": meta_text(meta),
-                     "_trajectory.csv": csv_text(TRAJ_COLUMNS, traj.data.tolist()),
+                     "_trajectory.csv": csv_text(TRAJ_COLUMNS, rows),
                      "_metrics.csv": csv_text(METRIC_COLUMNS, [astuple(m)])}
 
 
 def cmd_tune(args) -> tuple[int, dict]:
     # Only tune needs scipy: tuning loads its two compiled kernels, not the
     # scipy.linalg and scipy.optimize packages; the other commands skip it.
+    import numpy as np  # the history table
     try:
         from .tuning import (TunerConfig, flr_bound_domain,
                              flr_bounds_from_vector, make_flr_cost,
@@ -248,6 +247,8 @@ def _spectrum(zs) -> str:
 
 
 def cmd_analyze(args) -> tuple[int, dict]:
+    from . import analysis  # numpy's LAPACK spectra: no other command loads it
+
     params = _resolve_plant(args)
     loaded = _resolve_gains(args)
     gains, bounds = loaded.gains, loaded.bounds

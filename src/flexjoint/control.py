@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .fuzzy import FlrBounds, RuleBase, infer
 from .plant import (DisturbanceModel, PlantParams, SimConfig, State,
@@ -156,31 +155,33 @@ TRAJ_COLUMNS = ("t", "x1", "x2", "x3", "x4", "x1d", "x3d", "u",
                 "e1", "e2", "e3", "e4",
                 "kp1_eff", "kd1_eff", "kp2_eff", "kd2_eff")
 _COLUMN_INDEX = {name: i for i, name in enumerate(TRAJ_COLUMNS)}
+_WIDTH = len(TRAJ_COLUMNS)
 
 
 @dataclass(eq=False)
 class Trajectory:
     """Control-rate record of a simulation run.
 
-    ``data`` is a float64 array with one column per ``TRAJ_COLUMNS`` entry;
-    each column is also an attribute (``traj.e1`` is the ``e1`` column).  Row i
-    is taken at t = i*control_dt just before the i-th torque is applied;
-    ``final_state`` is the plant state at the end of the horizon.  A
-    zero-length horizon yields a single row of the initial conditions with
-    the torque that would have been applied.
+    ``data`` is a flat float64 ``array`` of rows that are
+    ``len(TRAJ_COLUMNS)`` wide, one entry per ``TRAJ_COLUMNS`` name; each
+    column is also an attribute, a strided copy (``traj.e1`` is the ``e1``
+    column).  Row i is taken at t = i*control_dt just before the i-th
+    torque is applied; ``final_state`` is the plant state at the end of the
+    horizon.  A zero-length horizon yields a single row of the initial
+    conditions with the torque that would have been applied.
     """
 
-    data: np.ndarray
+    data: array
     final_state: State
 
-    def __getattr__(self, name: str) -> np.ndarray:
+    def __getattr__(self, name: str) -> array:
         i = _COLUMN_INDEX.get(name)
         if i is None:
             raise AttributeError(name)
-        return self.data[:, i]
+        return self.data[i::_WIDTH]
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.data) // _WIDTH
 
 
 def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
@@ -260,5 +261,4 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
             x3 = y3
             x4 = y4
             c = cos(x1)
-    data = np.fromiter(rows, float, len(rows)).reshape(-1, len(TRAJ_COLUMNS))
-    return Trajectory(data, final_state=State(x1, x2, x3, x4))
+    return Trajectory(array("d", rows), final_state=State(x1, x2, x3, x4))

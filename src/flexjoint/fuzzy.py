@@ -16,8 +16,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-import numpy as np
-
 TERMS = ("NB", "NS", "ZE", "PS", "PB")
 
 # Rule consequents, row = error term, column = error-rate term (NB..PB).
@@ -36,8 +34,21 @@ KD_RULES = (
     ("ZE", "NS", "NS", "NB", "NB"),
 )
 # The same tables as indices into the five singletons NB..PB.
-_KP_INDEX = np.array([[TERMS.index(t) for t in row] for row in KP_RULES])
-_KD_INDEX = np.array([[TERMS.index(t) for t in row] for row in KD_RULES])
+_KP_INDEX = tuple(tuple(TERMS.index(t) for t in row) for row in KP_RULES)
+_KD_INDEX = tuple(tuple(TERMS.index(t) for t in row) for row in KD_RULES)
+
+
+def _linspace5(lo: float, hi: float) -> list[float]:
+    """np.linspace(lo, hi, 5) as a list of floats, bit for bit: numpy's
+    i * step + lo with step = (hi - lo) / 4, or (i / 4) * (hi - lo) + lo
+    when that step is zero (a quarter width that underflows), and the last
+    point hi itself."""
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    step = delta / 4
+    if step == 0:
+        return [i / 4 * delta + lo for i in range(4)] + [hi]
+    return [i * step + lo for i in range(4)] + [hi]
 
 
 @dataclass(frozen=True)
@@ -55,14 +66,14 @@ class LinguisticScale:
     peaks: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        peaks = np.linspace(self.lo, self.hi, 5)
-        if not (np.diff(peaks) > 0.0).all():
+        peaks = _linspace5(self.lo, self.hi)
+        if not all(b - a > 0.0 for a, b in zip(peaks, peaks[1:])):
             raise ValueError(f"need distinct peaks in [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "peaks", tuple(peaks.tolist()))
+        object.__setattr__(self, "peaks", tuple(peaks))
 
 
 # Input domains: angular error in rad, angular-velocity error in rad/s.
-ERROR_SCALE = LinguisticScale(-np.pi, np.pi)
+ERROR_SCALE = LinguisticScale(-math.pi, math.pi)
 RATE_SCALE = LinguisticScale(-5.0, 5.0)
 
 
@@ -86,7 +97,7 @@ class RuleBase:
     """Output bounds of one regulator (dkp and dkd) over KP_RULES/KD_RULES.
 
     The singleton that rule (e term i, de term j) outputs for dkp is
-    np.linspace(*kp_bounds, 5)[_KP_INDEX][i, j]; _kp holds that table's
+    np.linspace(*kp_bounds, 5)[_KP_INDEX[i][j]]; _kp holds that table's
     2x2 blocks at origins 4i + j as tuples of floats, _kd likewise for dkd.
     """
 
@@ -97,9 +108,10 @@ class RuleBase:
         for name, idx, (lo, hi) in (("kp", _KP_INDEX, self.kp_bounds),
                                     ("kd", _KD_INDEX, self.kd_bounds)):
             _check_bounds(name, lo, hi)
-            c = np.linspace(lo, hi, 5)[idx]
+            s = _linspace5(lo, hi)
+            c = [[s[t] for t in row] for row in idx]
             object.__setattr__(self, f"_{name}", tuple(
-                tuple(c[i:i + 2, j:j + 2].ravel().tolist())
+                (c[i][j], c[i][j + 1], c[i + 1][j], c[i + 1][j + 1])
                 for i in range(4) for j in range(4)))
 
 

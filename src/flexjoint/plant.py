@@ -17,8 +17,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class PlantParams:
@@ -156,16 +154,15 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: np.ndarray, h: int,
-             mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix of uint32 words; returns the next hash
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of arrays of uint32 words; returns the next hash
     constant with the mixed words."""
     h_next = h * mult & _M32
     value = (value ^ h) * h_next
     return value ^ value >> 16, h_next
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mix(x, y):
     r = x * _MIX_MULT_L - y * _MIX_MULT_R
     return r ^ r >> 16
 
@@ -183,11 +180,14 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi + (new_lo < inc_lo), new_lo
 
 
-def _uniform_pairs(seed: int, amplitude: float, start: int, stop: int) -> np.ndarray:
-    """The draws of indices start..stop-1 as a (stop - start, 2) array:
+def _uniform_pairs(seed: int, amplitude: float, start: int, stop: int):
+    """The draws of indices start..stop-1 as a (stop - start, 2) numpy array:
     row j is ``default_rng((seed, start + j)).uniform(-amplitude,
     amplitude, 2)``, bit for bit.  Indices must be below 2**32, one
-    entropy word each."""
+    entropy word each.  It is the one function here that needs numpy, so
+    a run without a disturbance never loads it."""
+    import numpy as np
+
     if not 0 <= start <= stop <= 2 ** 32:
         raise ValueError(f"draw indices must lie in [0, 2**32], got {start}..{stop}")
     n = stop - start

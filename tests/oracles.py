@@ -10,20 +10,25 @@ linguistic scale's two terms around an input (``infer`` inlines them),
 the mechanical energy, the spectrum of the error Jacobian from its two
 2x2 blocks, the exact g = 0 linearization of the simulated loop (which no
 command computes; DISCREPANCIES.md sets its spectrum against the design
-model's), a CSV reader for the command line's artifacts, a fitted GP's
-noise variance and its posterior by dense linear algebra.
+model's), the tracking cost and metrics as numpy computed them on a
+trajectory's strided columns (``metrics`` must match them bit for bit), a
+CSV reader for the command line's artifacts, a fitted GP's noise variance
+and its posterior by dense linear algebra.  ``trajectory`` builds a
+``Trajectory`` from rows, as the tests that need one by hand do.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from flexjoint.control import GainSet
+from flexjoint.control import TRAJ_COLUMNS, GainSet, Trajectory
+from flexjoint.metrics import COST_STEPS, SETTLING_BAND, Metrics
 from flexjoint.plant import DisturbanceModel, PlantParams, State
 
 
@@ -105,6 +110,53 @@ def terms(scale, x: float) -> tuple[int, float, float]:
     if x == a:
         return i, 1.0, 0.0
     return i, (b - x) / (b - a), (x - a) / (b - a)
+
+
+def trajectory(rows, final_state: State = State(0.0, 0.0, 0.0, 0.0)) -> Trajectory:
+    """A ``Trajectory`` of rows (a 2-D array or a sequence of rows, each
+    len(TRAJ_COLUMNS) wide) in ``simulate``'s flat layout."""
+    data = np.asarray(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
+    return Trajectory(array("d", data.tobytes()), final_state)
+
+
+def columns(traj: Trajectory, *names: str) -> tuple[np.ndarray, ...]:
+    """The named columns of traj as strided views of one (rows,
+    len(TRAJ_COLUMNS)) float64 array, the form the numpy metrics read."""
+    data = np.array(traj.data).reshape(-1, len(TRAJ_COLUMNS))
+    return tuple(data[:, TRAJ_COLUMNS.index(name)] for name in names)
+
+
+def tracking_cost(traj: Trajectory, n_steps: int = COST_STEPS) -> float:
+    """Negative sum of |e1| over the first n_steps records, by np.sum."""
+    e1, = columns(traj, "e1")
+    if len(e1) < n_steps:
+        raise ValueError(f"trajectory has {len(e1)} records, need {n_steps}")
+    return float(-np.abs(e1[:n_steps]).sum())
+
+
+def compute_metrics(traj: Trajectory, ref) -> Metrics:
+    """``metrics.compute_metrics`` as numpy reductions over the strided
+    columns: the cost, the overshoot by ndarray.max, the settling time by
+    the last index outside the band, the means by ndarray.mean."""
+    t, e1, x1, x1d = columns(traj, "t", "e1", "x1", "x1d")
+    if len(t) < 2:
+        raise ValueError(f"need at least 2 records, got {len(t)}")
+    cost = tracking_cost(traj, n_steps=min(COST_STEPS, len(t)))
+    ov = ts = math.nan
+    if ref.kind in ("square", "constant"):
+        target = x1d[-1]
+        step = abs(target - x1[0])
+        if step == 0.0:
+            step = 1.0
+        ov = max(0.0, float((x1.max() - target) / step) * 100.0)
+        inside = np.abs(e1) < SETTLING_BAND * step
+        outside = np.nonzero(~inside)[0]
+        if inside[-1]:
+            ts = float(t[outside[-1] + 1] if len(outside) else t[0])
+    tail = np.abs(e1[t >= t[-1] - 1.0 + 1e-12])
+    sse = float(tail.mean()) if len(tail) else math.nan
+    rms = float(np.sqrt((e1 ** 2).mean()))
+    return Metrics(cost, ov, ts, sse, rms)
 
 
 def mechanical_energy(params: PlantParams, s: State) -> float:

@@ -516,5 +516,5 @@ def test_trajectory_array_views(params, gains):
     sim = SimConfig(horizon=1.0)
     traj = simulate(params, sim, Controller(ControllerKind.CASCADED_PD, gains),
                     Reference("square"), DisturbanceModel())
-    assert traj.e1.shape == traj.x1.shape == traj.t.shape == (20,)
+    assert len(traj.e1) == len(traj.x1) == len(traj.t) == len(traj) == 20
     assert traj.e1[0] == 1.0 and traj.x1[0] == 0.0

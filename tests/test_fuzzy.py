@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flexjoint.fuzzy import (_KD_INDEX, _KP_INDEX, _ORDER, ERROR_SCALE,
                              KD_RULES, KP_RULES, RATE_SCALE, TERMS, FlrBounds,
-                             LinguisticScale, RuleBase, infer)
+                             LinguisticScale, RuleBase, _linspace5, infer)
 from oracles import terms
 
 IDX = {t: i for i, t in enumerate(TERMS)}
@@ -94,6 +94,26 @@ def test_scale_validation():
         LinguisticScale(0.0, 5e-324)  # peaks that round together
 
 
+_TINY = 5e-324   # the least subnormal: a quarter of 1 or 2 of them rounds to 0
+
+
+@given(lo=st.floats(-1e300, 1e300), width=st.one_of(
+    st.sampled_from([0.0, _TINY, 2 * _TINY, 3 * _TINY, 4 * _TINY]),
+    st.floats(0.0, 1e300), st.floats(-1e300, 0.0)))
+@example(lo=0.0, width=-0.0)     # hi = -0.0: delta and step -0.0
+@example(lo=-0.0, width=0.0)
+@example(lo=-_TINY, width=2 * _TINY)
+@example(lo=1.0, width=0.0)
+@settings(max_examples=500, deadline=None)
+def test_linspace5_is_np_linspace_bitwise(lo, width):
+    """The plain-float peaks and singletons are np.linspace(lo, hi, 5) bit
+    for bit, hi = lo + width: for lo == hi, for widths whose quarter
+    underflows (numpy's zero-step branch) and for ordered and reversed
+    ends."""
+    hi = lo + width
+    assert struct.pack("<5d", *_linspace5(lo, hi)) == np.linspace(lo, hi, 5).tobytes()
+
+
 @given(x=st.floats(-math.pi, math.pi, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_partition_of_unity(x):
@@ -146,7 +166,7 @@ def test_rule_base_validation():
 def consequents(bounds, index):
     """The 5x5 singleton table of one gain: np.linspace(lo, hi, 5) indexed
     by the rule table's term indices."""
-    return np.linspace(*bounds, 5)[index]
+    return np.linspace(*bounds, 5)[np.array(index)]
 
 
 def _cell(blocks, i, j):

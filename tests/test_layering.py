@@ -71,6 +71,60 @@ def test_a_tune_loads_no_more_scipy_than_importing_tuning(tmp_path):
         == (TUNING_SCIPY, [])
 
 
+def _loads_after(code: str, *modules: str) -> list[bool]:
+    """Whether each of modules is in sys.modules after a fresh interpreter
+    runs code."""
+    out = _fresh(f"import sys\n{code}\nprint([m in sys.modules for m in {modules!r}])")
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--disturbance", "off"], 0),
+    (["simulate", "--controller", "single-pd"], 2)])   # diverges at t = 1.27 s
+def test_a_simulate_without_disturbance_loads_no_numpy(tmp_path, argv, code):
+    """The closed loop, the metrics and the artifacts run on plain floats:
+    importing the command line and running a simulate that draws no
+    disturbance leave numpy unloaded."""
+    argv = argv + ["--out", str(tmp_path / "s")]
+    assert _loads_after("import flexjoint.cli\n"
+                        f"assert flexjoint.cli.main({argv!r}) == {code}",
+                        "numpy", "flexjoint.analysis") == [False, False]
+
+
+def test_a_disturbed_simulate_loads_numpy_but_no_scipy(tmp_path):
+    """The disturbance table is drawn by a numpy kernel, so a disturbed
+    simulate loads numpy, and still no scipy."""
+    argv = ["simulate", "--disturbance", "uniform", "--out", str(tmp_path / "s")]
+    assert _loads_after("import flexjoint.cli\n"
+                        f"assert flexjoint.cli.main({argv!r}) == 0",
+                        "numpy", "scipy") == [True, False]
+
+
+def _top_level_imports(tree: ast.Module):
+    """Root names of the modules that tree imports when it is imported:
+    outside function bodies, in class bodies and module-level blocks too."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_analysis_and_tuning_import_numpy_at_top_level():
+    """Each layer imports only what it uses: numpy is imported when a module
+    loads only by analysis and tuning, which run on arrays throughout;
+    the others import it inside the function that draws or fits."""
+    src = Path(flexjoint.__file__).resolve().parent
+    importers = {path.stem for path in src.glob("*.py")
+                 if "numpy" in set(_top_level_imports(ast.parse(path.read_text())))}
+    assert importers <= {"analysis", "tuning"}, importers
+
+
 SAME_BINDINGS = (
     "from scipy.linalg import lapack\n"
     "from scipy.linalg._flapack import dpotrf, dpotrs\n"
@@ -242,13 +296,14 @@ def _tuple_swaps(function):
 
 def test_hot_loops_build_no_tuple_to_unpack():
     """simulate runs per Euler sub-step, the controller's law and infer
-    per control step, and the tuner's simplex, L-BFGS-B driver and
-    lockstep engine per query: none of them writes a multiple assignment
-    that the interpreter compiles to a tuple built and unpacked again.  An
-    interpreter that compiles it to plain stores passes trivially."""
-    from flexjoint import control, fuzzy, tuning
+    per control step, the metrics' pairwise sum per block of terms, and
+    the tuner's simplex, L-BFGS-B driver and lockstep engine per query:
+    none of them writes a multiple assignment that the interpreter
+    compiles to a tuple built and unpacked again.  An interpreter that
+    compiles it to plain stores passes trivially."""
+    from flexjoint import control, fuzzy, metrics, tuning
     found = {f.__qualname__: _tuple_swaps(f)
              for f in (control.simulate, control.Controller._law, fuzzy.infer,
-                       tuning._nelder_mead, tuning._lockstep,
-                       tuning._lbfgsb_run)}
+                       metrics._pairwise, tuning._nelder_mead,
+                       tuning._lockstep, tuning._lbfgsb_run)}
     assert found == {name: [] for name in found}

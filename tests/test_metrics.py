@@ -4,14 +4,17 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from flexjoint.control import (TRAJ_COLUMNS, Controller, ControllerKind,
-                               Reference, Trajectory, simulate)
-from flexjoint.metrics import (COST_STEPS, Metrics, compute_metrics,
-                               settling_time, step_overshoot, tracking_cost)
+                               Reference, simulate)
+from flexjoint.metrics import (COST_STEPS, SETTLING_BAND, Metrics, _sum,
+                               compute_metrics, settling_time, step_overshoot,
+                               tracking_cost)
 from flexjoint.plant import DisturbanceModel, State
+from oracles import columns, trajectory
 
 
 def test_step_overshoot_frozen():
@@ -46,7 +49,7 @@ def _synthetic_step_traj():
 
     # rise, 5% overshoot at t=0.15, settle to the target
     xs = [0.0, 0.7, 1.0, 1.05, 1.01] + [1.0] * 195
-    return Trajectory(np.array([rec(0.05 * i, x) for i, x in enumerate(xs)]),
+    return trajectory([rec(0.05 * i, x) for i, x in enumerate(xs)],
                       final_state=State(1.0, 0, 0, 0))
 
 
@@ -72,8 +75,7 @@ def test_compute_metrics_rejects_tiny_trajectory():
     """A one-period run holds one record, taken before its torque: too few
     to score, and the error says how many there are."""
     for rows in (0, 1):
-        traj = Trajectory(np.zeros((rows, len(TRAJ_COLUMNS))),
-                          final_state=State(0, 0, 0, 0))
+        traj = trajectory(np.zeros((rows, len(TRAJ_COLUMNS))))
         with pytest.raises(ValueError, match=f"^degenerate metrics: need at "
                            f"least 2 control-step records, the trajectory "
                            f"has {rows}$"):
@@ -82,11 +84,11 @@ def test_compute_metrics_rejects_tiny_trajectory():
 
 def _metrics_with_wrappers(traj, ref):
     """compute_metrics' formulas written with np.sum, np.max and np.mean."""
-    t, e1, x1 = traj.t, traj.e1, traj.x1
+    t, e1, x1, x1d = columns(traj, "t", "e1", "x1", "x1d")
     cost = float(-np.sum(np.abs(e1[:min(COST_STEPS, len(traj))])))
     ov = ts = math.nan
     if ref.kind != "sine":
-        target = traj.x1d[-1]
+        target = x1d[-1]
         step = abs(target - x1[0]) or 1.0
         ov = max(0.0, float((np.max(x1) - target) / step) * 100.0)
         ts = settling_time(t, e1, step)
@@ -106,13 +108,13 @@ def _bits(values):
 @settings(max_examples=200, deadline=None)
 def test_metrics_reductions_are_the_numpy_wrappers_bitwise(rows, seed, scale,
                                                            ref_kind):
-    """The array methods the metrics call give the bits of np.sum, np.max
-    and np.mean, on strided columns of 2-300 rows, lengths on both sides of
-    numpy's 8-term and 128-term pairwise blocks."""
+    """The metrics give the bits of np.sum, np.max and np.mean over strided
+    columns of 2-300 rows, lengths on both sides of numpy's 8-term and
+    128-term pairwise blocks."""
     data = np.random.default_rng(seed).standard_normal(
         (rows, len(TRAJ_COLUMNS))) * scale
     data[:, 0] = np.arange(rows) * 0.05
-    traj = Trajectory(data, final_state=State(0.0, 0.0, 0.0, 0.0))
+    traj = trajectory(data)
     ref = Reference(ref_kind)
     assert _bits(astuple(compute_metrics(traj, ref))) == _bits(
         astuple(_metrics_with_wrappers(traj, ref)))
@@ -127,3 +129,91 @@ def test_metrics_reductions_are_the_numpy_wrappers_bitwise(rows, seed, scale,
 def test_compute_metrics_is_dataclass():
     m = compute_metrics(_synthetic_step_traj(), Reference("constant"))
     assert isinstance(m, Metrics)
+
+
+# ---------------------------------------------------------------------------
+# the plain-float arithmetic against numpy, bit for bit
+
+@st.composite
+def settling_runs(draw):
+    """(trajectory, reference, settling mode, k) of a finite run with 2-400
+    records: e1 is outside the settling band before record k and inside it
+    from k on, for k = n (never settles), 0 (always inside) or in between
+    (settles midway).  The band comes from x1[0] and the target x1d[-1] as
+    compute_metrics finds them; outside values span 20 decades."""
+    n = draw(st.integers(2, 400))
+    dt = draw(st.sampled_from([0.05, 0.005, 0.25]))
+    ref = Reference(draw(st.sampled_from(["square", "sine", "constant"])),
+                    draw(st.floats(-3.0, 3.0)))
+    mode = draw(st.sampled_from(["never", "always", "midway"]))
+    k = {"never": n, "always": 0, "midway": draw(st.integers(1, n - 1))}[mode]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n) * dt
+    x1d = np.array([ref(s)[0] for s in t])
+    e1 = np.empty(n)
+    # e1[0] fixes the step: 0.0 is inside any band, |e1[0]| >= 0.2 outside
+    e1[0] = 0.0 if k == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+    step = abs(x1d[-1] - (x1d[0] - e1[0])) or 1.0
+    band = SETTLING_BAND * step
+    signs = rng.choice([-1.0, 1.0], n)
+    e1[1:k] = signs[1:k] * band * (1.0 + 10.0 ** rng.uniform(-6.0, 14.0, max(k - 1, 0)))
+    e1[max(k, 1):] = signs[max(k, 1):] * band * rng.uniform(0.0, 0.99, n - max(k, 1))
+    data = np.zeros((n, len(TRAJ_COLUMNS)))
+    for name, column in (("t", t), ("x1d", x1d), ("e1", e1), ("x1", x1d - e1)):
+        data[:, TRAJ_COLUMNS.index(name)] = column
+    return trajectory(data), ref, mode, k
+
+
+@given(run=settling_runs(), window=st.integers(0, 400))
+@settings(max_examples=300, deadline=None)
+def test_metrics_match_the_numpy_oracle_bitwise(run, window):
+    """compute_metrics and tracking_cost keep the bits of their numpy forms
+    in tests/oracles.py, signed zeros and repr included, on square, sine
+    and constant references whose error never settles, always holds or
+    settles midway."""
+    traj, ref, mode, k = run
+    got, expected = compute_metrics(traj, ref), oracles.compute_metrics(traj, ref)
+    assert _bits(astuple(got)) == _bits(astuple(expected))
+    assert repr(got) == repr(expected)
+    n = min(window, len(traj))
+    assert _bits([tracking_cost(traj, n)]) == _bits([oracles.tracking_cost(traj, n)])
+    if ref.kind != "sine":   # the run settles as it was built to
+        t = traj.t
+        assert (math.isnan(got.settling_time) if mode == "never"
+                else got.settling_time == t[k])
+
+
+_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+             5e-324, -5e-324]
+
+
+def _same(a, b) -> bool:
+    """Equal bits, or both NaN: which NaN an add of two NaNs keeps depends
+    on the order a compiler puts the operands of a commutative add in."""
+    return _bits([a]) == _bits([b]) or (a != a and b != b)
+
+
+@given(n=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([0.0, 0.02, 0.3]),
+       decades=st.sampled_from([0, 6, 308]))
+@example(n=1000, seed=0, special=1.0, decades=0)   # 1000 values drawn from _SPECIALS
+@settings(max_examples=300, deadline=None)
+def test_sum_is_np_sum_bitwise(n, seed, special, decades):
+    """_sum adds in np.sum's order at lengths 0-1000, across the 8-term and
+    128-term blocks and the halving above them: signed zeros, infinities,
+    NaNs and magnitudes up to 1e308."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):   # overflows to inf, inf - inf
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n)
+        picks = rng.random(n) < special
+        values[picks] = rng.choice(_SPECIALS, n)[picks]
+        expected = float(np.sum(values))
+    assert _same(_sum(values.tolist()), expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 136, 200, 1000])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_sum_of_zeros_is_np_sum(n, zero):
+    """np.sum adds the pairwise sum to 0.0, so a sum of -0.0 terms is 0.0,
+    at every length."""
+    assert _bits([_sum([zero] * n)]) == _bits([float(np.sum(np.full(n, zero)))])

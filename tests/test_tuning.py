@@ -13,8 +13,7 @@ from scipy.stats import qmc
 
 from flexjoint import tuning
 from flexjoint.cli import main
-from flexjoint.control import (TRAJ_COLUMNS, DivergedTrajectory, GainSet,
-                               Trajectory)
+from flexjoint.control import TRAJ_COLUMNS, DivergedTrajectory, GainSet
 from flexjoint.plant import PlantParams, State
 from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               FAILED_COST, FIT_STARTS, LOCAL_SEARCHES,
@@ -26,7 +25,8 @@ from flexjoint.tuning import (_LEN_BOUNDS, _NOISE_RATIO_BOUNDS, _SIG_BOUNDS,
                               flr_bounds_from_vector, gp_fit, gp_predict,
                               latin_hypercube, pd_gain_domain, smbo, sobol,
                               suggest, tracking_cost, ucb)
-from oracles import dense_oracle, noise_variance, read_csv, state_matrix
+from oracles import (dense_oracle, noise_variance, read_csv, state_matrix,
+                     trajectory)
 
 UNIT = Domain(names=("x",), lo=(0.0,), hi=(1.0,))
 
@@ -1138,22 +1138,16 @@ def test_tuner_config_validation():
 # cost
 
 def test_tracking_cost_frozen():
-    from flexjoint.plant import State
-
     def rec(t, e1):
         # columns t, x1..x4, x1d, x3d, u, e1..e4, gains
         return (t, 0, 0, 0, 0, 0.0, 0, 0.0, e1, 0, 0, 0, 0, 0, 0, 0)
 
-    traj = Trajectory(np.array([rec(0.05 * i, (-1.0) ** i * 0.5)
-                                for i in range(200)]),
-                      final_state=State(0, 0, 0, 0))
+    traj = trajectory([rec(0.05 * i, (-1.0) ** i * 0.5) for i in range(200)])
     assert tracking_cost(traj) == pytest.approx(-100.0)
 
 
 def test_tracking_cost_needs_enough_records():
-    from flexjoint.plant import State
-    traj = Trajectory(np.zeros((1, len(TRAJ_COLUMNS))),
-                      final_state=State(0, 0, 0, 0))
+    traj = trajectory(np.zeros((1, len(TRAJ_COLUMNS))))
     with pytest.raises(ValueError):
         tracking_cost(traj)
 

@@ -13,7 +13,6 @@ comparison (see DISCREPANCIES.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,10 +20,10 @@ import numpy as np
 from .control import GainSet
 from .fuzzy import FlrBounds
 from .plant import PlantParams
+from .record import Record
 
 
-@dataclass(frozen=True)
-class StabilityBounds:
+class StabilityBounds(Record):
     """Lipschitz bounds on the disturbance partials: |dd1/de1| <= L11,
     |dd1/de2| <= L12, |dd2/de3| <= L21, |dd2/de4| <= L22.  A
     state-independent random disturbance has all four equal to zero."""

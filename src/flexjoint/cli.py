@@ -24,7 +24,6 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .control import (TRAJ_COLUMNS, Controller, ControllerKind,
@@ -47,7 +46,7 @@ DEFAULT_TUNER_SEED = 0
 
 RNG_DESCRIPTION = "numpy PCG64 (default_rng) keyed by (seed, step_index)"
 
-METRIC_COLUMNS = tuple(f.name for f in fields(Metrics))
+METRIC_COLUMNS = Metrics._fields
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,10 +172,10 @@ def cmd_simulate(args) -> tuple[int, dict]:
                       flr_bounds=loaded.bounds)
     ref = Reference(kind=args.reference, value=args.reference_value)
     dist = _disturbance(args, args.disturbance)
-    meta = dict(command="simulate", plant=asdict(params), sim=asdict(sim),
-                controller=args.controller, gains=asdict(loaded.gains),
-                flr_bounds=asdict(loaded.bounds), reference=args.reference,
-                disturbance=asdict(dist), seed=args.seed)
+    meta = dict(command="simulate", plant=params._asdict(), sim=sim._asdict(),
+                controller=args.controller, gains=loaded.gains._asdict(),
+                flr_bounds=loaded.bounds._asdict(), reference=args.reference,
+                disturbance=dist._asdict(), seed=args.seed)
     traj = simulate(params, sim, ctrl, ref, dist)
     m = compute_metrics(traj, ref)
     print(f"cost={m.cost!r} overshoot_pct={m.overshoot_pct!r} "
@@ -185,7 +184,7 @@ def cmd_simulate(args) -> tuple[int, dict]:
     rows = zip(*[iter(traj.data)] * len(TRAJ_COLUMNS))  # the flat data, row by row
     return EXIT_OK, {"_meta.json": meta_text(meta),
                      "_trajectory.csv": csv_text(TRAJ_COLUMNS, rows),
-                     "_metrics.csv": csv_text(METRIC_COLUMNS, [astuple(m)])}
+                     "_metrics.csv": csv_text(METRIC_COLUMNS, [m._astuple()])}
 
 
 def cmd_tune(args) -> tuple[int, dict]:
@@ -221,9 +220,9 @@ def cmd_tune(args) -> tuple[int, dict]:
         base_gains = _resolve_gains(args).gains
         domain = flr_bound_domain(args.flr_half_width)
         cost = make_flr_cost(params, sim, ref, dist, base_gains)
-    meta = dict(command="tune", stage=args.stage, plant=asdict(params),
-                sim=asdict(sim), tuner=asdict(config),
-                disturbance=asdict(dist), seed=args.seed,
+    meta = dict(command="tune", stage=args.stage, plant=params._asdict(),
+                sim=sim._asdict(), tuner=config._asdict(),
+                disturbance=dist._asdict(), seed=args.seed,
                 tuner_seed=args.tuner_seed)
     X, y = smbo(cost, domain, config)
     columns = ("episode",) + domain.names + ("y", "best_y")
@@ -281,8 +280,8 @@ def cmd_analyze(args) -> tuple[int, dict]:
                        f"plant from {args.plant or bundled})") from None
 
     print("\n".join(lines))
-    meta = dict(command="analyze", plant=asdict(params), gains=asdict(gains),
-                flr_bounds=asdict(bounds), L=list(args.L))
+    meta = dict(command="analyze", plant=params._asdict(), gains=gains._asdict(),
+                flr_bounds=bounds._asdict(), L=list(args.L))
     return EXIT_OK if all_ok else EXIT_UNSTABLE, {
         "_meta.json": meta_text(meta),
         "_analysis.csv": csv_text(("matrix_is_worst_case", "index", "re", "im"), rows)}
@@ -322,9 +321,9 @@ def cmd_ablate(args) -> tuple[int, dict]:
     sim = _sim_config(args)
     loaded = _resolve_gains(args)
     dist = _disturbance(args, "uniform")
-    meta = dict(command="ablate", plant=asdict(params), sim=asdict(sim),
-                gains=asdict(loaded.gains), flr_bounds=asdict(loaded.bounds),
-                disturbance=asdict(dist), seed=args.seed)
+    meta = dict(command="ablate", plant=params._asdict(), sim=sim._asdict(),
+                gains=loaded.gains._asdict(), flr_bounds=loaded.bounds._asdict(),
+                disturbance=dist._asdict(), seed=args.seed)
     results = run_ablation(params, sim, loaded.gains, loaded.bounds, dist)
     for name, cost, *_, status in results:
         print(f"{name}: cost={cost!r} ({status})")

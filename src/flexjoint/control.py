@@ -14,11 +14,11 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass, field
 
 from .fuzzy import FlrBounds, RuleBase, infer
 from .plant import (DisturbanceModel, PlantParams, SimConfig, State,
                     disturbance_draws)
+from .record import Record
 
 DIVERGENCE_LIMIT = 1e6
 # (kp, kd) of the reduced-order single-PD baseline
@@ -43,8 +43,7 @@ class DivergedTrajectory(RuntimeError):
             f"trajectory diverged at sim step {sim_step} (t={t:.4f}s): {cause}")
 
 
-@dataclass(frozen=True)
-class GainSet:
+class GainSet(Record):
     kp1: float = 52.19
     kd1: float = 10.18
     kp2: float = 144.5
@@ -69,8 +68,7 @@ class ControllerKind(str, enum.Enum):
 _SINGLE_PD = ControllerKind.SINGLE_PD
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(Record):
     """Tracked link-angle signal; evaluates to (x1d, x1d_dot, x1d_ddot).
 
     square: 1 rad for t < 10 s, 0 afterwards, derivatives zero.
@@ -95,8 +93,7 @@ class Reference:
         return self.value, 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class Controller:
+class Controller(Record):
     """Value object bundling a controller kind with its parameters.
 
     loop1 and loop2 hold the regulators of the kind's fuzzy loops, built
@@ -104,11 +101,9 @@ class Controller:
     """
 
     kind: ControllerKind = ControllerKind.FUZZY_CASCADED
-    gains: GainSet = field(default_factory=GainSet)
-    flr_bounds: FlrBounds = field(default_factory=FlrBounds)
+    gains: GainSet = GainSet()
+    flr_bounds: FlrBounds = FlrBounds()
     single_gains: tuple[float, float] = SINGLE_PD_GAINS
-    loop1: RuleBase | None = field(init=False, compare=False, repr=False)
-    loop2: RuleBase | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         k, b = self.kind, self.flr_bounds
@@ -158,7 +153,6 @@ _COLUMN_INDEX = {name: i for i, name in enumerate(TRAJ_COLUMNS)}
 _WIDTH = len(TRAJ_COLUMNS)
 
 
-@dataclass(eq=False)
 class Trajectory:
     """Control-rate record of a simulation run.
 
@@ -171,8 +165,9 @@ class Trajectory:
     conditions with the torque that would have been applied.
     """
 
-    data: array
-    final_state: State
+    def __init__(self, data: array, final_state: State):
+        self.data = data
+        self.final_state = final_state
 
     def __getattr__(self, name: str) -> array:
         i = _COLUMN_INDEX.get(name)

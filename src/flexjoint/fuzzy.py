@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+
+from .record import Record
 
 TERMS = ("NB", "NS", "ZE", "PS", "PB")
 
@@ -51,19 +52,18 @@ def _linspace5(lo: float, hi: float) -> list[float]:
     return [i * step + lo for i in range(4)] + [hi]
 
 
-@dataclass(frozen=True)
-class LinguisticScale:
+class LinguisticScale(Record):
     """Five-term partition of [lo, hi] with evenly spaced peaks.
 
     Interior terms are full triangles spanning the two neighbouring peaks;
     NB and PB are half-triangles peaking at the domain edge.  Adjacent
     memberships sum to 1 everywhere in the domain (partition of unity),
-    provided inputs are clamped to [lo, hi] first.
+    provided inputs are clamped to [lo, hi] first.  ``peaks`` holds the
+    five peaks as a tuple, built once here.
     """
 
     lo: float
     hi: float
-    peaks: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         peaks = _linspace5(self.lo, self.hi)
@@ -92,8 +92,7 @@ def _check_bounds(name: str, lo: float, hi: float) -> None:
 _ORDER = (0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 2, 0, 0, 3)
 
 
-@dataclass(frozen=True)
-class RuleBase:
+class RuleBase(Record):
     """Output bounds of one regulator (dkp and dkd) over KP_RULES/KD_RULES.
 
     The singleton that rule (e term i, de term j) outputs for dkp is
@@ -115,8 +114,7 @@ class RuleBase:
                 for i in range(4) for j in range(4)))
 
 
-@dataclass(frozen=True)
-class FlrBounds:
+class FlrBounds(Record):
     """Output intervals of both regulators, (lower, upper) per gain."""
 
     dkp1: tuple[float, float] = (0.0, 0.0)

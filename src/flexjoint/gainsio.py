@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .control import GainSet
 from .fuzzy import FlrBounds
 from .plant import PlantParams
+from .record import Record
 
 GAIN_KEYS = ("kp1", "kd1", "kp2", "kd2")
 BOUND_KEYS = ("dkp1_lo", "dkp1_hi", "dkd1_lo", "dkd1_hi",
@@ -44,8 +44,7 @@ def _parse_kv(path, allowed) -> dict[str, float]:
     return values
 
 
-@dataclass(frozen=True)
-class LoadedGains:
+class LoadedGains(Record):
     gains: GainSet
     bounds: FlrBounds
     repaired_pairs: tuple[str, ...]  # pairs whose (lo, hi) labels were swapped

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 from .control import Reference, Trajectory
+from .record import Record
 
 SETTLING_BAND = 0.02  # fraction of the step size
 COST_STEPS = 200  # control steps in the cost window, 10 s at the default rate
@@ -23,8 +23,7 @@ COST_STEPS = 200  # control steps in the cost window, 10 s at the default rate
 FAILED_COST = -1.0e4
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(Record):
     """cost: negative absolute-error sum over the first 200 control steps;
     overshoot_pct: peak link angle beyond the step target, as a percentage
     of the step size (step references only, else nan);

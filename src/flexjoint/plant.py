@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PlantParams:
+class PlantParams(Record):
     """Physical constants of the manipulator.
 
     Units: m [kg], g [m/s^2], l [m], I_l and I_m [kg m^2], k [N m],
@@ -47,8 +47,7 @@ class PlantParams:
         return self.m * self.g * self.l
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     x1: float
     x2: float
     x3: float
@@ -60,8 +59,7 @@ class State:
                 raise ValueError(f"non-finite state component: {v}")
 
 
-@dataclass(frozen=True)
-class DisturbanceModel:
+class DisturbanceModel(Record):
     """Acceleration disturbances (d1, d2) injected into both sub-plants.
 
     kind "off" yields (0, 0).  kind "uniform" draws i.i.d. values from
@@ -96,8 +94,7 @@ class DisturbanceModel:
 MAX_SUBSTEPS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Fixed-step integration grid: control period must tile the horizon and
     the sim step must tile the control period.  Neither the horizon nor the
     control period may exceed MAX_SUBSTEPS sim steps, which bounds both step

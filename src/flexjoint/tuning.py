@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -26,6 +25,7 @@ from .control import (Controller, ControllerKind, DivergedTrajectory, GainSet,
 from .fuzzy import FlrBounds
 from .metrics import FAILED_COST, tracking_cost
 from .plant import DisturbanceModel, PlantParams, SimConfig
+from .record import Record
 
 
 def _scipy_extension(name: str):
@@ -149,8 +149,7 @@ def latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
     return (perms.T - samples) / n
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Axis-aligned search box with named dimensions (arrays built once),
     at most SOBOL_MAX_DIM, so every surrogate input is at most 8-D."""
 
@@ -191,8 +190,7 @@ class Domain:
 MAX_EPISODES = 10_000
 
 
-@dataclass(frozen=True)
-class TunerConfig:
+class TunerConfig(Record):
     """SMBO settings: T total episodes, n_init initial Latin-hypercube
     samples, h the UCB exploration coefficient, seed >= 0; T, n_init and
     seed are ints, not bools.
@@ -232,8 +230,7 @@ class TunerConfig:
             raise ValueError(f"tuner seed must be >= 0, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class GpModel:
+class GpModel(Record):
     """Fitted GP state over normalized inputs / standardized targets.
 
     theta = (log length scales per dim, log signal variance,
@@ -252,8 +249,8 @@ class GpModel:
     theta: np.ndarray
     y_mean: float
     y_std: float
-    alpha: np.ndarray = field(repr=False)
-    chol: np.ndarray = field(repr=False)
+    alpha: np.ndarray
+    chol: np.ndarray
 
     def __post_init__(self):
         if np.asarray_chkfinite(self.chol).shape != (len(self.Xn),) * 2:

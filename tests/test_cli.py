@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -703,9 +702,9 @@ FILE_KEYS = ([("plant", key) for key in PLANT_KEYS]
 def _file_text(kind: str, **overrides: str) -> str:
     """A plant or gains file with the default values, overrides applied."""
     if kind == "plant":
-        values = asdict(PlantParams())
+        values = PlantParams()._asdict()
     else:
-        values = dict(asdict(GainSet()), dkp1_lo=-1.0, dkp1_hi=1.0,
+        values = dict(GainSet()._asdict(), dkp1_lo=-1.0, dkp1_hi=1.0,
                       dkd1_lo=-1.0, dkd1_hi=1.0, dkp2_lo=-1.0, dkp2_hi=1.0,
                       dkd2_lo=-1.0, dkd2_hi=1.0)
     values.update(overrides)
@@ -848,6 +847,62 @@ def test_artifacts_match_frozen_bytes(tmp_path, args, digests):
         assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
+# The _meta.json of four commands, key for key: the resolved configuration
+# that a run echoes must not move when the records behind it are rebuilt.
+# GAINS and PLANT stand for the files the test writes; the gains file
+# stores dkp1 reversed, and the meta holds the pair as (min, max).
+RNG = "numpy PCG64 (default_rng) keyed by (seed, step_index)"
+DEFAULT_PLANT = {"I_l": 1.0, "I_m": 0.3, "g": 9.8, "k": 100.0, "l": 0.4,
+                 "m": 1.2756, "mu": 0.1}
+DEFAULT_SIM = {"control_dt": 0.05, "horizon": 10.0, "sim_dt": 0.005}
+UNIFORM_10 = {"amplitude": 10.0, "hold": "per-sim-step", "kind": "uniform",
+              "seed": 10}
+BUNDLED_GAINS = {"kd1": 10.18, "kd2": 8.636, "kp1": 52.19, "kp2": 144.5}
+BUNDLED_BOUNDS = {"dkd1": [-3.228, 0.1], "dkd2": [-0.1, 0.9537],
+                  "dkp1": [-11.61, 15.27], "dkp2": [-16.94, 2.997]}
+FROZEN_META = (
+    ("simulate --gains --plant",
+     ["simulate", "--gains", "GAINS", "--plant", "PLANT"],
+     {"command": "simulate", "controller": "fuzzy-cascaded",
+      "disturbance": {"amplitude": 10.0, "hold": "per-sim-step", "kind": "off",
+                      "seed": 10},
+      "flr_bounds": {"dkd1": [0.0, 0.0], "dkd2": [-1.0, 1.0],
+                     "dkp1": [-2.0, 3.0], "dkp2": [0.0, 0.0]},
+      "gains": {"kd1": 9.5, "kd2": 8.0, "kp1": 50.0, "kp2": 140.0},
+      "plant": {"I_l": 1.0, "I_m": 0.3, "g": 9.8, "k": 90.0, "l": 0.4,
+                "m": 1.3, "mu": 0.12},
+      "reference": "square", "rng": RNG, "seed": 10, "sim": DEFAULT_SIM}),
+    ("ablate",
+     ["ablate"],
+     {"command": "ablate", "disturbance": UNIFORM_10,
+      "flr_bounds": BUNDLED_BOUNDS, "gains": BUNDLED_GAINS,
+      "plant": DEFAULT_PLANT, "rng": RNG, "seed": 10, "sim": DEFAULT_SIM}),
+    ("analyze --with-flr",
+     ["analyze", "--with-flr"],
+     {"L": [0.0, 0.0, 0.0, 0.0], "command": "analyze",
+      "flr_bounds": BUNDLED_BOUNDS, "gains": BUNDLED_GAINS,
+      "plant": DEFAULT_PLANT, "rng": RNG}),
+    ("tune --stage pd",
+     ["tune", "--stage", "pd", "--episodes", "3", "--n-init", "2"],
+     {"command": "tune", "disturbance": UNIFORM_10, "plant": DEFAULT_PLANT,
+      "rng": RNG, "seed": 10, "sim": DEFAULT_SIM, "stage": "pd",
+      "tuner": {"T": 3, "h": 2.576, "n_init": 2, "seed": 0}, "tuner_seed": 0}),
+)
+
+
+@pytest.mark.parametrize("args,meta", [a[1:] for a in FROZEN_META],
+                         ids=[a[0] for a in FROZEN_META])
+def test_meta_matches_frozen_config(tmp_path, capsys, args, meta):
+    files = {"GAINS": "kp1 = 50.0\nkd1 = 9.5\nkp2 = 140.0\nkd2 = 8.0\n"
+                      "dkp1_lo = 3.0\ndkp1_hi = -2.0\ndkd2_lo = -1.0\ndkd2_hi = 1.0\n",
+             "PLANT": "m = 1.3\nk = 90.0\nmu = 0.12\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in files else a for a in args]
+    assert run(args + ["--out", str(tmp_path / "f")]) == EXIT_OK
+    assert json.loads((tmp_path / "f_meta.json").read_text()) == meta
+
+
 def _files(directory) -> dict[str, bytes]:
     """The name and bytes of each entry of directory."""
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
@@ -904,7 +959,7 @@ def test_an_unstable_analyze_replaces_the_set(tmp_path):
     assert run(["analyze", "--gains", str(gfile), "--out", out]) == EXIT_UNSTABLE
     files = _files(runs)
     assert list(files) == ["p_analysis.csv", "p_meta.json"]
-    assert json.loads(files["p_meta.json"])["gains"] == asdict(GainSet(0, 0, 0, 0))
+    assert json.loads(files["p_meta.json"])["gains"] == GainSet(0, 0, 0, 0)._asdict()
 
 
 def test_an_all_failed_tune_drops_the_earlier_gains(tmp_path, capsys):

@@ -78,17 +78,26 @@ def _loads_after(code: str, *modules: str) -> list[bool]:
     return ast.literal_eval(out.splitlines()[-1])
 
 
+# what importing the command line and a simulate without a disturbance
+# leave unloaded: numpy and analysis, and the dataclasses module with the
+# inspect module that it imports
+UNLOADED = ("numpy", "flexjoint.analysis", "dataclasses", "inspect")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--disturbance", "off"], 0),
-    (["simulate", "--controller", "single-pd"], 2)])   # diverges at t = 1.27 s
+    (["simulate", "--controller", "single-pd"], 2),   # diverges at t = 1.27 s
+    (None, None)])                                   # the import alone
 def test_a_simulate_without_disturbance_loads_no_numpy(tmp_path, argv, code):
-    """The closed loop, the metrics and the artifacts run on plain floats:
-    importing the command line and running a simulate that draws no
-    disturbance leave numpy unloaded."""
-    argv = argv + ["--out", str(tmp_path / "s")]
-    assert _loads_after("import flexjoint.cli\n"
-                        f"assert flexjoint.cli.main({argv!r}) == {code}",
-                        "numpy", "flexjoint.analysis") == [False, False]
+    """The closed loop, the metrics and the artifacts run on plain floats,
+    and the value records build no code: importing the command line, and
+    running a simulate that draws no disturbance, leave numpy, analysis,
+    dataclasses and inspect unloaded."""
+    run = "" if argv is None else (
+        f"assert flexjoint.cli.main({argv + ['--out', str(tmp_path / 's')]!r})"
+        f" == {code}")
+    assert _loads_after(f"import flexjoint.cli\n{run}", *UNLOADED) \
+        == [False] * len(UNLOADED)
 
 
 def test_a_disturbed_simulate_loads_numpy_but_no_scipy(tmp_path):
@@ -123,6 +132,24 @@ def test_only_analysis_and_tuning_import_numpy_at_top_level():
     importers = {path.stem for path in src.glob("*.py")
                  if "numpy" in set(_top_level_imports(ast.parse(path.read_text())))}
     assert importers <= {"analysis", "tuning"}, importers
+
+
+def test_no_module_imports_dataclasses():
+    """The value records derive from record.Record, which generates no
+    code, so no module imports dataclasses, at its top level or inside a
+    function."""
+    def roots(node):
+        if isinstance(node, ast.Import):
+            return {alias.name.split(".")[0] for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return {node.module.split(".")[0]}
+        return set()
+
+    src = Path(flexjoint.__file__).resolve().parent
+    importers = {path.stem for path in src.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if "dataclasses" in roots(node)}
+    assert not importers, importers
 
 
 SAME_BINDINGS = (

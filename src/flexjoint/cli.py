@@ -168,7 +168,7 @@ def cmd_simulate(args) -> tuple[int, dict]:
     params = _resolve_plant(args)
     sim = _sim_config(args)
     loaded = _resolve_gains(args)
-    ctrl = Controller(kind=ControllerKind(args.controller), gains=loaded.gains,
+    ctrl = Controller(kind=args.controller, gains=loaded.gains,
                       flr_bounds=loaded.bounds)
     ref = Reference(kind=args.reference, value=args.reference_value)
     dist = _disturbance(args, args.disturbance)

@@ -6,7 +6,9 @@ a motor reference x3d; a second PD tracks x3d, and the torque compensates
 the spring-coupling and gravity terms.  Optional fuzzy regulators shift the
 PD gains online.  The motor-reference rate is taken as zero (its full
 chain-rule expression is deliberately not implemented), so the inner-loop
-velocity error is simply -x4.
+velocity error is simply -x4.  The law is written once, in the control
+step of ``simulate``, which runs it on plain floats; ``Controller`` only
+holds the kind, the gains and the regulators it reads.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class ControllerKind(str, enum.Enum):
     PD1_FUZZY2 = "pd1-fuzzy2"
 
 
-# a module-level name reads faster than an enum member, once per control step
-_SINGLE_PD = ControllerKind.SINGLE_PD
-
-
 class Reference(Record):
     """Tracked link-angle signal; evaluates to (x1d, x1d_dot, x1d_ddot).
 
@@ -96,8 +94,10 @@ class Reference(Record):
 class Controller(Record):
     """Value object bundling a controller kind with its parameters.
 
-    loop1 and loop2 hold the regulators of the kind's fuzzy loops, built
-    once here; a plain PD loop holds None.
+    A kind given by its string value is stored as its ``ControllerKind``;
+    an unknown one, or single_gains that are not two finite values >= 0,
+    raise ValueError.  loop1 and loop2 hold the regulators of the kind's
+    fuzzy loops, built once here; a plain PD loop holds None.
     """
 
     kind: ControllerKind = ControllerKind.FUZZY_CASCADED
@@ -106,44 +106,18 @@ class Controller(Record):
     single_gains: tuple[float, float] = SINGLE_PD_GAINS
 
     def __post_init__(self):
-        k, b = self.kind, self.flr_bounds
+        # a string kind becomes its member, which simulate tests by identity
+        k = ControllerKind(self.kind)
+        object.__setattr__(self, "kind", k)
+        gains = self.single_gains
+        if len(gains) != 2 or not all(math.isfinite(v) and v >= 0 for v in gains):
+            raise ValueError(f"single_gains must be two finite values >= 0, "
+                             f"got {gains!r}")
+        b = self.flr_bounds
         fuzzy1 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.FUZZY1_PD2)
         fuzzy2 = k in (ControllerKind.FUZZY_CASCADED, ControllerKind.PD1_FUZZY2)
         object.__setattr__(self, "loop1", RuleBase(b.dkp1, b.dkd1) if fuzzy1 else None)
         object.__setattr__(self, "loop2", RuleBase(b.dkp2, b.dkd2) if fuzzy2 else None)
-
-    def _law(self, I_l, k, mgl, x1, x2, x3, x4, x1d, x1d_dot, cos_x1):
-        """(u, u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2) on floats, the
-        gains as applied, cos_x1 = cos(x1).  SINGLE_PD is the reduced-order
-        baseline: one PD on the link error with single_gains, no reference
-        shaping and no compensation.  Every other kind is the cascade
-        u = u_pd2 + u_pd1*I_l + mgl*cos(x1), u_pd2 a PD tracking x3d; a loop
-        with a regulator adds its (dkp, dkd) output to its PD gains, loop 1
-        feeding it (e1, e2) and loop 2 (e3, e4)."""
-        e1 = x1d - x1
-        e2 = x1d_dot - x2
-        if self.kind is _SINGLE_PD:
-            kp, kd = self.single_gains
-            u = kp * e1 + kd * e2
-            nan = math.nan
-            return u, u, nan, e1, e2, nan, nan, kp, kd, nan, nan
-        g = self.gains
-        kp1 = g.kp1
-        kd1 = g.kd1
-        kp2 = g.kp2
-        kd2 = g.kd2
-        if self.loop1 is not None:
-            dkp1, dkd1 = infer(self.loop1, e1, e2)
-            kp1, kd1 = kp1 + dkp1, kd1 + dkd1
-        u_pd1 = kp1 * e1 + kd1 * e2
-        x3d = u_pd1 * I_l / k + x1 + mgl * cos_x1 / k
-        e3 = x3d - x3
-        e4 = 0.0 - x4  # x3d rate fixed to zero
-        if self.loop2 is not None:
-            dkp2, dkd2 = infer(self.loop2, e3, e4)
-            kp2, kd2 = kp2 + dkp2, kd2 + dkd2
-        u = kp2 * e3 + kd2 * e4 + u_pd1 * I_l + mgl * cos_x1
-        return u, u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2
 
 
 TRAJ_COLUMNS = ("t", "x1", "x2", "x3", "x4", "x1d", "x3d", "u",
@@ -185,18 +159,28 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
 
     The torque is recomputed every control_dt and held over the
     control_dt/sim_dt Euler sub-steps.  The loop runs on plain floats, from
-    the controller's law to one flat list of rows.  Disturbances are indexed
-    by sim step (or by control step under the per-control-step hold) and
-    read one control period at a time from the run's whole table, fetched
-    from the ``disturbance_draws`` memo once, before the loop.  Each
-    sub-step is one forward-Euler step of the equations in ``plant``'s
-    docstring, term by term, with each coefficient computed once, in
-    straight-line float code: a counter numbers the sub-steps, each
-    velocity's derivative is written into its update, its operations in
-    the equation's order, and the new state is committed one name at a
-    time and tested with one comparison per bound, so a sub-step builds
-    no tuple.  Raises DivergedTrajectory before integrating a non-finite torque, and
-    as soon as any state component is NaN or its magnitude exceeds 1e6.
+    the control law to one flat list of rows.  The controller's kind,
+    gains and regulators are read once, before the loop, and the law is
+    written in the control step itself: e1 = x1d - x1 and e2 = x1d_dot -
+    x2; SINGLE_PD, the reduced-order baseline, applies u = kp*e1 + kd*e2
+    with single_gains and records NaN for x3d, e3, e4, kp2 and kd2.  Every
+    other kind runs the cascade u_pd1 = kp1*e1 + kd1*e2, x3d =
+    u_pd1*I_l/k + x1 + mgl*cos(x1)/k, e3 = x3d - x3, e4 = -x4 and u =
+    kp2*e3 + kd2*e4 + u_pd1*I_l + mgl*cos(x1), with u_pd1*I_l and
+    mgl*cos(x1) each formed once; a loop with a regulator first adds its
+    ``infer`` output (dkp, dkd) to its PD gains, loop 1 on (e1, e2) and
+    loop 2 on (e3, e4).  Disturbances are indexed by sim step (or by
+    control step under the per-control-step hold) and read one control
+    period at a time from the run's whole table, fetched from the
+    ``disturbance_draws`` memo once, before the loop.  Each sub-step is one
+    forward-Euler step of the equations in ``plant``'s docstring, term by
+    term, with each coefficient computed once, in straight-line float code:
+    a counter numbers the sub-steps, each velocity's derivative is written
+    into its update, its operations in the equation's order, and the new
+    state is committed one name at a time and tested with one comparison
+    per bound, so a sub-step builds no tuple.  Raises DivergedTrajectory
+    before integrating a non-finite torque, and as soon as any state
+    component is NaN or its magnitude exceeds 1e6.
     """
     I_l = params.I_l
     I_m = params.I_m
@@ -208,10 +192,21 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     mu_m = params.mu / I_m
     dt = sim.sim_dt
     sub = sim.substeps
+    control_dt = sim.control_dt
     lim = DIVERGENCE_LIMIT
     nlim = -lim
-    law = controller._law
     cos = math.cos
+    g = controller.gains
+    kp1 = kp1_pd = g.kp1
+    kd1 = kd1_pd = g.kd1
+    kp2 = kp2_pd = g.kp2
+    kd2 = kd2_pd = g.kd2
+    loop1 = controller.loop1
+    loop2 = controller.loop2
+    single = controller.kind is ControllerKind.SINGLE_PD
+    if single:   # its gains as applied are fixed, and it has no loop 2
+        kp1, kd1 = controller.single_gains
+        x3d = e3 = e4 = kp2 = kd2 = math.nan
     off = dist.kind == "off"
     per_control = dist.hold == "per-control-step"
     steps = sim.n_control_steps
@@ -221,10 +216,28 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     c = cos(x1)
     rows: list[float] = []
     for n in range(steps or 1):
-        t = n * sim.control_dt
+        t = n * control_dt
         x1d, x1d_dot, _ = ref(t)
-        (u, _, x3d, e1, e2, e3, e4,
-         kp1, kd1, kp2, kd2) = law(I_l, k, mgl, x1, x2, x3, x4, x1d, x1d_dot, c)
+        e1 = x1d - x1
+        e2 = x1d_dot - x2
+        if single:
+            u = kp1 * e1 + kd1 * e2
+        else:
+            if loop1 is not None:
+                dkp1, dkd1 = infer(loop1, e1, e2)
+                kp1 = kp1_pd + dkp1
+                kd1 = kd1_pd + dkd1
+            u_pd1 = kp1 * e1 + kd1 * e2
+            p = u_pd1 * I_l
+            mc = mgl * c
+            x3d = p / k + x1 + mc / k
+            e3 = x3d - x3
+            e4 = 0.0 - x4  # x3d rate fixed to zero
+            if loop2 is not None:
+                dkp2, dkd2 = infer(loop2, e3, e4)
+                kp2 = kp2_pd + dkp2
+                kd2 = kd2_pd + dkd2
+            u = kp2 * e3 + kd2 * e4 + p + mc
         rows += (t, x1, x2, x3, x4, x1d, x3d, u, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
         if n == steps:   # a zero horizon: the row at rest, nothing integrated
             break

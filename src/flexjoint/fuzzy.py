@@ -136,6 +136,9 @@ class FlrBounds(Record):
 
 _E_LO, _E_HI, _E_PEAKS = ERROR_SCALE.lo, ERROR_SCALE.hi, ERROR_SCALE.peaks
 _D_LO, _D_HI, _D_PEAKS = RATE_SCALE.lo, RATE_SCALE.hi, RATE_SCALE.peaks
+# the width b - a of each cell between adjacent peaks, formed once
+_E_WIDTHS = tuple(b - a for a, b in zip(_E_PEAKS, _E_PEAKS[1:]))
+_D_WIDTHS = tuple(b - a for a, b in zip(_D_PEAKS, _D_PEAKS[1:]))
 
 
 def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
@@ -146,10 +149,10 @@ def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
 
     Each input is clamped to its scale; with peaks a <= x < b (or
     x = b = hi) around it, terms i and i + 1 grade (b - x)/(b - a) and
-    (x - a)/(b - a), or 1.0 and 0.0 at x = a, and the others 0.  A NaN
-    input grades NaN, and every sum over NaN grades is this NaN.  Each
-    value is assigned to its own name: no tuple is built but the pair
-    returned."""
+    (x - a)/(b - a), or 1.0 and 0.0 at x = a, and the others 0; the width
+    b - a comes from a table built once.  A NaN input grades NaN, and
+    every sum over NaN grades is this NaN.  Each value is assigned to its
+    own name: no tuple is built but the pair returned."""
     e = _E_LO if e < _E_LO else _E_HI if e > _E_HI else e
     de = _D_LO if de < _D_LO else _D_HI if de > _D_HI else de
     if e != e or de != de:
@@ -159,15 +162,17 @@ def infer(rb: RuleBase, e: float, de: float) -> tuple[float, float]:
     if e == a:
         e0, e1 = 1.0, 0.0
     else:
-        b = _E_PEAKS[i + 1]
-        e0, e1 = (b - e) / (b - a), (e - a) / (b - a)
+        w = _E_WIDTHS[i]
+        e0 = (_E_PEAKS[i + 1] - e) / w
+        e1 = (e - a) / w
     j = bisect_right(_D_PEAKS, de, 0, 4) - 1
     a = _D_PEAKS[j]
     if de == a:
         d0, d1 = 1.0, 0.0
     else:
-        b = _D_PEAKS[j + 1]
-        d0, d1 = (b - de) / (b - a), (de - a) / (b - a)
+        w = _D_WIDTHS[j]
+        d0 = (_D_PEAKS[j + 1] - de) / w
+        d1 = (de - a) / w
     o = 4 * i + j
     order = _ORDER[o]
     w00 = e0 * d0

@@ -4,17 +4,19 @@ Each is the plain, one-call-at-a-time form of something the library
 computes on plain floats, in bulk or in closed form: the model's
 right-hand side and one forward-Euler step on a ``State`` (``simulate``
 must match their loop bit for bit), the control law's torque and
-``Diagnostics`` at a ``State``, one disturbance draw (each entry of a
-``disturbance_draws`` table must match it bit for bit), the grades of a
-linguistic scale's two terms around an input (``infer`` inlines them),
-the mechanical energy, the spectrum of the error Jacobian from its two
-2x2 blocks, the exact g = 0 linearization of the simulated loop (which no
-command computes; DISCREPANCIES.md sets its spectrum against the design
-model's), the tracking cost and metrics as numpy computed them on a
-trajectory's strided columns (``metrics`` must match them bit for bit), a
-CSV reader for the command line's artifacts, a fitted GP's noise variance
-and its posterior by dense linear algebra.  ``trajectory`` builds a
-``Trajectory`` from rows, as the tests that need one by hand do.
+``Diagnostics`` at a ``State`` (written again from the equations, apart
+from the control step where ``simulate`` writes it), one disturbance
+draw (each entry of a ``disturbance_draws`` table must match it bit for
+bit), the grades of a linguistic scale's two terms around an input
+(``infer`` inlines them), the mechanical energy, the spectrum of the
+error Jacobian from its two 2x2 blocks, the exact g = 0 linearization of
+the simulated loop (which no command computes; DISCREPANCIES.md sets its
+spectrum against the design model's), the tracking cost and metrics as
+numpy computed them on a trajectory's strided columns (``metrics`` must
+match them bit for bit), a CSV reader for the command line's artifacts, a
+fitted GP's noise variance and its posterior by dense linear algebra.
+``trajectory`` builds a ``Trajectory`` from rows, as the tests that need
+one by hand do.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from flexjoint.control import TRAJ_COLUMNS, GainSet, Trajectory
+from flexjoint.control import (TRAJ_COLUMNS, ControllerKind, GainSet,
+                               Trajectory)
+from flexjoint.fuzzy import RuleBase, infer
 from flexjoint.metrics import COST_STEPS, SETTLING_BAND, Metrics
 from flexjoint.plant import DisturbanceModel, PlantParams, State
 
@@ -80,11 +84,35 @@ class Diagnostics(NamedTuple):
 def torque(controller, params: PlantParams, s: State,
            ref: tuple[float, float, float]) -> tuple[float, Diagnostics]:
     """Torque and diagnostics of a ``Controller`` at state s for reference
-    (x1d, x1d_dot, _): ``_law`` on the floats of s, its tail wrapped as
-    Diagnostics."""
-    u, *diag = controller._law(params.I_l, params.k, params.mgl, s.x1, s.x2,
-                               s.x3, s.x4, ref[0], ref[1], math.cos(s.x1))
-    return u, Diagnostics(*diag)
+    (x1d, x1d_dot, _), from the equations, in the operation order that
+    ``simulate`` must match bit for bit.  SINGLE_PD is one PD on the link
+    error with single_gains; every other kind is the cascade, and a fuzzy
+    loop of the kind adds a regulator's (dkp, dkd), built here from the
+    bounds, to its PD gains."""
+    e1 = ref[0] - s.x1
+    e2 = ref[1] - s.x2
+    kind = controller.kind
+    if kind == ControllerKind.SINGLE_PD:
+        kp, kd = controller.single_gains
+        u = kp * e1 + kd * e2
+        nan = math.nan
+        return u, Diagnostics(u, nan, e1, e2, nan, nan, kp, kd, nan, nan)
+    g, b = controller.gains, controller.flr_bounds
+    kp1, kd1, kp2, kd2 = g.kp1, g.kd1, g.kp2, g.kd2
+    if kind in (ControllerKind.FUZZY_CASCADED, ControllerKind.FUZZY1_PD2):
+        dkp, dkd = infer(RuleBase(b.dkp1, b.dkd1), e1, e2)
+        kp1, kd1 = kp1 + dkp, kd1 + dkd
+    u_pd1 = kp1 * e1 + kd1 * e2
+    x3d = (u_pd1 * params.I_l / params.k + s.x1
+           + params.mgl * math.cos(s.x1) / params.k)
+    e3 = x3d - s.x3
+    e4 = 0.0 - s.x4   # the motor reference's rate is taken as zero
+    if kind in (ControllerKind.FUZZY_CASCADED, ControllerKind.PD1_FUZZY2):
+        dkp, dkd = infer(RuleBase(b.dkp2, b.dkd2), e3, e4)
+        kp2, kd2 = kp2 + dkp, kd2 + dkd
+    u = (kp2 * e3 + kd2 * e4 + u_pd1 * params.I_l
+         + params.mgl * math.cos(s.x1))
+    return u, Diagnostics(u_pd1, x3d, e1, e2, e3, e4, kp1, kd1, kp2, kd2)
 
 
 def disturbance_sample(model: DisturbanceModel, step_index: int) -> tuple[float, float]:

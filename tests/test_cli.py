@@ -805,6 +805,28 @@ FROZEN_ARTIFACTS = (
       "--hold", "per-control-step", "--seed", "3"],
      {"_trajectory.csv": "78118cbd633f311565a719c270a71b613ec412aea92ae5c0ce16d50fa48205e7",
       "_metrics.csv": "9c3e73701052f28887b0b633236ba162028bcf42fa20f812fa4aaf0e74e84e87"}),
+    # the branches of the control law that the four runs above leave out:
+    # the single PD, a sine and a negative constant reference, and the
+    # plain cascade under the per-control-step hold
+    ("simulate --controller single-pd --horizon 1",
+     ["simulate", "--controller", "single-pd", "--horizon", "1"],
+     {"_trajectory.csv": "db449d950d436a20e0e22b54ea926a31cb387392d55715bfcb0f586cba10cb35",
+      "_metrics.csv": "ee34a366f0a684be7eabaf21cf3e9a39f02d3c7a9dc345d8768aa3e0ad7f60ab"}),
+    ("simulate --reference sine --disturbance uniform --seed 7",
+     ["simulate", "--reference", "sine", "--disturbance", "uniform",
+      "--seed", "7"],
+     {"_trajectory.csv": "af5d67f17c0b5c02f04c8d229b4c2d7aef57726e57c4c89a3f4a9f1cc26b78f8",
+      "_metrics.csv": "ddd42085b235b8ed8373bd8e27496a59dbc56eb65ce6c507cc6fe32efda4964c"}),
+    ("simulate --controller pd1-fuzzy2 --reference constant",
+     ["simulate", "--controller", "pd1-fuzzy2", "--reference", "constant",
+      "--reference-value", "-0.5"],
+     {"_trajectory.csv": "0677e8396a7a9e083a18d14edbec0760f5384b1b6ff91cb3ef2c9a14f7784f33",
+      "_metrics.csv": "f366311e27f4476e4449ed45a5000137eb1147ee78cda05888799025a52b4c5b"}),
+    ("simulate --controller cascaded --hold per-control-step",
+     ["simulate", "--controller", "cascaded", "--hold", "per-control-step",
+      "--disturbance", "uniform", "--seed", "5"],
+     {"_trajectory.csv": "0364cb0875606bf4af5f0aefc269fbc03d112bb835ea98e885705f1e076bce20",
+      "_metrics.csv": "f8a6398575aec697151bd0b58ea1fd9d7c55cea4c12aeaca718c9bf7d76d05f5"}),
     ("ablate --seed 10",
      ["ablate", "--seed", "10"],
      {"_ablation.csv": "dc1181b45f77cfb3158efd3efb52c125375c5f91c05c99c26acc8d0366ef8fd1"}),

@@ -1,5 +1,6 @@
 import collections
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -157,6 +158,63 @@ def test_controller_dispatch(params, gains, bounds):
         c = Controller(kind=kind, gains=gains, flr_bounds=bounds)
         u, d = torque(c, params, s, ref)
         assert math.isfinite(u)
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_string_kind_is_its_member(params, bounds, kind):
+    """A kind given by its value is stored as the member and runs that
+    member's law: the same bytes as the member itself."""
+    c = Controller(kind=kind.value, flr_bounds=bounds)
+    assert c.kind is kind
+    assert c == Controller(kind=kind, flr_bounds=bounds)
+    args = (params, SimConfig(horizon=1.0))
+    ref, dist = Reference("square"), DisturbanceModel()
+    assert (simulate(*args, c, ref, dist).data.tobytes()
+            == simulate(*args, Controller(kind=kind, flr_bounds=bounds), ref,
+                        dist).data.tobytes())
+
+
+def test_unknown_kind_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        Controller(kind="bogus")
+
+
+@pytest.mark.parametrize("single_gains", [
+    (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (-1.0, 1.0),
+    (1.0, -1e-300), (1.0,), (1.0, 2.0, 3.0), ()])
+def test_single_gains_are_checked(single_gains):
+    """single_gains are two finite values >= 0, as a GainSet's gains are;
+    anything else is a ValueError where it enters, not a divergence."""
+    with pytest.raises(ValueError, match="single_gains"):
+        Controller(ControllerKind.SINGLE_PD, single_gains=single_gains)
+
+
+def _same_bits(a, b):
+    """a and b are the same float bit for bit, NaN included."""
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@pytest.mark.parametrize("ref_kind", ["square", "sine", "constant"])
+@pytest.mark.parametrize("hold", ["per-sim-step", "per-control-step"])
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_every_row_is_the_torque_at_its_state(params, gains, bounds, kind,
+                                              hold, ref_kind):
+    """Each row's u, x3d, e1..e4 and gains as applied are torque's at the
+    row's state and reference, bit for bit; one second keeps the
+    single-PD run short of its divergence."""
+    ctrl = Controller(kind, gains, bounds)
+    ref = Reference(ref_kind, -0.5)
+    traj = simulate(params, SimConfig(horizon=1.0), ctrl, ref,
+                    DisturbanceModel("uniform", 10.0, 5, hold))
+    names = ("x3d", "e1", "e2", "e3", "e4",
+             "kp1_eff", "kd1_eff", "kp2_eff", "kd2_eff")
+    assert len(traj) == 20
+    for n in range(len(traj)):
+        u, d = torque(ctrl, params, _state(traj, n), ref(traj.t[n]))
+        row = [traj.u[n]] + [getattr(traj, name)[n] for name in TRAJ_COLUMNS[6:]
+                             if name != "u"]
+        want = [u] + [getattr(d, name) for name in names]
+        assert all(map(_same_bits, row, want)), (n, row, want)
 
 
 def test_diagnostics_tail_is_the_trajectory_tail():

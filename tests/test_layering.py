@@ -322,15 +322,15 @@ def _tuple_swaps(function):
 
 
 def test_hot_loops_build_no_tuple_to_unpack():
-    """simulate runs per Euler sub-step, the controller's law and infer
-    per control step, the metrics' pairwise sum per block of terms, and
-    the tuner's simplex, L-BFGS-B driver and lockstep engine per query:
-    none of them writes a multiple assignment that the interpreter
-    compiles to a tuple built and unpacked again.  An interpreter that
-    compiles it to plain stores passes trivially."""
+    """simulate runs per Euler sub-step and, with the control law written
+    in it, per control step, as infer does; the metrics' pairwise sum runs
+    per block of terms, and the tuner's simplex, L-BFGS-B driver and
+    lockstep engine per query: none of them writes a multiple assignment
+    that the interpreter compiles to a tuple built and unpacked again.  An
+    interpreter that compiles it to plain stores passes trivially."""
     from flexjoint import control, fuzzy, metrics, tuning
     found = {f.__qualname__: _tuple_swaps(f)
-             for f in (control.simulate, control.Controller._law, fuzzy.infer,
+             for f in (control.simulate, fuzzy.infer,
                        metrics._pairwise, tuning._nelder_mead,
                        tuning._lockstep, tuning._lbfgsb_run)}
     assert found == {name: [] for name in found}

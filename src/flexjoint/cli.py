@@ -20,6 +20,8 @@ or every tuning episode failed, 3 stability check failure (analyze only),
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import shutil
@@ -352,6 +354,18 @@ def _replace_set(prefix: str, scratch: Path, files: dict) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    main registers ``gc.freeze`` with atexit, once per process however
+    often it runs.  At exit the hook moves every live object to the
+    permanent generation, so the interpreter's final collections skip the
+    whole import graph of numpy and the package, which cost more than a
+    short command's own work.  Nothing is frozen while main runs, so an
+    in-process caller keeps normal collection; cyclic garbage still alive
+    at exit is left unfinalized.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -95,7 +95,8 @@ class Controller(Record):
     """Value object bundling a controller kind with its parameters.
 
     A kind given by its string value is stored as its ``ControllerKind``;
-    an unknown one, or single_gains that are not two finite values >= 0,
+    an unknown one, gains that are not a GainSet, flr_bounds that are not
+    a FlrBounds, or single_gains that are not two finite values >= 0,
     raise ValueError.  loop1 and loop2 hold the regulators of the kind's
     fuzzy loops, built once here; a plain PD loop holds None.
     """
@@ -109,6 +110,10 @@ class Controller(Record):
         # a string kind becomes its member, which simulate tests by identity
         k = ControllerKind(self.kind)
         object.__setattr__(self, "kind", k)
+        if not isinstance(self.gains, GainSet):
+            raise ValueError(f"gains must be a GainSet, got {self.gains!r}")
+        if not isinstance(self.flr_bounds, FlrBounds):
+            raise ValueError(f"flr_bounds must be a FlrBounds, got {self.flr_bounds!r}")
         gains = self.single_gains
         if len(gains) != 2 or not all(math.isfinite(v) and v >= 0 for v in gains):
             raise ValueError(f"single_gains must be two finite values >= 0, "
@@ -160,8 +165,10 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     The torque is recomputed every control_dt and held over the
     control_dt/sim_dt Euler sub-steps.  The loop runs on plain floats, from
     the control law to one flat list of rows.  The controller's kind,
-    gains and regulators are read once, before the loop, and the law is
-    written in the control step itself: e1 = x1d - x1 and e2 = x1d_dot -
+    gains and regulators and the reference's kind are read once, before
+    the loop; each control step forms x1d and x1d_dot at t = n*control_dt
+    with the operations of ``Reference.__call__``, and the law is written
+    in the control step itself: e1 = x1d - x1 and e2 = x1d_dot -
     x2; SINGLE_PD, the reduced-order baseline, applies u = kp*e1 + kd*e2
     with single_gains and records NaN for x3d, e3, e4, kp2 and kd2.  Every
     other kind runs the cascade u_pd1 = kp1*e1 + kd1*e2, x3d =
@@ -196,6 +203,7 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     lim = DIVERGENCE_LIMIT
     nlim = -lim
     cos = math.cos
+    sin = math.sin
     g = controller.gains
     kp1 = kp1_pd = g.kp1
     kd1 = kd1_pd = g.kd1
@@ -212,12 +220,20 @@ def simulate(params: PlantParams, sim: SimConfig, controller: Controller,
     steps = sim.n_control_steps
     draws = ((0.0, 0.0),) * sub if off else disturbance_draws(
         dist.seed, dist.amplitude, steps if per_control else steps * sub)
+    sine = ref.kind == "sine"
+    square = ref.kind == "square"
+    x1d = ref.value   # a constant's; sine and square form theirs per step
+    x1d_dot = 0.0
     x1 = x2 = x3 = x4 = 0.0
     c = cos(x1)
     rows: list[float] = []
     for n in range(steps or 1):
         t = n * control_dt
-        x1d, x1d_dot, _ = ref(t)
+        if sine:
+            x1d = sin(t)
+            x1d_dot = cos(t)
+        elif square:
+            x1d = 1.0 if t < 10.0 else 0.0
         e1 = x1d - x1
         e2 = x1d_dot - x2
         if single:

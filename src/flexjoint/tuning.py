@@ -161,6 +161,9 @@ class Domain(Record):
         if not (len(self.names) == len(self.lo) == len(self.hi)):
             raise ValueError("names, lo, hi must have equal length")
         _check_sobol_dim(len(self.names))
+        for i, name in enumerate(self.names):
+            if name in self.names[:i]:
+                raise ValueError(f"dimension {name}: name repeated")
         for name, a, b in zip(self.names, self.lo, self.hi):
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError(f"dimension {name}: bounds must be finite, "

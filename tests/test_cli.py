@@ -1159,3 +1159,58 @@ def test_an_out_prefix_ending_in_a_separator_writes_into_that_directory(tmp_path
     assert run(["analyze", "--out", str(tmp_path / "d") + os.sep]) == EXIT_OK
     assert list(_files(tmp_path / "d")) == ["_analysis.csv", "_meta.json"]
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter's run of args with src/ on its path."""
+    src = str(Path(flexjoint.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+
+
+# gc.freeze wrapped before main registers it, so the wrapper counts the
+# runs of the exit hook; then two in-process runs of main
+COUNT_FREEZES = """\
+import gc, sys
+freeze = gc.freeze
+def counted_freeze():
+    freeze()
+    print("exit freeze, frozen", gc.get_freeze_count() > 0)
+gc.freeze = counted_freeze
+from flexjoint.cli import main
+for out in sys.argv[1:]:
+    assert main(["simulate", "--horizon", "1", "--out", out]) == 0
+    print("main returned, frozen", gc.get_freeze_count())
+"""
+
+
+def test_main_freezes_the_heap_once_at_exit_and_never_while_it_runs(tmp_path):
+    """However often main runs in a process, nothing is frozen when it
+    returns, and the exit runs gc.freeze once."""
+    proc = _python("-c", COUNT_FREEZES, str(tmp_path / "a"), str(tmp_path / "b"))
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines()
+            if not line.startswith("cost=")] == [
+        "main returned, frozen 0", "main returned, frozen 0",
+        "exit freeze, frozen True"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["simulate", "--disturbance", "uniform", "--horizon", "2"], EXIT_OK, ""),
+    (["simulate", "--seed", "-1"], EXIT_USAGE,
+     "error: --seed must be >= 0, got -1\n"),
+    (["simulate", "--controller", "single-pd"], EXIT_DIVERGED,
+     "error: trajectory diverged at sim step 253 (t=1.2650s): |state| > 1e+06\n")],
+    ids=["disturbed-simulate", "usage-error", "diverged-single-pd"])
+def test_the_module_ends_as_main_returns(tmp_path, capsys, argv, code, err):
+    """python -m flexjoint.cli exits with main's code and prints main's
+    stdout and stderr, and the files it leaves are main's, byte for byte."""
+    (tmp_path / "module").mkdir()
+    (tmp_path / "main").mkdir()
+    proc = _python("-m", "flexjoint.cli", *argv, "--out", str(tmp_path / "module" / "r"))
+    assert run(argv + ["--out", str(tmp_path / "main" / "r")]) == code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert (captured.out, captured.err) == (proc.stdout, err)
+    assert _files(tmp_path / "module") == _files(tmp_path / "main")

@@ -1,6 +1,7 @@
 import collections
 import math
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -179,6 +180,18 @@ def test_unknown_kind_is_rejected():
         Controller(kind="bogus")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gains", None), ("gains", (52.19, 10.18, 144.5, 8.636)), ("gains", FlrBounds()),
+    ("flr_bounds", None), ("flr_bounds", GainSet())],
+    ids=["gains-None", "gains-tuple", "gains-FlrBounds", "flr_bounds-None",
+         "flr_bounds-GainSet"])
+def test_gains_and_bounds_must_be_their_records(field, value):
+    """gains is a GainSet and flr_bounds a FlrBounds, or construction is
+    a one-line ValueError naming the field, not a failure inside simulate."""
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        Controller(**{field: value})
+
+
 @pytest.mark.parametrize("single_gains", [
     (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (-1.0, 1.0),
     (1.0, -1e-300), (1.0,), (1.0, 2.0, 3.0), ()])
@@ -225,6 +238,17 @@ def test_diagnostics_tail_is_the_trajectory_tail():
 
 # ---------------------------------------------------------------------------
 # references
+
+@pytest.mark.parametrize("ref_kind", ["square", "sine", "constant"])
+def test_simulate_records_the_reference_past_the_step(params, gains, ref_kind):
+    """Across the square's step at t = 10 s too, each row's x1d is the
+    reference's at the row's t, bit for bit."""
+    ref = Reference(ref_kind, -0.5)
+    traj = simulate(params, SimConfig(horizon=10.5),
+                    Controller(ControllerKind.CASCADED_PD, gains), ref,
+                    DisturbanceModel())
+    assert traj.x1d.tobytes() == array("d", [ref(t)[0] for t in traj.t]).tobytes()
+
 
 def test_square_reference():
     r = Reference(kind="square")

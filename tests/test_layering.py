@@ -134,10 +134,9 @@ def test_only_analysis_and_tuning_import_numpy_at_top_level():
     assert importers <= {"analysis", "tuning"}, importers
 
 
-def test_no_module_imports_dataclasses():
-    """The value records derive from record.Record, which generates no
-    code, so no module imports dataclasses, at its top level or inside a
-    function."""
+def _importers(module: str) -> set[str]:
+    """The modules of src/flexjoint that import module, at their top level
+    or inside a function."""
     def roots(node):
         if isinstance(node, ast.Import):
             return {alias.name.split(".")[0] for alias in node.names}
@@ -146,10 +145,26 @@ def test_no_module_imports_dataclasses():
         return set()
 
     src = Path(flexjoint.__file__).resolve().parent
-    importers = {path.stem for path in src.glob("*.py")
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if "dataclasses" in roots(node)}
+    return {path.stem for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if module in roots(node)}
+
+
+def test_no_module_imports_dataclasses():
+    """The value records derive from record.Record, which generates no
+    code, so no module imports dataclasses, at its top level or inside a
+    function."""
+    importers = _importers("dataclasses")
     assert not importers, importers
+
+
+@pytest.mark.parametrize("module", ["gc", "atexit"])
+def test_only_the_command_line_sets_process_wide_hooks(module):
+    """Interpreter-wide settings belong to the process's entry point: of
+    the package, only cli imports gc or atexit, so the library layers
+    leave collection and exit as their caller set them."""
+    importers = _importers(module)
+    assert importers <= {"cli"}, importers
 
 
 SAME_BINDINGS = (

@@ -51,6 +51,15 @@ def test_domain_validation():
             Domain(names=("a",), lo=(lo,), hi=(hi,))
 
 
+@pytest.mark.parametrize("names, repeated", [(("a", "a"), "a"),
+                                              (("a", "b", "c", "b"), "b")])
+def test_domain_names_are_distinct(names, repeated):
+    """A repeated name would head two history columns: one line naming it."""
+    n = len(names)
+    with pytest.raises(ValueError, match=f"^dimension {repeated}: name repeated$"):
+        Domain(names=names, lo=(0.0,) * n, hi=(1.0,) * n)
+
+
 @given(x=st.lists(st.floats(0, 1), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_domain_normalize_roundtrip(x):
